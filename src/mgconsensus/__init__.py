@@ -30,7 +30,7 @@ from .errors import ConfigError
 from .scenario import Scenario, load_scenario, parse_scenario
 from .topology import Topology, load_topology
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 __all__ = [
     "ChannelSet", "ConfigError", "DesignCertificate", "DgSpec", "DosParams",

@@ -1,34 +1,8 @@
-"""Hot numeric kernels for attack-trace checking.
-
-Two interchangeable backends: numba @njit loops (default) and vectorised
-numpy. Set MGC_NO_NUMBA=1 to force the numpy path (also used automatically
-when numba is unavailable). Both are exercised by the test suite and by
-benchmarks/bench_kernels.py.
-"""
+"""Hot numeric kernels for attack-trace checking, vectorised with numpy."""
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-_DISABLED = os.environ.get("MGC_NO_NUMBA", "").strip().lower() in ("1", "true", "yes")
-NUMBA_ENABLED = not _DISABLED
-if NUMBA_ENABLED:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover
-        NUMBA_ENABLED = False
-
-if not NUMBA_ENABLED:
-    def njit(*args, **kwargs):  # no-op decorator
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(fn):
-            return fn
-
-        return wrap
 
 
 # --- duration budget ---------------------------------------------------
@@ -37,21 +11,7 @@ if not NUMBA_ENABLED:
 # kappa + (end_q - start_p) / tau_d. Returns the minimum slack (rhs - lhs);
 # negative means the budget is violated.
 
-@njit(cache=True)
-def _duration_min_slack_nb(starts, ends, kappa, tau_d):
-    n = starts.shape[0]
-    best = np.inf
-    for p in range(n):
-        acc = 0.0
-        for q in range(p, n):
-            acc += ends[q] - starts[q]
-            slack = kappa + (ends[q] - starts[p]) / tau_d - acc
-            if slack < best:
-                best = slack
-    return best
-
-
-def _duration_min_slack_np(starts, ends, kappa, tau_d):
+def duration_min_slack(starts, ends, kappa, tau_d):
     n = starts.shape[0]
     if n == 0:
         return np.inf
@@ -69,19 +29,7 @@ def _duration_min_slack_np(starts, ends, kappa, tau_d):
 # (t1 = s_p, t2 -> s_q+) contains q - p + 1 transitions, which must stay
 # within eta + (s_q - s_p) / tau_f.
 
-@njit(cache=True)
-def _frequency_min_slack_nb(trans, eta, tau_f):
-    n = trans.shape[0]
-    best = np.inf
-    for p in range(n):
-        for q in range(p, n):
-            slack = eta + (trans[q] - trans[p]) / tau_f - (q - p + 1)
-            if slack < best:
-                best = slack
-    return best
-
-
-def _frequency_min_slack_np(trans, eta, tau_f):
+def frequency_min_slack(trans, eta, tau_f):
     n = trans.shape[0]
     if n == 0:
         return np.inf
@@ -95,31 +43,10 @@ def _frequency_min_slack_np(trans, eta, tau_f):
 
 # --- persistency witness -----------------------------------------------
 # For each attempt that falls inside an attack window, the delay until the
-# first later attempt in healthy time. healthy is a bool mask over attempts.
+# first later attempt in healthy time (-1 when none follows). healthy is a
+# bool mask over attempts.
 
-@njit(cache=True)
-def _witness_delays_nb(attempts, healthy):
-    n = attempts.shape[0]
-    out = np.empty(n, dtype=np.float64)
-    m = 0
-    # forward pass with a shared pointer to the next healthy attempt
-    j = 0
-    for k in range(n):
-        if healthy[k]:
-            continue
-        if j < k + 1:
-            j = k + 1
-        while j < n and not healthy[j]:
-            j += 1
-        if j >= n:
-            out[m] = -1.0  # no later success observed
-        else:
-            out[m] = attempts[j] - attempts[k]
-        m += 1
-    return out[:m]
-
-
-def _witness_delays_np(attempts, healthy):
+def witness_delays(attempts, healthy):
     failed = np.flatnonzero(~healthy)
     ok_times = attempts[healthy]
     if failed.size == 0:
@@ -129,22 +56,3 @@ def _witness_delays_np(attempts, healthy):
     have = idx < ok_times.size
     out[have] = ok_times[idx[have]] - attempts[failed][have]
     return out
-
-
-if NUMBA_ENABLED:
-    duration_min_slack = _duration_min_slack_nb
-    frequency_min_slack = _frequency_min_slack_nb
-    witness_delays = _witness_delays_nb
-else:
-    duration_min_slack = _duration_min_slack_np
-    frequency_min_slack = _frequency_min_slack_np
-    witness_delays = _witness_delays_np
-
-BACKENDS = {
-    "duration_min_slack": {"numba": _duration_min_slack_nb,
-                           "numpy": _duration_min_slack_np},
-    "frequency_min_slack": {"numba": _frequency_min_slack_nb,
-                            "numpy": _frequency_min_slack_np},
-    "witness_delays": {"numba": _witness_delays_nb,
-                       "numpy": _witness_delays_np},
-}

@@ -8,63 +8,7 @@ delays instead of the offline worst case.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import MissingTimestampError
-
-
-@dataclass
-class LedgerEntry:
-    """Timestamps of one trigger k of a directed edge."""
-
-    k: int
-    trigger_time: float          # communication attempt time
-    own_stamp: float             # stamp of the local data used
-    nbr_stamp: float             # stamp of the neighbour data used
-    actuated_time: float | None = None   # successful actuation time, once known
-    t_act_estimate: float = 0.0  # running estimate of the actuation delay
-    superseded: bool = False     # a newer command replaced this one unactuated
-
-    @property
-    def own_delay(self) -> float:
-        return self.trigger_time - self.own_stamp
-
-    @property
-    def nbr_delay(self) -> float:
-        return self.trigger_time - self.nbr_stamp
-
-    @property
-    def actuation_delay(self) -> float:
-        if self.actuated_time is None:
-            raise MissingTimestampError(f"trigger {self.k} not yet actuated")
-        return self.actuated_time - self.trigger_time
-
-
-@dataclass
-class TimestampLedger:
-    """Per-edge history of triggers and their delays."""
-
-    entries: list[LedgerEntry] = field(default_factory=list)
-
-    def open_entry(self, trigger_time: float, own_stamp: float, nbr_stamp: float) -> LedgerEntry:
-        entry = LedgerEntry(len(self.entries), trigger_time, own_stamp, nbr_stamp)
-        self.entries.append(entry)
-        return entry
-
-    @property
-    def last(self) -> LedgerEntry:
-        if not self.entries:
-            raise MissingTimestampError("ledger is empty")
-        return self.entries[-1]
-
-
-@dataclass(frozen=True)
-class AdaptiveParams:
-    """Result of one adaptation step."""
-
-    gamma: float
-    eps: float
-    rate: float
 
 
 def delay_aggregate(

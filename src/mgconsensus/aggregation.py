@@ -84,23 +84,3 @@ def share_power(total_power_kw: float, dgs: Sequence[DgSpec]) -> list[float]:
             )
     rating_sum = sum(dg.rating_kw for dg in dgs)
     return [total_power_kw * dg.rating_kw / rating_sum for dg in dgs]
-
-
-def objective_metrics(
-    omega_rows: Sequence[Sequence[float]],
-    power_rows: Sequence[Sequence[float]],
-    omega_ref: float,
-) -> dict[str, list[float]]:
-    """Per-sample synchronisation and sharing errors of a completed run.
-
-    omega_rows holds per-node equivalent frequencies, power_rows the
-    droop-scaled power states; both are time-major.
-    """
-    sync_err = [max(row) - min(row) for row in omega_rows]
-    share_err = [max(row) - min(row) for row in power_rows]
-    ref_dev = [max(abs(w - omega_ref) for w in row) for row in omega_rows]
-    return {
-        "sync_error": sync_err,
-        "sharing_error": share_err,
-        "reference_deviation": ref_dev,
-    }

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import _kernels
-from .errors import AttemptSpacingError, BudgetInfeasibleError
+from .errors import AttemptSpacingError, BudgetInfeasibleError, ConfigError
 from .topology import Topology
 
 # Channel ids: ("meas", i), ("act", i), ("comm", i, j) with i < j.
@@ -83,6 +83,9 @@ class DosSequence:
 
     intervals: tuple[tuple[float, float], ...]
     horizon: float
+    # window starts and ends, derived once for the attack-window query
+    starts: tuple[float, ...] = field(init=False, compare=False, repr=False)
+    ends: tuple[float, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         prev_end = 0.0
@@ -92,10 +95,12 @@ class DosSequence:
             if s < prev_end:
                 raise ValueError("intervals must be sorted and disjoint")
             prev_end = e
+        object.__setattr__(self, "starts", tuple(s for s, _ in self.intervals))
+        object.__setattr__(self, "ends", tuple(e for _, e in self.intervals))
 
     def is_attacked(self, t: float) -> bool:
-        idx = bisect_right([s for s, _ in self.intervals], t) - 1
-        return idx >= 0 and t < self.intervals[idx][1]
+        idx = bisect_right(self.starts, t) - 1
+        return idx >= 0 and t < self.ends[idx]
 
     def attacked_time(self, t1: float, t2: float) -> float:
         """Lebesgue measure of the under-attack subset of [t1, t2)."""
@@ -303,16 +308,21 @@ class ChannelSet:
     sequences: dict[ChannelId, DosSequence]
     params: dict[ChannelId, DosParams]
 
-    def check_complete(self, topo: Topology, per_direction: bool = False) -> None:
+    def check_complete(
+        self, topo: Topology, comm_edges: Iterable[tuple[int, int]] | None = None
+    ) -> None:
+        """Require every node's meas/act channel and a comm channel per budgeted edge.
+
+        `comm_edges` lists the edges (i < j) that carry a communication budget,
+        which are the ones `generate_channel_set` writes; default: every edge.
+        """
         for i in range(topo.node_count):
             for kind in ("meas", "act"):
                 if (kind, i) not in self.sequences:
-                    raise ValueError(f"missing {kind} channel for node {i}")
-        for i, j in topo.edges:
-            keys = [("comm", i, j), ("comm", j, i)] if per_direction else [("comm", i, j)]
-            for key in keys:
-                if key not in self.sequences:
-                    raise ValueError(f"missing comm channel {key}")
+                    raise ConfigError(f"missing {kind} channel for node {i}")
+        for i, j in topo.edges if comm_edges is None else comm_edges:
+            if ("comm", i, j) not in self.sequences:
+                raise ConfigError(f"missing comm channel {('comm', i, j)}")
 
     def to_dict(self) -> dict:
         out = {}

@@ -7,10 +7,6 @@ cached data (stale under attack) or zeroes it when the link is jammed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .errors import ClockNotExpiredError
-
 
 def deadzone_sign(z: float, eps: float) -> int:
     """Ternary quantiser: sign of z outside the closed dead zone |z| < eps."""
@@ -34,81 +30,6 @@ def attacked_clock_reset(eps: float, d_i: int, d_j: int) -> float:
     return eps / (2.0 * (d_i + d_j))
 
 
-def node_input(edge_inputs) -> float:
-    """Node-level input: sum of the node's edge contributions."""
-    return float(sum(edge_inputs))
-
-
 def dwell_time_floor(eps: float, rate: float, d_i: int, d_j: int) -> float:
     """Guaranteed minimum inter-trigger interval of one edge."""
     return eps / (2.0 * rate * (d_i + d_j))
-
-
-@dataclass
-class MeasurementCache:
-    """Freshest data a directed edge controller can see.
-
-    Own and neighbour stamps are independent (asynchronous collection): the
-    neighbour value is from the last successful link delivery, the own value
-    from the last successful local measurement.
-    """
-
-    own_value: float
-    own_stamp: float
-    nbr_value: float
-    nbr_stamp: float
-
-
-@dataclass
-class EdgeControllerState:
-    """Mutable state of one directed edge controller."""
-
-    d_i: int
-    d_j: int
-    eps: float
-    rate: float
-    u: int = 0
-    theta: float = 0.0
-    last_trigger_time: float = 0.0
-    next_expiry: float = 0.0
-    trigger_count: int = 0
-
-
-@dataclass
-class ActuationRequest:
-    """Emitted at every trigger; the node aggregates and actuates."""
-
-    time: float
-    u: int
-    healthy: bool
-    diff: float | None  # disagreement actually used (None when jammed)
-
-
-def on_clock_expiry(
-    state: EdgeControllerState,
-    cache: MeasurementCache,
-    comm_healthy: bool,
-    now: float,
-) -> ActuationRequest:
-    """Trigger the edge at clock expiry and schedule the next one.
-
-    Healthy link: ternary input from the stale disagreement and full clock
-    reset. Jammed link: zero input and the short sensitivity-only reset.
-    """
-    if now < state.next_expiry - 1e-12:
-        raise ClockNotExpiredError(
-            f"clock expires at {state.next_expiry}, trigger requested at {now}"
-        )
-    if comm_healthy:
-        diff = cache.nbr_value - cache.own_value
-        state.u = deadzone_sign(diff, state.eps)
-        state.theta = clock_reset(diff, state.eps, state.d_i, state.d_j)
-        req = ActuationRequest(now, state.u, True, diff)
-    else:
-        state.u = 0
-        state.theta = attacked_clock_reset(state.eps, state.d_i, state.d_j)
-        req = ActuationRequest(now, 0, False, None)
-    state.last_trigger_time = now
-    state.next_expiry = now + state.theta / state.rate
-    state.trigger_count += 1
-    return req

@@ -12,15 +12,14 @@ sample; FIFO within a kind.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from heapq import heappush, heappop
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .adaptive import adapt_params, scaled_input
-from .attacks import ChannelSet
+from .adaptive import actuation_estimate, adapt_params, delay_aggregate, scaled_input
+from .attacks import ChannelSet, DosSequence
 from .controller import attacked_clock_reset, clock_reset, deadzone_sign, dwell_time_floor
 from .design import lyapunov
 from .topology import Topology
@@ -32,30 +31,6 @@ K_EXPIRY = 2
 K_ACT = 3
 K_DISTURB = 4
 K_RECORD = 5
-
-
-class _Channel:
-    """Attack windows of one channel, queryable by time."""
-
-    __slots__ = ("starts", "ends")
-
-    def __init__(self, intervals: Sequence[tuple[float, float]]):
-        self.starts = [s for s, _ in intervals]
-        self.ends = [e for _, e in intervals]
-
-    def healthy(self, t: float) -> bool:
-        idx = bisect_right(self.starts, t) - 1
-        return idx < 0 or t >= self.ends[idx]
-
-    def boundaries(self) -> list[float]:
-        out = []
-        for s, e in zip(self.starts, self.ends):
-            out.append(s)
-            out.append(e)
-        return out
-
-
-_ALWAYS_HEALTHY = _Channel(())
 
 
 @dataclass
@@ -141,19 +116,16 @@ class Simulation:
         if len(cfg.edge_eps) != len(self.edges) or len(cfg.edge_rate) != len(self.edges):
             raise ValueError("edge_eps/edge_rate must match the directed edge count")
 
-        cs = cfg.channels
-        self.meas_ch = []
-        self.act_ch = []
-        for i in range(self.n):
-            mseq = cs.sequences.get(("meas", i)) if cs else None
-            aseq = cs.sequences.get(("act", i)) if cs else None
-            self.meas_ch.append(_Channel(mseq.intervals) if mseq else _ALWAYS_HEALTHY)
-            self.act_ch.append(_Channel(aseq.intervals) if aseq else _ALWAYS_HEALTHY)
-        self.comm_ch = []
-        for i, j in self.edges:
-            key = ("comm", i, j) if (cfg.per_direction_comm or i < j) else ("comm", j, i)
-            seq = cs.sequences.get(key) if cs else None
-            self.comm_ch.append(_Channel(seq.intervals) if seq else _ALWAYS_HEALTHY)
+        # a channel without a trace is an unattacked one
+        sequences = cfg.channels.sequences if cfg.channels else {}
+        unattacked = DosSequence((), cfg.horizon)
+        self.meas_ch = [sequences.get(("meas", i), unattacked) for i in range(self.n)]
+        self.act_ch = [sequences.get(("act", i), unattacked) for i in range(self.n)]
+        self.comm_ch = [
+            sequences.get(("comm", i, j) if (cfg.per_direction_comm or i < j) else ("comm", j, i),
+                          unattacked)
+            for i, j in self.edges
+        ]
 
         self.phi_act = list(cfg.phi_act) if cfg.phi_act else [0.0] * self.n
         self.delta_meas = list(cfg.delta_meas) if cfg.delta_meas else [0.01] * self.n
@@ -186,12 +158,9 @@ class Simulation:
         # per-edge controller state
         e_i = [a for a, _ in edges]
         e_j = [b for _, b in edges]
-        e_dsum = [degs[a] + degs[b] for a, b in edges]
-        e_u = [0] * ne
         e_ueff = [0.0] * ne
         e_eps = list(cfg.edge_eps)
         e_rate = list(cfg.edge_rate)
-        e_theta = [0.0] * ne
         e_trig_t = [0.0] * ne
         e_diff: list[Optional[float]] = [None] * ne
         e_own_delay = [0.0] * ne
@@ -199,7 +168,22 @@ class Simulation:
         e_nbr_val = [x[b] for b in e_j]
         e_nbr_stamp = [0.0] * ne
         e_ver = [0] * ne
-        e_count = [0] * ne
+        phi_act = self.phi_act
+        adaptive = self.adaptive
+
+        def set_command(e, i, j, diff, eps_k, rate_k):
+            """Apply the ternary rule to edge e; diff None means the link is jammed."""
+            if diff is None:
+                u = 0
+                theta = attacked_clock_reset(eps_k, degs[i], degs[j])
+            else:
+                u = deadzone_sign(diff, eps_k)
+                theta = clock_reset(diff, eps_k, degs[i], degs[j])
+            e_eps[e] = eps_k
+            e_rate[e] = rate_k
+            e_ueff[e] = scaled_input(u, theta, rate_k, phi_act[i]) if adaptive else float(u)
+            e_ver[e] += 1
+            return u, theta
 
         heap: list = []
         seq = 0
@@ -222,9 +206,9 @@ class Simulation:
             push(k * cfg.record_period, K_RECORD)
             k += 1
         push(horizon, K_RECORD)
-        if cfg.channels:
-            for ch in (*self.meas_ch, *self.act_ch, *self.comm_ch):
-                for b in ch.boundaries():
+        for ch in (*self.meas_ch, *self.act_ch, *self.comm_ch):
+            for window in ch.intervals:
+                for b in window:
                     if b <= horizon:
                         push(b, K_BOUNDARY)
 
@@ -239,7 +223,6 @@ class Simulation:
 
         alpha, beta = cfg.alpha, cfg.beta
         eps_floor = cfg.eps_floor
-        adaptive = self.adaptive
         resilient = self.resilient
         frozen = False
         last_record_t = -1.0
@@ -257,7 +240,7 @@ class Simulation:
 
             if kind == K_MEAS:
                 i = a
-                if self.meas_ch[i].healthy(t):
+                if not self.meas_ch[i].is_attacked(t):
                     cache_val[i] = x[i]
                     cache_stamp[i] = t
                     stats["meas_ok"] += 1
@@ -271,12 +254,13 @@ class Simulation:
                 e, ver = a, b
                 if ver != e_ver[e]:
                     continue
-                i, j, dsum = e_i[e], e_j[e], e_dsum[e]
-                comm_h = self.comm_ch[e].healthy(t)
+                i, j = e_i[e], e_j[e]
+                comm_h = not self.comm_ch[e].is_attacked(t)
                 if comm_h:
                     stats["comm_ok"] += 1
                 else:
                     stats["comm_fail"] += 1
+                e_trig_t[e] = t
                 if comm_h or not resilient:
                     if comm_h:
                         e_nbr_val[e] = cache_val[j]
@@ -285,32 +269,19 @@ class Simulation:
                     own_delay = t - cache_stamp[i]
                     nbr_delay = t - e_nbr_stamp[e]
                     if adaptive and comm_h:
-                        gamma = degs[i] * own_delay + degs[j] * nbr_delay
+                        gamma = delay_aggregate(own_delay, nbr_delay, 0.0, degs[i], degs[j])
                         eps_k, rate_k = adapt_params(gamma, alpha, beta, eps_floor)
                     else:
                         eps_k, rate_k = cfg.edge_eps[e], cfg.edge_rate[e]
-                    u = deadzone_sign(diff, eps_k)
-                    theta = clock_reset(diff, eps_k, degs[i], degs[j])
-                    e_diff[e] = diff
                     e_own_delay[e] = own_delay
                     e_nbr_delay[e] = nbr_delay
-                    if comm_h and u != 0 and abs(diff) >= eps_k:
-                        v_active.append((t, lyapunov(x)))
                 else:
-                    eps_k, rate_k = e_eps[e], e_rate[e]
-                    u = 0
-                    theta = attacked_clock_reset(eps_k, degs[i], degs[j])
                     diff = None
-                    e_diff[e] = None
-                e_u[e] = u
-                e_eps[e] = eps_k
-                e_rate[e] = rate_k
-                e_theta[e] = theta
-                e_trig_t[e] = t
-                e_count[e] += 1
-                ueff = scaled_input(u, theta, rate_k, self.phi_act[i]) if adaptive else float(u)
-                e_ueff[e] = ueff
-                e_ver[e] += 1
+                    eps_k, rate_k = e_eps[e], e_rate[e]
+                e_diff[e] = diff
+                u, theta = set_command(e, i, j, diff, eps_k, rate_k)
+                if comm_h and u != 0 and abs(diff) >= eps_k:
+                    v_active.append((t, lyapunov(x)))
                 push(t + theta / rate_k, K_EXPIRY, e, e_ver[e])
                 trigger_log.append(
                     (t, e, comm_h, diff, u, theta, eps_k, rate_k,
@@ -338,7 +309,7 @@ class Simulation:
                 i, ver = a, b
                 if ver != act_ver[i] or pending[i] is None:
                     continue
-                if self.act_ch[i].healthy(t):
+                if not self.act_ch[i].is_attacked(t):
                     stats["act_ok"] += 1
                     ustar[i] = pending[i]
                     pending[i] = None
@@ -355,20 +326,11 @@ class Simulation:
                         for e in pend_edges[i]:
                             if e_diff[e] is None:
                                 continue
-                            t_hat = t + self.delta_act[i] - e_trig_t[e]
-                            j = e_j[e]
-                            gamma = (degs[i] * (e_own_delay[e] + t_hat)
-                                     + degs[j] * (e_nbr_delay[e] + t_hat))
+                            t_hat = actuation_estimate(e_trig_t[e], t, self.delta_act[i])
+                            gamma = delay_aggregate(e_own_delay[e], e_nbr_delay[e], t_hat,
+                                                    degs[i], degs[e_j[e]])
                             eps_k, rate_k = adapt_params(gamma, alpha, beta, eps_floor)
-                            diff = e_diff[e]
-                            u = deadzone_sign(diff, eps_k)
-                            theta = clock_reset(diff, eps_k, degs[i], degs[j])
-                            e_u[e] = u
-                            e_eps[e] = eps_k
-                            e_rate[e] = rate_k
-                            e_theta[e] = theta
-                            e_ueff[e] = scaled_input(u, theta, rate_k, self.phi_act[i])
-                            e_ver[e] += 1
+                            _u, theta = set_command(e, i, e_j[e], e_diff[e], eps_k, rate_k)
                             push(max(e_trig_t[e] + theta / rate_k, t), K_EXPIRY, e, e_ver[e])
                         new_sum = 0.0
                         for oe in self.out_edges[i]:

@@ -25,12 +25,8 @@ class AttemptSpacingError(ValueError):
     """Transmission attempts are closer together than the channel minimum."""
 
 
-class ClockNotExpiredError(RuntimeError):
-    """Edge controller update requested before its clock reached zero."""
-
-
 class MissingTimestampError(ValueError):
-    """Timestamp ledger entry lacks a value required by the adaptation law."""
+    """A delay fed to the adaptation law is negative (timestamps out of order)."""
 
 
 class CriterionViolatedError(ValueError):

@@ -186,7 +186,9 @@ class Scenario:
             return None
         if self.trace_file:
             with open(self.trace_file) as fh:
-                return ChannelSet.from_dict(yaml.safe_load(fh))
+                channels = ChannelSet.from_dict(yaml.safe_load(fh))
+            channels.check_complete(self.topology, self.resolved_comm_params())
+            return channels
         meas, act, _ = self.channel_params()
         comm = self.resolved_comm_params()
         if scale_class == "measurement":

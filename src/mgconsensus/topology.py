@@ -84,9 +84,3 @@ def load_topology(spec: Sequence[Sequence[float]]) -> Topology:
             raise DisconnectedError(f"graph is disconnected; unreachable nodes {missing}")
 
     return Topology(n, edges, tuple(tuple(sorted(x)) for x in nbrs))
-
-
-def degrees(t: Topology) -> tuple[list[int], int, int]:
-    """Per-node degree list plus (d_max, d_min)."""
-    degs = t.degrees
-    return degs, max(degs), min(degs)

@@ -1,8 +1,6 @@
 import pytest
 
 from mgconsensus.adaptive import (
-    LedgerEntry,
-    TimestampLedger,
     actuation_estimate,
     adapt_params,
     delay_aggregate,
@@ -71,28 +69,3 @@ def test_scaled_input_matches_worst_case_displacement():
 
 def test_actuation_estimate():
     assert actuation_estimate(10.0, 10.3, 0.05) == pytest.approx(0.35)
-
-
-def test_ledger_delays():
-    led = TimestampLedger()
-    e = led.open_entry(trigger_time=5.0, own_stamp=4.9, nbr_stamp=4.7)
-    assert e.own_delay == pytest.approx(0.1)
-    assert e.nbr_delay == pytest.approx(0.3)
-    with pytest.raises(MissingTimestampError):
-        _ = e.actuation_delay
-    e.actuated_time = 5.2
-    assert e.actuation_delay == pytest.approx(0.2)
-    assert led.last is e
-
-
-def test_empty_ledger():
-    with pytest.raises(MissingTimestampError):
-        _ = TimestampLedger().last
-
-
-def test_entry_numbering():
-    led = TimestampLedger()
-    a = led.open_entry(1.0, 1.0, 1.0)
-    b = led.open_entry(2.0, 2.0, 2.0)
-    assert (a.k, b.k) == (0, 1)
-    assert isinstance(b, LedgerEntry)

@@ -4,7 +4,6 @@ from mgconsensus.aggregation import (
     DgSpec,
     aggregate,
     dg_from_rating,
-    objective_metrics,
     share_power,
 )
 from mgconsensus.errors import EmptyMgError, InconsistentDroopsError
@@ -68,12 +67,3 @@ def test_share_power_requires_consistent_droops():
     dgs = [dg_from_rating(10.0), DgSpec(10.0, 0.2)]
     with pytest.raises(InconsistentDroopsError):
         share_power(10.0, dgs)
-
-
-def test_objective_metrics():
-    omega = [[314.0, 314.2], [314.1, 314.1]]
-    power = [[0.5, 0.6], [0.55, 0.55]]
-    m = objective_metrics(omega, power, omega_ref=314.1)
-    assert m["sync_error"] == pytest.approx([0.2, 0.0])
-    assert m["sharing_error"] == pytest.approx([0.1, 0.0])
-    assert m["reference_deviation"] == pytest.approx([0.1, 0.0])

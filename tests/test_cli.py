@@ -82,6 +82,33 @@ def test_config_error_exit_code(tmp_path):
     assert main(["run", str(bad)]) == 2
 
 
+@pytest.mark.parametrize(
+    "variant", ["bundled", "no-comm-budget", "empty-override", "per-direction"]
+)
+def test_trace_file_must_cover_every_channel(fast_scenario, tmp_path, variant):
+    """A generated trace runs as `trace_file`; one without a channel is rejected."""
+    data = yaml.safe_load(fast_scenario.read_text())
+    if variant == "no-comm-budget":
+        del data["channels"]["communication"]
+    elif variant == "empty-override":
+        data["channels"]["communication"]["overrides"] = {"0-1": {}}
+    elif variant == "per-direction":
+        data["channels"]["per_direction_comm"] = True
+    scen = tmp_path / "scen.yaml"
+    scen.write_text(yaml.safe_dump(data))
+    trace = tmp_path / "trace.json"
+    assert main(["attacks", "generate", str(scen), "--out", str(trace)]) == 0
+    data["channels"]["trace_file"] = str(trace)
+    scen.write_text(yaml.safe_dump(data))
+    run = ["run", str(scen), "--mode", "resilient-local", "--instance", "frequency",
+           "--out", str(tmp_path / "out")]
+    assert main(run) == 0
+    channels = json.loads(trace.read_text())
+    del channels["act/0"]
+    trace.write_text(json.dumps(channels))
+    assert main(run) == 2
+
+
 def test_mode_override(fast_scenario, tmp_path, capsys):
     out = tmp_path / "out"
     rc = main(["run", str(fast_scenario), "--mode", "resilient-global",

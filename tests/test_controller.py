@@ -1,17 +1,18 @@
+import numpy as np
 import pytest
 
+from mgconsensus.attacks import ChannelSet, DosParams, DosSequence
 from mgconsensus.controller import (
-    ActuationRequest,
-    EdgeControllerState,
-    MeasurementCache,
     attacked_clock_reset,
     clock_reset,
     deadzone_sign,
     dwell_time_floor,
-    node_input,
-    on_clock_expiry,
 )
-from mgconsensus.errors import ClockNotExpiredError
+from mgconsensus.engine import EngineConfig, Simulation
+from mgconsensus.topology import load_topology
+
+MODES = ("nominal", "resilient-global", "resilient-local", "self-adaptive")
+RING4 = [[0, 1, 0, 1], [1, 0, 1, 0], [0, 1, 0, 1], [1, 0, 1, 0]]
 
 
 @pytest.mark.parametrize(
@@ -45,54 +46,96 @@ def test_dwell_floor_value():
     assert dwell_time_floor(1.2624, 1.01, 2, 2) == pytest.approx(0.15623762376237624)
 
 
-def test_node_input_sums_edges():
-    assert node_input([1, -1, 1]) == 1.0
-    assert node_input([]) == 0.0
+# The tests below check the rule as the engine applies it, row by row of
+# its trigger log: (t, edge, comm_healthy, diff, u, theta, eps, rate, floor).
+# Every node of the ring has degree D.
+D = 2
 
 
-def _state(**kw):
-    base = dict(d_i=1, d_j=1, eps=0.1, rate=1.0)
-    base.update(kw)
-    return EdgeControllerState(**base)
+def _run(mode, rate=1.0, comm_jam=True, horizon=10.0):
+    """Ring of four; the 0-1 link is jammed on [1, 3) when comm_jam is set."""
+    topo = load_topology(RING4)
+    ne = len(topo.directed_edges())
+    channels = None
+    if comm_jam:
+        key = ("comm", 0, 1)
+        channels = ChannelSet({key: DosSequence(((1.0, 3.0),), horizon)},
+                              {key: DosParams(1.0, 2.0, 1.0, 1e9, 0.01)})
+    cfg = EngineConfig(
+        topology=topo, x0=[0.0, 2.0, 4.0, 1.0], mode=mode, eps_floor=0.1,
+        edge_eps=[0.1] * ne, edge_rate=[rate] * ne, horizon=horizon,
+        channels=channels, phi_act=[0.05] * 4,
+    )
+    return Simulation(cfg).run()
 
 
 def test_expiry_healthy_branch():
-    st = _state()
-    cache = MeasurementCache(own_value=0.0, own_stamp=0.9, nbr_value=1.0, nbr_stamp=0.95)
-    req = on_clock_expiry(st, cache, comm_healthy=True, now=1.0)
-    assert req == ActuationRequest(1.0, 1, True, 1.0)
-    assert st.u == 1
-    assert st.theta == pytest.approx(0.25)
-    assert st.next_expiry == pytest.approx(1.25)
-    assert st.trigger_count == 1
+    for mode in MODES:
+        rows = [r for r in _run(mode).trigger_log if r[3] is not None]
+        assert rows
+        for _t, _e, _h, diff, u, theta, eps, _r, _f in rows:
+            assert u == deadzone_sign(diff, eps)
+            assert theta == clock_reset(diff, eps, D, D)
 
 
 def test_expiry_jammed_branch():
-    st = _state(d_i=2, d_j=2)
-    cache = MeasurementCache(0.0, 0.9, 5.0, 0.95)
-    req = on_clock_expiry(st, cache, comm_healthy=False, now=1.0)
-    assert req.u == 0 and req.diff is None and not req.healthy
-    assert st.theta == pytest.approx(0.1 / 8.0)
-    assert st.next_expiry == pytest.approx(1.0 + 0.1 / 8.0)
+    for mode in MODES:
+        jammed = [r for r in _run(mode).trigger_log if r[3] is None]
+        # only resilient controllers discard the stale data of a jammed link
+        assert bool(jammed) == (mode != "nominal")
+        for _t, _e, healthy, _d, u, theta, eps, _r, _f in jammed:
+            assert not healthy
+            assert u == 0
+            assert theta == attacked_clock_reset(eps, D, D)
 
 
 def test_expiry_inside_dead_zone_keeps_zero_input():
-    st = _state()
-    cache = MeasurementCache(0.0, 0.9, 0.05, 0.95)
-    req = on_clock_expiry(st, cache, comm_healthy=True, now=1.0)
-    assert req.u == 0
-    assert st.theta == pytest.approx(0.025)
+    for mode in MODES:
+        inside = [r for r in _run(mode).trigger_log if r[3] is not None and abs(r[3]) < r[6]]
+        assert inside
+        for _t, _e, _h, _d, u, theta, eps, _r, _f in inside:
+            assert u == 0
+            assert theta == eps / (2.0 * (D + D))
 
 
 def test_early_trigger_rejected():
-    st = _state(next_expiry=2.0)
-    cache = MeasurementCache(0.0, 0.0, 1.0, 0.0)
-    with pytest.raises(ClockNotExpiredError):
-        on_clock_expiry(st, cache, True, 1.5)
+    # each edge fires exactly when the clock set at its previous trigger runs out
+    for mode in MODES:
+        due = {}
+        for t, e, _h, _d, _u, theta, _eps, rate, _f in _run(mode).trigger_log:
+            if e in due:
+                assert t == due[e]
+            due[e] = t + theta / rate
 
 
 def test_rate_shortens_wall_clock_interval():
-    st = _state(rate=2.0)
-    cache = MeasurementCache(0.0, 0.0, 1.0, 0.0)
-    on_clock_expiry(st, cache, True, 0.0)
-    assert st.next_expiry == pytest.approx(st.theta / 2.0)
+    last = {}
+    for t, e, _h, _d, _u, theta, _eps, rate, _f in _run("nominal", 2.0, False).trigger_log:
+        assert rate == 2.0
+        if e in last:
+            prev_t, prev_theta = last[e]
+            assert t - prev_t == pytest.approx(prev_theta / 2.0)
+        last[e] = (t, theta)
+
+
+def test_node_input_sums_edges():
+    # unattacked actuation applies each command at its trigger time, so every
+    # recorded node input is the sum of the node's latest edge inputs
+    m = _run("nominal")
+    edge_u = [0] * len(m.directed_edges)
+    k = 0
+
+    def check(k):
+        for i in range(4):
+            total = sum(u for (a, _b), u in zip(m.directed_edges, edge_u) if a == i)
+            assert m.inputs[k][i] == total
+
+    for t, e, _h, _d, u, *_rest in m.trigger_log:
+        while k < m.times.size and m.times[k] < t:
+            check(k)
+            k += 1
+        edge_u[e] = u
+    while k < m.times.size:
+        check(k)
+        k += 1
+    assert np.any(m.inputs != 0.0)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mgconsensus.adaptive import adapt_params, delay_aggregate
 from mgconsensus.attacks import ChannelSet, DosParams, DosSequence
 from mgconsensus.engine import EngineConfig, Simulation
 from mgconsensus.topology import load_topology
@@ -114,6 +115,19 @@ def test_actuation_jam_delays_commands():
     np.testing.assert_array_equal(m.states[m.times < 0.5, 0], 0.0)
     assert m.states[-1][0] > 0.1
     assert m.converged
+
+
+def test_retune_uses_delay_aggregate():
+    # failed actuations re-tune the pending command from the grown estimate,
+    # which the successful attempt then confirms as the actuation delay
+    cs = _jam(("act", 0), 0.0, 0.5, 5.0)
+    m = Simulation(
+        _cfg(PAIR, [0.0, 1.0], channels=cs, mode="self-adaptive", horizon=5.0)
+    ).run()
+    for _e, _t, own, nbr, act, eps, rate in m.closed_commands:
+        gamma = delay_aggregate(own, nbr, act, 1, 1)
+        assert (eps, rate) == adapt_params(gamma, 1.5, 1.1, 0.1)
+    assert any(c[4] > 0.0 for c in m.closed_commands)
 
 
 def test_measurement_jam_freezes_cache():

@@ -1,7 +1,7 @@
 import pytest
 
 from mgconsensus.errors import DisconnectedError, NotSymmetricError, SelfLoopError
-from mgconsensus.topology import degrees, load_topology
+from mgconsensus.topology import load_topology
 
 RING4 = [
     [0, 1, 0, 1],
@@ -34,9 +34,8 @@ def test_weighted_entries_collapse_to_presence():
 
 def test_line_graph_degrees():
     topo = load_topology([[0, 1, 0], [1, 0, 1], [0, 1, 0]])
-    degs, d_max, d_min = degrees(topo)
-    assert degs == [1, 2, 1]
-    assert (d_max, d_min) == (2, 1)
+    assert topo.degrees == [1, 2, 1]
+    assert (topo.d_max, topo.d_min) == (2, 1)
 
 
 def test_rejects_non_square():
