@@ -19,7 +19,8 @@ from . import _kernels
 from .errors import AttemptSpacingError, BudgetInfeasibleError, ConfigError
 from .topology import Topology
 
-# Channel ids: ("meas", i), ("act", i), ("comm", i, j) with i < j.
+# Channel ids: ("meas", i), ("act", i), ("comm", i, j) with i < j, plus
+# ("comm", j, i) when each direction of a link has its own trace.
 ChannelId = tuple
 
 _MIN_ATTACK_LEN = 1e-6
@@ -50,9 +51,6 @@ class DosParams:
     def duty_ratio(self) -> float:
         """1/tau_d + delta_star/tau_f; must be < 1 for a persistency bound."""
         return 1.0 / self.tau_d + self.delta_star / self.tau_f
-
-    def with_delta_star(self, delta_star: float) -> "DosParams":
-        return DosParams(self.eta, self.kappa, self.tau_f, self.tau_d, delta_star)
 
     def scaled(self, intensity: float) -> "DosParams":
         """Scale attack intensity: offsets shrink, inverse rates stretch."""
@@ -102,13 +100,6 @@ class DosSequence:
         idx = bisect_right(self.starts, t) - 1
         return idx >= 0 and t < self.ends[idx]
 
-    def attacked_time(self, t1: float, t2: float) -> float:
-        """Lebesgue measure of the under-attack subset of [t1, t2)."""
-        total = 0.0
-        for s, e in self.intervals:
-            total += max(0.0, min(e, t2) - max(s, t1))
-        return total
-
     def clipped(self, t1: float, t2: float) -> list[tuple[float, float]]:
         out = []
         for s, e in self.intervals:
@@ -144,9 +135,7 @@ def verify_sequence(
     starts = np.array([a for a, _ in clipped], dtype=np.float64)
     ends = np.array([b for _, b in clipped], dtype=np.float64)
     # only genuine off->on transitions count towards the frequency budget
-    trans = np.array(
-        [a for a, _ in s.intervals if t1 <= a < t2], dtype=np.float64
-    )
+    trans = np.array([a for a in s.starts if t1 <= a < t2], dtype=np.float64)
 
     tol = 1e-9
     f_slack = float(_kernels.frequency_min_slack(trans, p.eta, p.tau_f))
@@ -165,36 +154,51 @@ def verify_sequence(
     return VerifyReport(not violations, f_slack, d_slack, violations)
 
 
-def _max_new_start(trans: list[float], t_candidate: float, eta: float, tau_f: float) -> float:
-    """Earliest start >= t_candidate keeping the frequency budget intact."""
-    t = t_candidate
-    n = len(trans)
-    for idx, s_p in enumerate(trans):
-        # pair (p, new): count n - idx + 1 within gap t - s_p
-        need = s_p + tau_f * (n - idx + 1 - eta)
-        if need > t:
-            t = need
-    return t
+class _BudgetState:
+    """Both budgets' running state over the windows generated so far.
 
+    A new window [t, t + L) must keep every pair (p, new) within budget:
+    t >= s_p + tau_f (n - p + 1 - eta) and L <= (kappa + (t - s_p) / tau_d
+    - acc_p) / (1 - 1/tau_d), acc_p being the attacked time since s_p. The
+    binding p (argmax of s_p - tau_f p, argmin of cum_p - s_p / tau_d) does
+    not depend on t or later windows, so each budget keeps that one anchor
+    and evaluates its pair's expression there: O(1) per window.
+    """
 
-def _max_new_len(
-    trans_starts: list[float],
-    cum_tail: list[float],
-    t_s: float,
-    kappa: float,
-    tau_d: float,
-    horizon: float,
-) -> float:
-    """Longest window starting at t_s that keeps every duration pair intact."""
-    if tau_d <= 1.0:
-        return horizon - t_s
-    denom = 1.0 - 1.0 / tau_d
-    lmax = kappa / denom  # pair (new, new)
-    for s_p, acc in zip(trans_starts, cum_tail):
-        allowed = (kappa + (t_s - s_p) / tau_d - acc) / denom
-        if allowed < lmax:
-            lmax = allowed
-    return min(lmax, horizon - t_s)
+    def __init__(self, p: DosParams, horizon: float):
+        self.p, self.horizon = p, horizon
+        self.windows: list[tuple[float, float]] = []
+        self.f_idx = self.f_start = None  # frequency anchor: index and start
+        self.d_start = self.d_acc = None  # duration anchor: start, attacked time since
+
+    def earliest_start(self, t: float) -> float:
+        """Earliest start >= t keeping the frequency budget intact."""
+        n = len(self.windows)
+        if n:
+            t = max(t, self.f_start + self.p.tau_f * (n - self.f_idx + 1 - self.p.eta))
+        return t
+
+    def longest_length(self, t: float) -> float:
+        """Longest window starting at t that keeps the duration budget intact."""
+        p = self.p
+        denom = 1.0 - 1.0 / p.tau_d
+        lmax = p.kappa / denom  # pair (new, new)
+        if self.windows:
+            lmax = min(lmax, (p.kappa + (t - self.d_start) / p.tau_d - self.d_acc) / denom)
+        return min(lmax, self.horizon - t)
+
+    def push(self, start: float, length: float) -> float:
+        """Append the window [start, start + length) and return its end."""
+        p, n = self.p, len(self.windows)
+        if not n or start - p.tau_f * n > self.f_start - p.tau_f * self.f_idx:
+            self.f_idx, self.f_start = n, start
+        # the new key cum_n - start / tau_d is lower by (start - d_start) / tau_d - d_acc
+        if not n or (start - self.d_start) / p.tau_d > self.d_acc:
+            self.d_start, self.d_acc = start, length
+        else:
+            self.d_acc += length
+        self.windows.append((start, start + length))
+        return start + length
 
 
 def generate_sequence(p: DosParams, horizon: float, seed: int) -> DosSequence:
@@ -214,29 +218,22 @@ def generate_sequence(p: DosParams, horizon: float, seed: int) -> DosSequence:
         return DosSequence((), horizon)
 
     rng = np.random.default_rng(seed)
-    starts: list[float] = []
-    ends: list[float] = []
-    cum_tail: list[float] = []  # attacked time from start_p to the latest end
-    mean_len = p.kappa if p.tau_d <= 1.0 else min(p.kappa, p.tau_d / 4.0)
+    budget = _BudgetState(p, horizon)
+    mean_len = min(p.kappa, p.tau_d / 4.0)
     t_end = 0.0
     while True:
         t_s = t_end + rng.exponential(p.tau_f)
         if t_s >= horizon:
             break
-        t_s = _max_new_start(starts, t_s, p.eta, p.tau_f)
+        t_s = budget.earliest_start(t_s)
         if t_s >= horizon:
             break
-        lmax = _max_new_len(starts, cum_tail, t_s, p.kappa, p.tau_d, horizon)
-        length = min(lmax, rng.exponential(mean_len))
+        length = min(budget.longest_length(t_s), rng.exponential(mean_len))
         if length < _MIN_ATTACK_LEN:
             t_end = t_s
             continue
-        starts.append(t_s)
-        ends.append(t_s + length)
-        cum_tail = [c + length for c in cum_tail]
-        cum_tail.append(length)
-        t_end = t_s + length
-    return DosSequence(tuple(zip(starts, ends)), horizon)
+        t_end = budget.push(t_s, length)
+    return DosSequence(tuple(budget.windows), horizon)
 
 
 def worst_case_sequence(p: DosParams, horizon: float) -> DosSequence:
@@ -245,25 +242,19 @@ def worst_case_sequence(p: DosParams, horizon: float) -> DosSequence:
         raise BudgetInfeasibleError("duty ratio >= 1")
     if p.eta < 1.0 or p.kappa <= 0.0:
         return DosSequence((), horizon)
-    starts: list[float] = []
-    ends: list[float] = []
-    cum_tail: list[float] = []
+    budget = _BudgetState(p, horizon)
     t_s = 0.0
     while t_s < horizon:
-        t_s = _max_new_start(starts, t_s, p.eta, p.tau_f)
+        t_s = budget.earliest_start(t_s)
         if t_s >= horizon:
             break
-        length = _max_new_len(starts, cum_tail, t_s, p.kappa, p.tau_d, horizon)
+        length = budget.longest_length(t_s)
         if length < _MIN_ATTACK_LEN:
             # duration budget exhausted at this anchor; wait for it to refill
             t_s += max(p.tau_d * _MIN_ATTACK_LEN, 1e-3)
             continue
-        starts.append(t_s)
-        ends.append(t_s + length)
-        cum_tail = [c + length for c in cum_tail]
-        cum_tail.append(length)
-        t_s = ends[-1]
-    return DosSequence(tuple(zip(starts, ends)), horizon)
+        t_s = budget.push(t_s, length)
+    return DosSequence(tuple(budget.windows), horizon)
 
 
 @dataclass
@@ -308,21 +299,21 @@ class ChannelSet:
     sequences: dict[ChannelId, DosSequence]
     params: dict[ChannelId, DosParams]
 
-    def check_complete(
-        self, topo: Topology, comm_edges: Iterable[tuple[int, int]] | None = None
-    ) -> None:
-        """Require every node's meas/act channel and a comm channel per budgeted edge.
+    def check_complete(self, topo: Topology, comm_edges: Iterable[tuple[int, int]] | None = None,
+                       per_direction: bool = False) -> None:
+        """Require every channel `generate_channel_set` writes for these budgets.
 
-        `comm_edges` lists the edges (i < j) that carry a communication budget,
-        which are the ones `generate_channel_set` writes; default: every edge.
+        `comm_edges` lists the edges (i < j) that carry a communication budget
+        (default: every edge); `per_direction` asks for both directions.
         """
         for i in range(topo.node_count):
             for kind in ("meas", "act"):
                 if (kind, i) not in self.sequences:
                     raise ConfigError(f"missing {kind} channel for node {i}")
         for i, j in topo.edges if comm_edges is None else comm_edges:
-            if ("comm", i, j) not in self.sequences:
-                raise ConfigError(f"missing comm channel {('comm', i, j)}")
+            for key in _comm_keys(i, j, per_direction):
+                if key not in self.sequences:
+                    raise ConfigError(f"missing comm channel {key}")
 
     def to_dict(self) -> dict:
         out = {}
@@ -359,6 +350,10 @@ class ChannelSet:
         return cls(sequences, params)
 
 
+def _comm_keys(i: int, j: int, per_direction: bool) -> tuple[ChannelId, ...]:
+    return (("comm", i, j), ("comm", j, i)) if per_direction else (("comm", i, j),)
+
+
 def channel_seed(master_seed: int, key: ChannelId) -> int:
     """Stable per-channel seed derived from the master seed."""
     tags = {"meas": 1, "act": 2, "comm": 3}
@@ -373,8 +368,9 @@ def generate_channel_set(
     comm_params: dict[tuple[int, int], DosParams],
     horizon: float,
     master_seed: int,
+    per_direction: bool = False,
 ) -> ChannelSet:
-    """Generate one sequence per channel with deterministically derived seeds."""
+    """One sequence per channel (per comm direction if `per_direction`), seeded per channel."""
     sequences: dict[ChannelId, DosSequence] = {}
     params: dict[ChannelId, DosParams] = {}
     for i in range(topo.node_count):
@@ -383,7 +379,7 @@ def generate_channel_set(
             params[key] = p
             sequences[key] = generate_sequence(p, horizon, channel_seed(master_seed, key))
     for (i, j), p in sorted(comm_params.items()):
-        key = ("comm", i, j)
-        params[key] = p
-        sequences[key] = generate_sequence(p, horizon, channel_seed(master_seed, key))
+        for key in _comm_keys(i, j, per_direction):
+            params[key] = p
+            sequences[key] = generate_sequence(p, horizon, channel_seed(master_seed, key))
     return ChannelSet(sequences, params)

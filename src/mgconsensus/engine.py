@@ -12,7 +12,7 @@ sample; FIFO within a kind.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from heapq import heappush, heappop
 from typing import Optional, Sequence
 
@@ -198,9 +198,11 @@ class Simulation:
             push(0.0, K_MEAS, i)
         for e in range(ne):
             push(cfg.activation_time, K_EXPIRY, e, 0)
+        disturb_left = 0  # a frozen state is final only once none remain
         for dt_, node_, jump_ in sorted(cfg.disturbances):
             if dt_ <= horizon:
                 push(dt_, K_DISTURB, node_, jump_)
+                disturb_left += 1
         k = 0
         while k * cfg.record_period <= horizon + 1e-12:
             push(k * cfg.record_period, K_RECORD)
@@ -298,7 +300,7 @@ class Simulation:
                     act_ver[i] += 1
                     push(t, K_ACT, i, act_ver[i])
 
-                if cfg.stop_when_frozen and u == 0:
+                if cfg.stop_when_frozen and u == 0 and not disturb_left:
                     if (all(v == 0.0 for v in e_ueff) and all(v == 0.0 for v in ustar)
                             and all(p is None for p in pending)
                             and (max(x) - min(x)) < self.delta):
@@ -348,6 +350,7 @@ class Simulation:
 
             elif kind == K_DISTURB:
                 x[a] += b
+                disturb_left -= 1
 
             # K_BOUNDARY: nothing beyond the exact-integration advance
 

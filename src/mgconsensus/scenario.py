@@ -8,6 +8,8 @@ scenario files are the reproducibility contract.
 
 from __future__ import annotations
 
+import copy
+import os
 from dataclasses import dataclass
 from typing import Any, Optional
 
@@ -185,9 +187,13 @@ class Scenario:
         if not self.has_attacks:
             return None
         if self.trace_file:
-            with open(self.trace_file) as fh:
-                channels = ChannelSet.from_dict(yaml.safe_load(fh))
-            channels.check_complete(self.topology, self.resolved_comm_params())
+            try:
+                with open(self.trace_file) as fh:
+                    channels = ChannelSet.from_dict(yaml.safe_load(fh))
+            except OSError as exc:
+                raise ConfigError(f"cannot read channels.trace_file: {exc}") from None
+            channels.check_complete(self.topology, self.resolved_comm_params(),
+                                    self.per_direction_comm)
             return channels
         meas, act, _ = self.channel_params()
         comm = self.resolved_comm_params()
@@ -204,7 +210,7 @@ class Scenario:
         act = [p if p else zero for p in act]
         return generate_channel_set(
             self.topology, meas, act, comm, self.horizon,
-            self.seed if seed is None else seed,
+            self.seed if seed is None else seed, self.per_direction_comm,
         )
 
     def certificate(self, instance: str = "frequency") -> DesignCertificate:
@@ -305,15 +311,11 @@ class Scenario:
     def with_mode(self, mode: str) -> "Scenario":
         if mode not in MODES:
             raise ConfigError(f"unknown controller mode '{mode}'")
-        import copy
-
         scen = copy.copy(self)
         scen.mode = mode
         return scen
 
     def with_seed(self, seed: int) -> "Scenario":
-        import copy
-
         scen = copy.copy(self)
         scen.seed = seed
         return scen
@@ -435,9 +437,12 @@ def load_scenario(path: str) -> Scenario:
     with open(path) as fh:
         data = yaml.safe_load(fh)
     try:
-        return parse_scenario(data)
+        scen = parse_scenario(data)
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from None
+    if scen.trace_file:  # relative to the scenario file, not the working directory
+        scen.trace_file = os.path.join(os.path.dirname(path), scen.trace_file)
+    return scen
 
 
 def mg_power_shares(scen: Scenario, mg_index: int, total_power_kw: float) -> list[float]:

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mgconsensus.attacks import (
+    _MIN_ATTACK_LEN,
     ChannelSet,
     DosParams,
     DosSequence,
@@ -61,8 +62,9 @@ def test_half_open_windows():
     assert s.is_attacked(1.999)
     assert not s.is_attacked(2.0)  # attempt exactly at the end succeeds
     assert not s.is_attacked(0.5)
-    assert s.attacked_time(0.0, 10.0) == pytest.approx(1.0)
-    assert s.attacked_time(1.5, 1.75) == pytest.approx(0.25)
+    assert s.clipped(0.0, 10.0) == [(1.0, 2.0)]
+    assert s.clipped(1.5, 1.75) == [(1.5, 1.75)]
+    assert s.clipped(2.0, 3.0) == []
 
 
 def test_verify_accepts_within_budget():
@@ -172,3 +174,104 @@ def test_channel_seeds_distinct_and_stable():
         for key in [("meas", 0), ("meas", 1), ("act", 0), ("comm", 0, 1)]
     }
     assert len(seeds) == 4
+
+
+# --- quadratic reference generators -------------------------------------
+# The generators as first written: every new window rescans all earlier ones
+# and rebuilds the attacked time since each of them. The linear-time
+# generators must return exactly the same windows.
+
+def _oracle_start(starts, t, eta, tau_f):
+    n = len(starts)
+    for idx, s_p in enumerate(starts):
+        need = s_p + tau_f * (n - idx + 1 - eta)
+        if need > t:
+            t = need
+    return t
+
+
+def _oracle_len(starts, cum_tail, t_s, kappa, tau_d, horizon):
+    denom = 1.0 - 1.0 / tau_d
+    lmax = kappa / denom
+    for s_p, acc in zip(starts, cum_tail):
+        allowed = (kappa + (t_s - s_p) / tau_d - acc) / denom
+        if allowed < lmax:
+            lmax = allowed
+    return min(lmax, horizon - t_s)
+
+
+def _oracle_generate(p, horizon, seed):
+    if p.eta < 1.0 or p.kappa <= 0.0:
+        return ()
+    rng = np.random.default_rng(seed)
+    starts, ends, cum_tail = [], [], []
+    mean_len = min(p.kappa, p.tau_d / 4.0)
+    t_end = 0.0
+    while True:
+        t_s = t_end + rng.exponential(p.tau_f)
+        if t_s >= horizon:
+            break
+        t_s = _oracle_start(starts, t_s, p.eta, p.tau_f)
+        if t_s >= horizon:
+            break
+        lmax = _oracle_len(starts, cum_tail, t_s, p.kappa, p.tau_d, horizon)
+        length = min(lmax, rng.exponential(mean_len))
+        if length < _MIN_ATTACK_LEN:
+            t_end = t_s
+            continue
+        starts.append(t_s)
+        ends.append(t_s + length)
+        cum_tail = [c + length for c in cum_tail] + [length]
+        t_end = t_s + length
+    return tuple(zip(starts, ends))
+
+
+def _oracle_worst_case(p, horizon):
+    if p.eta < 1.0 or p.kappa <= 0.0:
+        return ()
+    starts, ends, cum_tail = [], [], []
+    t_s = 0.0
+    while t_s < horizon:
+        t_s = _oracle_start(starts, t_s, p.eta, p.tau_f)
+        if t_s >= horizon:
+            break
+        length = _oracle_len(starts, cum_tail, t_s, p.kappa, p.tau_d, horizon)
+        if length < _MIN_ATTACK_LEN:
+            t_s += max(p.tau_d * _MIN_ATTACK_LEN, 1e-3)
+            continue
+        starts.append(t_s)
+        ends.append(t_s + length)
+        cum_tail = [c + length for c in cum_tail] + [length]
+        t_s = ends[-1]
+    return tuple(zip(starts, ends))
+
+
+def _random_budgets(seed, count):
+    """Criterion-3 style budgets (delta_star of the meas and comm classes)."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        p = DosParams(
+            eta=float(rng.uniform(1.0, 4.0)),
+            kappa=float(rng.uniform(0.05, 2.0)),
+            tau_f=float(rng.uniform(2.0, 20.0)),
+            tau_d=float(rng.uniform(2.5, 30.0)),
+            delta_star=(0.01, 0.15623762376237624)[k % 2],
+        )
+        yield p, int(rng.integers(1 << 31))
+
+
+def test_generation_matches_quadratic_oracle():
+    budgets = list(_random_budgets(31, 1000))
+    for p, seed in budgets:
+        assert generate_sequence(p, 40.0, seed).intervals == _oracle_generate(p, 40.0, seed)
+    # a few long traces, where the anchors have many windows to skip over
+    for p, seed in budgets[:10]:
+        assert generate_sequence(p, 1500.0, seed).intervals == _oracle_generate(p, 1500.0, seed)
+
+
+def test_worst_case_matches_quadratic_oracle():
+    budgets = list(_random_budgets(32, 1000))
+    for p, _seed in budgets:
+        assert worst_case_sequence(p, 40.0).intervals == _oracle_worst_case(p, 40.0)
+    for p, _seed in budgets[:10]:
+        assert worst_case_sequence(p, 800.0).intervals == _oracle_worst_case(p, 800.0)

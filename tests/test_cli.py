@@ -104,9 +104,37 @@ def test_trace_file_must_cover_every_channel(fast_scenario, tmp_path, variant):
            "--out", str(tmp_path / "out")]
     assert main(run) == 0
     channels = json.loads(trace.read_text())
+    if variant == "per-direction":
+        # each direction of a link is its own channel
+        assert {"comm/0/1", "comm/1/0", "comm/2/3", "comm/3/2"} <= set(channels)
+        trace.write_text(json.dumps({k: v for k, v in channels.items() if k != "comm/1/0"}))
+        assert main(run) == 2
     del channels["act/0"]
     trace.write_text(json.dumps(channels))
     assert main(run) == 2
+
+
+def test_trace_file_relative_to_scenario(fast_scenario, tmp_path, monkeypatch):
+    scen_dir = tmp_path / "scen"
+    scen_dir.mkdir()
+    assert main(["attacks", "generate", str(fast_scenario),
+                 "--out", str(scen_dir / "trace.json")]) == 0
+    data = yaml.safe_load(fast_scenario.read_text())
+    data["channels"]["trace_file"] = "trace.json"
+    scen = scen_dir / "scen.yaml"
+    scen.write_text(yaml.safe_dump(data))
+    monkeypatch.chdir(tmp_path)  # a working directory without trace.json
+    out = tmp_path / "out"
+    assert main(["run", str(scen), "--instance", "frequency", "--out", str(out)]) == 0
+    assert (out / "attack_trace.json").read_bytes() == (scen_dir / "trace.json").read_bytes()
+
+
+def test_missing_trace_file_is_config_error(fast_scenario, tmp_path):
+    data = yaml.safe_load(fast_scenario.read_text())
+    data["channels"]["trace_file"] = "no_such_trace.json"
+    scen = tmp_path / "scen.yaml"
+    scen.write_text(yaml.safe_dump(data))
+    assert main(["run", str(scen), "--out", str(tmp_path / "out")]) == 2
 
 
 def test_mode_override(fast_scenario, tmp_path, capsys):

@@ -1,13 +1,17 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from mgconsensus.adaptive import adapt_params, delay_aggregate
 from mgconsensus.attacks import ChannelSet, DosParams, DosSequence
 from mgconsensus.engine import EngineConfig, Simulation
+from mgconsensus.scenario import load_scenario
 from mgconsensus.topology import load_topology
 
 PAIR = [[0, 1], [1, 0]]
 RING4 = [[0, 1, 0, 1], [1, 0, 1, 0], [0, 1, 0, 1], [1, 0, 1, 0]]
+SCENARIO = Path(__file__).resolve().parent.parent / "scenarios" / "ring4_dos.yaml"
 
 
 def _cfg(adj, x0, **kw):
@@ -167,3 +171,16 @@ def test_lyapunov_series_matches_states():
     np.testing.assert_allclose(
         m.v_series, 0.5 * ((m.states - mean) ** 2).sum(axis=1)
     )
+
+
+@pytest.mark.parametrize("mode", ["nominal", "resilient-global", "resilient-local",
+                                  "self-adaptive"])
+def test_early_freeze_waits_for_disturbances(mode):
+    # the bundled frequency instance settles before its t=30 and t=45 jumps
+    scen = load_scenario(str(SCENARIO)).with_mode(mode)
+    for seed in (0, 1, 2):
+        channels = scen.build_channels(seed=seed)
+        for name in scen.instances:
+            full = Simulation(scen.engine_config(name, channels)).run()
+            froz = Simulation(scen.engine_config(name, channels, stop_when_frozen=True)).run()
+            assert froz.entry_time == full.entry_time, (seed, name)

@@ -1,13 +1,16 @@
 """The numpy kernels against brute-force reference implementations.
 
 The reference loops are the second backend the test_backends_agree_* tests
-compare with.
+compare with: O(n^2) pair scans against the O(n) prefix-minimum kernels.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mgconsensus import _kernels
+from mgconsensus.attacks import DosParams, generate_sequence, verify_sequence
 
 
 def _random_intervals(rng, n, horizon=100.0):
@@ -90,3 +93,51 @@ def test_empty_inputs():
     assert _kernels.duration_min_slack(e, e, 1.0, 10.0) == np.inf
     assert _kernels.frequency_min_slack(e, 1.0, 5.0) == np.inf
     assert _kernels.witness_delays(e, np.empty(0, dtype=bool)).size == 0
+
+
+def test_single_window():
+    starts, ends = np.array([2.0]), np.array([3.5])
+    assert _kernels.duration_min_slack(starts, ends, 1.0, 10.0) == pytest.approx(
+        1.0 + 1.5 / 10.0 - 1.5, rel=1e-15
+    )
+    assert _kernels.frequency_min_slack(starts, 2.5, 5.0) == 1.5
+
+
+def test_tied_starts():
+    # three transitions at one instant count three within a zero-length gap
+    trans = np.array([1.0, 1.0, 1.0, 6.0])
+    assert _kernels.frequency_min_slack(trans, 3.0, 5.0) == pytest.approx(0.0, abs=1e-15)
+    assert _kernels.frequency_min_slack(trans, 3.0, 5.0) == pytest.approx(
+        _frequency_oracle(trans, 3.0, 5.0), abs=1e-15
+    )
+    # a zero-length window sharing its start with the next one
+    starts, ends = np.array([1.0, 1.0, 6.0]), np.array([1.0, 2.0, 6.5])
+    assert _kernels.duration_min_slack(starts, ends, 0.5, 10.0) == pytest.approx(
+        _duration_oracle(starts, ends, 0.5, 10.0), rel=1e-14
+    )
+    assert _kernels.duration_min_slack(starts, ends, 0.5, 10.0) == pytest.approx(
+        0.5 + 5.5 / 10.0 - 1.5, rel=1e-14  # anchored at 1.0, ending at 6.5
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    eta=st.floats(1.0, 4.0),
+    kappa=st.floats(0.05, 3.0),
+    tau_f=st.floats(1.0, 20.0),
+    tau_d=st.floats(1.5, 30.0),
+)
+def test_generated_traces_verify_and_match_oracles(seed, eta, kappa, tau_f, tau_d):
+    p = DosParams(eta, kappa, tau_f, tau_d, delta_star=min(0.1, tau_f * 0.5))
+    s = generate_sequence(p, 200.0, seed)
+    rep = verify_sequence(s, p)
+    assert rep.ok, rep.violations
+    starts, ends = np.array(s.starts), np.array(s.ends)
+    if starts.size:
+        assert rep.frequency_slack == pytest.approx(
+            _frequency_oracle(starts, eta, tau_f), abs=1e-12
+        )
+        assert rep.duration_slack == pytest.approx(
+            _duration_oracle(starts, ends, kappa, tau_d), abs=1e-12
+        )
