@@ -9,11 +9,13 @@ the bound succeeds.
 
 from __future__ import annotations
 
+import json
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
+import yaml
 
 from . import _kernels
 from .errors import AttemptSpacingError, BudgetInfeasibleError, ConfigError
@@ -348,6 +350,17 @@ class ChannelSet:
                 float(entry["horizon"]),
             )
         return cls(sequences, params)
+
+
+def read_channel_set(path: str) -> ChannelSet:
+    """Load a trace file written by `attacks generate`: JSON when the name ends
+    in `.json`, YAML otherwise. An unreadable or malformed file is a ConfigError."""
+    try:
+        with open(path) as fh:
+            data = json.load(fh) if str(path).endswith(".json") else yaml.safe_load(fh)
+        return ChannelSet.from_dict(data)
+    except (OSError, ValueError, KeyError, TypeError, AttributeError, yaml.YAMLError) as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def _comm_keys(i: int, j: int, per_direction: bool) -> tuple[ChannelId, ...]:

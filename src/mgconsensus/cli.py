@@ -15,9 +15,7 @@ import statistics
 import sys
 from pathlib import Path
 
-import yaml
-
-from .attacks import ChannelSet, podf_bound, verify_sequence
+from .attacks import read_channel_set, verify_sequence
 from .engine import RunMetrics, Simulation
 from .errors import ConfigError
 from .scenario import MODES, Scenario, load_scenario
@@ -112,9 +110,8 @@ def cmd_design(args) -> int:
     if args.mode:
         scen = scen.with_mode(args.mode)
     cert = scen.certificate()
-    data = cert.to_dict()
     out = Path(args.out) if args.out else Path(args.scenario).with_suffix(".certificate.json")
-    _write_json(out, data)
+    _write_json(out, cert.to_dict())
     print(f"wrote {out}")
     print(f"design satisfied: {cert.satisfied}")
     return 0 if cert.satisfied else 1
@@ -135,11 +132,9 @@ def cmd_attacks_generate(args) -> int:
 
 
 def cmd_attacks_verify(args) -> int:
-    with open(args.trace) as fh:
-        data = json.load(fh) if args.trace.endswith(".json") else yaml.safe_load(fh)
     try:
-        channels = ChannelSet.from_dict(data)
-    except (ValueError, KeyError, TypeError) as exc:
+        channels = read_channel_set(args.trace)
+    except ConfigError as exc:
         print(f"malformed trace: {exc}", file=sys.stderr)
         return 1
     ok = True
@@ -164,18 +159,10 @@ def cmd_sweep(args) -> int:
     def median_entry(scale_class, intensity) -> tuple[float, int]:
         entries, missed = [], 0
         for s in seeds:
-            ch = scen.build_channels(seed=scen.seed + s, scale_class=scale_class,
-                                     intensity=intensity)
-            cfg = scen.engine_config(instance, ch, stop_when_frozen=True)
-            if scale_class == "actuation":
-                # a hardened budget also shrinks the offline bound the
-                # adaptive input scaling is designed against
-                _, act_params, _ = scen.channel_params()
-                cfg.phi_act = [
-                    podf_bound(p.scaled(intensity)) if p else 0.0
-                    for p in act_params
-                ]
-            m = Simulation(cfg).run()
+            ch = scen.with_seed(scen.seed + s).build_channels(scale_class, intensity)
+            # engine_config reads the actuation bounds from `ch`, so a hardened
+            # budget also shrinks the bound the input scaling is designed against
+            m = Simulation(scen.engine_config(instance, ch, stop_when_frozen=True)).run()
             if m.entry_time is None:
                 missed += 1
             else:

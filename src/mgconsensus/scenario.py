@@ -8,15 +8,16 @@ scenario files are the reproducibility contract.
 
 from __future__ import annotations
 
-import copy
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Optional
 
 import yaml
 
 from . import aggregation
-from .attacks import ChannelSet, DosParams, generate_channel_set, podf_bound
+from .attacks import (
+    ChannelSet, DosParams, generate_channel_set, podf_bound, read_channel_set,
+)
 from .design import (
     DesignCertificate,
     convergence_bound,
@@ -25,7 +26,7 @@ from .design import (
     lyapunov,
 )
 from .engine import EngineConfig
-from .errors import ConfigError
+from .errors import BudgetInfeasibleError, ConfigError
 from .topology import Topology, load_topology
 
 MODES = ("nominal", "resilient-global", "resilient-local", "self-adaptive")
@@ -79,9 +80,32 @@ def _budget(entry: dict, where: str) -> dict:
     return {k: float(entry[k]) for k in _BUDGET_KEYS}
 
 
+def _bound(p: Optional[DosParams], where: str) -> float:
+    """PoDF bound of one channel (0 without a budget); infeasible is a ConfigError."""
+    try:
+        return podf_bound(p) if p else 0.0
+    except BudgetInfeasibleError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+
+
+@dataclass(frozen=True)
+class ResolvedDesign:
+    """The offline design chain of a scenario: budgets -> PoDF bounds -> (eps, R) -> delta."""
+
+    kind: str                                   # "nominal" | "global" | "local"
+    meas: tuple[Optional[DosParams], ...]       # per node; None without a budget
+    act: tuple[Optional[DosParams], ...]
+    comm: dict[tuple[int, int], DosParams]      # budgeted edges, derived delta_star
+    phi_meas: tuple[float, ...]
+    phi_act: tuple[float, ...]
+    phi_comm: dict[tuple[int, int], float]
+    edge_eps: tuple[float, ...]                 # per directed edge
+    edge_rate: tuple[float, ...]
+    eps_reference: float                        # target set: delta = eps_reference * (n - 1)
+
+
 @dataclass
 class Scenario:
-    raw: dict
     topology: Topology
     seed: int
     horizon: float
@@ -106,78 +130,58 @@ class Scenario:
     mg_ratings: Optional[list[list[float]]]
     droop_constant: float
 
-    # ---- design -----------------------------------------------------
-
-    def channel_params(self) -> tuple[list[DosParams], list[DosParams], dict]:
-        """Measurement/actuation budgets as DosParams (comm needs design first)."""
-        meas, act = [], []
-        for i in range(self.topology.node_count):
-            mb = self.meas_budgets[i]
-            ab = self.act_budgets[i]
-            meas.append(DosParams(delta_star=self.delta_meas, **mb) if mb else None)
-            act.append(DosParams(delta_star=self.delta_act, **ab) if ab else None)
-        return meas, act, dict(self.comm_budgets)
-
-    def phi_bounds(self) -> tuple[list[float], list[float]]:
-        """Per-node measurement and actuation persistency bounds."""
-        meas, act, _ = self.channel_params()
-        phi_meas = [podf_bound(p) if p else 0.0 for p in meas]
-        phi_act = [podf_bound(p) if p else 0.0 for p in act]
-        return phi_meas, phi_act
-
-    def edge_design(self) -> tuple[list[float], list[float], str]:
-        """Resolved per-directed-edge (eps, rate) for the configured mode."""
+    def design(self) -> ResolvedDesign:
+        """Resolve the offline design for the configured mode."""
         topo = self.topology
         dirs = topo.directed_edges()
-        degs = topo.degrees
+        meas = tuple(DosParams(delta_star=self.delta_meas, **b) if b else None
+                     for b in self.meas_budgets)
+        act = tuple(DosParams(delta_star=self.delta_act, **b) if b else None
+                    for b in self.act_budgets)
+        phi_meas = tuple(_bound(p, f"channels.measurement[{i}]") for i, p in enumerate(meas))
+        phi_act = tuple(_bound(p, f"channels.actuation[{i}]") for i, p in enumerate(act))
+        ne = len(dirs)
         if self.mode == "nominal":
-            return [self.eps] * len(dirs), [self.rate] * len(dirs), "nominal"
-        phi_meas, phi_act = self.phi_bounds()
-        if self.mode == "resilient-global":
+            kind, edge_eps, edge_rate = "nominal", (self.eps,) * ne, (self.rate,) * ne
+        elif self.mode == "resilient-global":
             e, r = global_design(
                 max(phi_meas), max(phi_act), topo.d_max,
                 self.eps_margin, self.rate_margin, eps_floor=self.eps,
             )
-            return [e] * len(dirs), [r] * len(dirs), "global"
-        eps_list, rate_list = [], []
-        for i, j in dirs:
-            e, r = local_design(
-                phi_meas[i], phi_meas[j], phi_act[i], degs[i], degs[j],
-                self.eps_margin, self.rate_margin, eps_floor=self.eps,
+            kind, edge_eps, edge_rate = "global", (e,) * ne, (r,) * ne
+        else:
+            kind = "local"
+            edge_eps, edge_rate = zip(*(
+                local_design(
+                    phi_meas[i], phi_meas[j], phi_act[i], topo.degrees[i], topo.degrees[j],
+                    self.eps_margin, self.rate_margin, eps_floor=self.eps,
+                )
+                for i, j in dirs
+            ))
+        # The trigger law itself enforces the dwell time, so a link's minimum
+        # attempt spacing is eps / (4 R d_max) with the faster direction's rate.
+        rate = dict(zip(dirs, edge_rate))
+        comm = {
+            (i, j): DosParams(
+                delta_star=self.eps / (4.0 * max(rate[i, j], rate[j, i]) * topo.d_max), **b
             )
-            eps_list.append(e)
-            rate_list.append(r)
-        return eps_list, rate_list, "local"
-
-    def comm_delta_star(self, edge_rate: list[float]) -> dict[tuple[int, int], float]:
-        """Derived minimum communication attempt interval per undirected edge.
-
-        The trigger law itself enforces the dwell time, so the channel's
-        minimum attempt spacing is eps / (4 R d_max) with the designed rate.
-        """
-        topo = self.topology
-        dirs = topo.directed_edges()
-        out = {}
-        for (i, j), r in zip(dirs, edge_rate):
-            key = topo.edge_key(i, j)
-            val = self.eps / (4.0 * r * topo.d_max)
-            out[key] = min(out.get(key, val), val)
-        return out
-
-    def resolved_comm_params(self) -> dict[tuple[int, int], DosParams]:
-        _, edge_rate, _ = self.edge_design()
-        deltas = self.comm_delta_star(edge_rate)
-        out = {}
-        for key, budget in self.comm_budgets.items():
-            if budget is not None:
-                out[key] = DosParams(delta_star=deltas[key], **budget)
-        return out
+            for (i, j), b in self.comm_budgets.items() if b is not None
+        }
+        phi_comm = {
+            (i, j): _bound(p, f"channels.communication[{i}-{j}]")
+            for (i, j), p in comm.items()
+        }
+        return ResolvedDesign(
+            kind=kind, meas=meas, act=act, comm=comm,
+            phi_meas=phi_meas, phi_act=phi_act, phi_comm=phi_comm,
+            edge_eps=edge_eps, edge_rate=edge_rate,
+            # the target set follows the operating sensitivity: the floor for
+            # the adaptive mode (it re-tunes towards it), the design value else
+            eps_reference=self.eps if self.mode == "self-adaptive" else min(edge_eps),
+        )
 
     def build_channels(
-        self,
-        seed: Optional[int] = None,
-        scale_class: Optional[str] = None,
-        intensity: float = 1.0,
+        self, scale_class: Optional[str] = None, intensity: float = 1.0
     ) -> Optional[ChannelSet]:
         """Generate (or load) the attack traces for this scenario.
 
@@ -186,17 +190,12 @@ class Scenario:
         """
         if not self.has_attacks:
             return None
+        d = self.design()
         if self.trace_file:
-            try:
-                with open(self.trace_file) as fh:
-                    channels = ChannelSet.from_dict(yaml.safe_load(fh))
-            except OSError as exc:
-                raise ConfigError(f"cannot read channels.trace_file: {exc}") from None
-            channels.check_complete(self.topology, self.resolved_comm_params(),
-                                    self.per_direction_comm)
+            channels = read_channel_set(self.trace_file)
+            channels.check_complete(self.topology, d.comm, self.per_direction_comm)
             return channels
-        meas, act, _ = self.channel_params()
-        comm = self.resolved_comm_params()
+        meas, act, comm = d.meas, d.act, d.comm
         if scale_class == "measurement":
             meas = [p.scaled(intensity) if p else None for p in meas]
         elif scale_class == "actuation":
@@ -205,61 +204,47 @@ class Scenario:
             comm = {k: p.scaled(intensity) for k, p in comm.items()}
         elif scale_class is not None:
             raise ConfigError(f"unknown channel class '{scale_class}'")
-        zero = DosParams(0.0, 0.0, 1.0, 2.0, self.delta_meas)
-        meas = [p if p else zero for p in meas]
-        act = [p if p else zero for p in act]
+        # a node without a budget gets an unattackable placeholder trace
+        meas = [p or DosParams(0.0, 0.0, 1.0, 2.0, self.delta_meas) for p in meas]
+        act = [p or DosParams(0.0, 0.0, 1.0, 2.0, self.delta_act) for p in act]
         return generate_channel_set(
-            self.topology, meas, act, comm, self.horizon,
-            self.seed if seed is None else seed, self.per_direction_comm,
+            self.topology, meas, act, comm, self.horizon, self.seed,
+            self.per_direction_comm,
         )
 
-    def certificate(self, instance: str = "frequency") -> DesignCertificate:
+    def certificate(self) -> DesignCertificate:
         topo = self.topology
-        phi_meas, phi_act = self.phi_bounds()
-        comm = self.resolved_comm_params()
-        phi_comm = {k: podf_bound(p) for k, p in comm.items()}
-        eps_list, rate_list, design_mode = self.edge_design()
-        dirs = topo.directed_edges()
-        if design_mode in ("nominal", "global"):
-            eps_map = {"all": eps_list[0]}
-            rate_map = {"all": rate_list[0]}
-        else:
-            eps_map = {e: v for e, v in zip(dirs, eps_list)}
-            rate_map = {e: v for e, v in zip(dirs, rate_list)}
-        pm = max(phi_meas) if phi_meas else 0.0
-        pa = max(phi_act) if phi_act else 0.0
-        pc = max(phi_comm.values()) if phi_comm else 0.0
-        x0 = self.instances.get(instance, {}).get("initial")
+        d = self.design()
+        # a uniform design reports its one (eps, R) under "all"
+        keys = topo.directed_edges() if d.kind == "local" else ["all"]
+        pm, pa = max(d.phi_meas), max(d.phi_act)
+        pc = max(d.phi_comm.values()) if d.phi_comm else 0.0
+        x0 = self.instances.get("frequency", {}).get("initial")
         v0 = lyapunov(x0) if x0 else 0.0
-        notes = []
-        satisfied = True
-        t_bound = None
+        notes, t_bound = [], None
         try:
-            eps_chk = min(eps_list)
-            rate_chk = min(rate_list)
             t_bound = convergence_bound(
-                eps_chk, rate_chk, topo.d_max, topo.d_min, pc, pm, pa, v0
+                min(d.edge_eps), min(d.edge_rate), topo.d_max, topo.d_min, pc, pm, pa, v0
             )
         except Exception as exc:  # noqa: BLE001 - reported in the certificate
-            satisfied = False
             notes.append(str(exc))
         for i in range(topo.node_count):
-            if phi_meas[i] > pc + 1e-12 and pc > 0.0:
+            if d.phi_meas[i] > pc + 1e-12 and pc > 0.0:
                 notes.append(f"node {i}: measurement bound exceeds every comm bound")
         return DesignCertificate(
-            mode=design_mode,
-            eps=eps_map,
-            rate=rate_map,
-            phi_meas={i: v for i, v in enumerate(phi_meas)},
-            phi_act={i: v for i, v in enumerate(phi_act)},
-            phi_comm=phi_comm,
+            mode=d.kind,
+            eps=dict(zip(keys, d.edge_eps)),
+            rate=dict(zip(keys, d.edge_rate)),
+            phi_meas=dict(enumerate(d.phi_meas)),
+            phi_act=dict(enumerate(d.phi_act)),
+            phi_comm=d.phi_comm,
             phi_meas_max=pm,
             phi_act_max=pa,
             phi_comm_max=pc,
-            delta=self.eps * (topo.node_count - 1),
+            delta=d.eps_reference * (topo.node_count - 1),
             t_star_bound=t_bound,
             v0=v0,
-            satisfied=satisfied,
+            satisfied=t_bound is not None,
             notes=notes,
         )
 
@@ -269,26 +254,26 @@ class Scenario:
         self,
         instance: str,
         channels: Optional[ChannelSet] = None,
-        mode: Optional[str] = None,
         stop_when_frozen: bool = False,
     ) -> EngineConfig:
+        """One instance run. The adaptive input scaling uses the PoDF bound of
+        each actuation channel in `channels` (0 for a node without a budget)."""
         if instance not in self.instances:
             raise ConfigError(f"scenario has no '{instance}' instance")
         inst = self.instances[instance]
-        mode = mode or self.mode
-        if mode != self.mode:
-            scen = self.with_mode(mode)
-            return scen.engine_config(instance, channels, None, stop_when_frozen)
-        eps_list, rate_list, _ = self.edge_design()
-        _, phi_act = self.phi_bounds()
+        d = self.design()
         n = self.topology.node_count
+        phi_act = d.phi_act if channels is None else [
+            _bound(channels.params[("act", i)], f"channel act/{i}") if p else 0.0
+            for i, p in enumerate(d.act)
+        ]
         return EngineConfig(
             topology=self.topology,
             x0=inst["initial"],
-            mode=mode,
+            mode=self.mode,
             eps_floor=self.eps,
-            edge_eps=eps_list,
-            edge_rate=rate_list,
+            edge_eps=d.edge_eps,
+            edge_rate=d.edge_rate,
             alpha=self.alpha,
             beta=self.beta,
             phi_act=phi_act,
@@ -300,25 +285,19 @@ class Scenario:
             horizon=self.horizon,
             record_period=self.record_period,
             disturbances=[
-                (d["time"], d["node"], d["jump"]) for d in inst.get("disturbances", [])
+                (ev["time"], ev["node"], ev["jump"]) for ev in inst.get("disturbances", [])
             ],
-            # target-set width follows the operating sensitivity: the floor for
-            # the adaptive mode (it re-tunes towards it), the design value else
-            eps_reference=self.eps if mode == "self-adaptive" else min(eps_list),
+            eps_reference=d.eps_reference,
             stop_when_frozen=stop_when_frozen,
         )
 
     def with_mode(self, mode: str) -> "Scenario":
         if mode not in MODES:
             raise ConfigError(f"unknown controller mode '{mode}'")
-        scen = copy.copy(self)
-        scen.mode = mode
-        return scen
+        return replace(self, mode=mode)
 
     def with_seed(self, seed: int) -> "Scenario":
-        scen = copy.copy(self)
-        scen.seed = seed
-        return scen
+        return replace(self, seed=seed)
 
 
 def _instances(data: dict, n: int, mg_ratings, droop_constant) -> dict[str, dict]:
@@ -366,27 +345,17 @@ def parse_scenario(data: dict) -> Scenario:
         raise ConfigError(f"unknown controller mode '{mode}'")
 
     ch = data.get("channels") or {}
-    has_attacks = bool(ch)
 
-    def _per_node(section: str) -> list[Optional[dict]]:
+    def _budgets(section: str, keys) -> list[Optional[dict]]:
+        """Each key's override (by label, or a node by its id), else the default."""
         sec = ch.get(section) or {}
-        default = sec.get("default")
         over = sec.get("overrides") or {}
-        out: list[Optional[dict]] = []
-        for i in range(n):
-            entry = over.get(str(i), over.get(i, default))
-            out.append(_budget(entry, f"channels.{section}[{i}]") if entry else None)
+        out = []
+        for key in keys:
+            label = "-".join(map(str, key)) if isinstance(key, tuple) else str(key)
+            entry = over.get(label, over.get(key, sec.get("default")))
+            out.append(_budget(entry, f"channels.{section}[{label}]") if entry else None)
         return out
-
-    comm_budgets: dict[tuple[int, int], Optional[dict]] = {}
-    sec = ch.get("communication") or {}
-    default = sec.get("default")
-    over = sec.get("overrides") or {}
-    for i, j in topo.edges:
-        entry = over.get(f"{i}-{j}", default)
-        comm_budgets[(i, j)] = (
-            _budget(entry, f"channels.communication[{i}-{j}]") if entry else None
-        )
 
     horizon = float(data.get("horizon", 60.0))
     activation = float(data.get("activation_time", 0.0))
@@ -406,7 +375,6 @@ def parse_scenario(data: dict) -> Scenario:
     droop_constant = float(data.get("droop_constant", 1.0))
 
     return Scenario(
-        raw=data,
         topology=topo,
         seed=int(data.get("seed", 0)),
         horizon=horizon,
@@ -419,13 +387,13 @@ def parse_scenario(data: dict) -> Scenario:
         rate_margin=float(ctrl.get("rate_margin", 1.01)),
         alpha=float(ctrl.get("alpha", 1.5)),
         beta=float(ctrl.get("beta", 1.1)),
-        has_attacks=has_attacks,
+        has_attacks=bool(ch),
         delta_meas=float(ch.get("delta_star_measurement", 0.01)),
         delta_act=float(ch.get("delta_star_actuation", 0.01)),
         per_direction_comm=bool(ch.get("per_direction_comm", False)),
-        meas_budgets=_per_node("measurement") if has_attacks else [None] * n,
-        act_budgets=_per_node("actuation") if has_attacks else [None] * n,
-        comm_budgets=comm_budgets if has_attacks else {e: None for e in topo.edges},
+        meas_budgets=_budgets("measurement", range(n)),
+        act_budgets=_budgets("actuation", range(n)),
+        comm_budgets=dict(zip(topo.edges, _budgets("communication", topo.edges))),
         trace_file=ch.get("trace_file"),
         instances=_instances(data["instances"], n, mg_ratings, droop_constant),
         mg_ratings=mg_ratings,

@@ -39,10 +39,6 @@ class Topology:
         """
         return [(i, j) for i in range(self.node_count) for j in self.neighbors[i]]
 
-    def edge_key(self, i: int, j: int) -> tuple[int, int]:
-        """Canonical unordered key for the edge {i, j}."""
-        return (i, j) if i < j else (j, i)
-
 
 def load_topology(spec: Sequence[Sequence[float]]) -> Topology:
     """Build a Topology from a square adjacency description.

@@ -154,3 +154,48 @@ def test_sweep_smoke(fast_scenario, tmp_path):
     assert rc == 0
     data = json.loads(out.read_text())
     assert "actuation" in data["reduced"]
+
+
+@pytest.mark.parametrize("command", ["run", "design", "attacks generate", "sweep"])
+@pytest.mark.parametrize("section,channel", [
+    ("measurement", "channels.measurement[0]"),
+    ("communication", "channels.communication[0-1]"),
+])
+def test_infeasible_budget_is_config_error(fast_scenario, tmp_path, capsys,
+                                           command, section, channel):
+    # duty ratio 1/tau_d + delta*/tau_f >= 1 admits no persistency bound
+    data = yaml.safe_load(fast_scenario.read_text())
+    data["channels"][section]["default"]["tau_d"] = 1.0
+    scen = tmp_path / "scen.yaml"
+    scen.write_text(yaml.safe_dump(data))
+    argv = command.split() + [str(scen), "--out", str(tmp_path / "out")]
+    if command == "sweep":
+        argv += ["--seeds", "1", "--classes", "measurement"]
+    assert main(argv) == 2
+    assert channel in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", [None, "{not json", "[1, 2]", '{"meas/0": {}}'])
+def test_verify_reports_unreadable_trace(tmp_path, capsys, content):
+    trace = tmp_path / "trace.json"
+    if content is not None:
+        trace.write_text(content)
+    assert main(["attacks", "verify", str(trace)]) == 1
+    assert "malformed trace:" in capsys.readouterr().err
+
+
+def test_undecodable_trace_file_is_config_error(fast_scenario, tmp_path):
+    data = yaml.safe_load(fast_scenario.read_text())
+    (tmp_path / "trace.json").write_text("{not json")
+    data["channels"]["trace_file"] = "trace.json"
+    scen = tmp_path / "scen.yaml"
+    scen.write_text(yaml.safe_dump(data))
+    assert main(["run", str(scen), "--out", str(tmp_path / "out")]) == 2
+
+
+def test_verify_reads_yaml_trace(fast_scenario, tmp_path):
+    trace = tmp_path / "trace.json"
+    assert main(["attacks", "generate", str(fast_scenario), "--out", str(trace)]) == 0
+    as_yaml = tmp_path / "trace.yaml"
+    as_yaml.write_text(yaml.safe_dump(json.loads(trace.read_text())))
+    assert main(["attacks", "verify", str(as_yaml)]) == 0

@@ -179,7 +179,7 @@ def test_early_freeze_waits_for_disturbances(mode):
     # the bundled frequency instance settles before its t=30 and t=45 jumps
     scen = load_scenario(str(SCENARIO)).with_mode(mode)
     for seed in (0, 1, 2):
-        channels = scen.build_channels(seed=seed)
+        channels = scen.with_seed(seed).build_channels()
         for name in scen.instances:
             full = Simulation(scen.engine_config(name, channels)).run()
             froz = Simulation(scen.engine_config(name, channels, stop_when_frozen=True)).run()

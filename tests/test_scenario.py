@@ -1,11 +1,14 @@
 import copy
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
 from mgconsensus.errors import ConfigError
-from mgconsensus.scenario import load_scenario, mg_power_shares, parse_scenario
+from mgconsensus.attacks import podf_bound
+from mgconsensus.engine import Simulation
+from mgconsensus.scenario import MODES, load_scenario, mg_power_shares, parse_scenario
 
 SCENARIO = Path(__file__).resolve().parent.parent / "scenarios" / "ring4_dos.yaml"
 
@@ -78,36 +81,41 @@ def test_power_initial_derived_from_ratings(scen):
 
 
 def test_phi_bounds_match_reference_budgets(scen):
-    phi_meas, phi_act = scen.phi_bounds()
-    assert phi_meas == pytest.approx([0.0526] * 4)
-    assert phi_act == pytest.approx([0.0526] * 4)
+    d = scen.design()
+    assert d.phi_meas == pytest.approx((0.0526,) * 4)
+    assert d.phi_act == pytest.approx((0.0526,) * 4)
+    assert [p.delta_star for p in d.meas + d.act] == [0.01] * 8
 
 
 def test_design_resolution_per_mode(scen):
-    eps_g, rate_g, kind = scen.with_mode("resilient-global").edge_design()
-    assert kind == "global"
-    assert eps_g == pytest.approx([1.2624] * 8)
-    assert rate_g == pytest.approx([1.01] * 8)
-    eps_n, rate_n, kind = scen.with_mode("nominal").edge_design()
-    assert kind == "nominal"
-    assert eps_n == [0.1] * 8 and rate_n == [1.0] * 8
+    g = scen.with_mode("resilient-global").design()
+    assert g.kind == "global"
+    assert g.edge_eps == pytest.approx((1.2624,) * 8)
+    assert g.edge_rate == pytest.approx((1.01,) * 8)
+    nom = scen.with_mode("nominal").design()
+    assert nom.kind == "nominal"
+    assert nom.edge_eps == (0.1,) * 8 and nom.edge_rate == (1.0,) * 8
     # the ring is regular with uniform budgets: local equals global
-    eps_l, rate_l, kind = scen.with_mode("resilient-local").edge_design()
-    assert kind == "local"
-    assert eps_l == pytest.approx(eps_g) and rate_l == pytest.approx(rate_g)
+    loc = scen.with_mode("resilient-local").design()
+    assert loc.kind == "local"
+    assert loc.edge_eps == pytest.approx(g.edge_eps)
+    assert loc.edge_rate == pytest.approx(g.edge_rate)
+    # target set: the design value, except the adaptive mode's floor
+    assert g.eps_reference == pytest.approx(1.2624) and nom.eps_reference == 0.1
+    assert scen.design().eps_reference == 0.1
 
 
 def test_comm_delta_star_derived_from_trigger_law(scen):
-    _, rates, _ = scen.edge_design()
-    deltas = scen.comm_delta_star(rates)
-    assert set(deltas) == set(scen.topology.edges)
-    assert deltas[(0, 1)] == pytest.approx(0.1 / (4 * 1.01 * 2))
+    d = scen.design()
+    assert set(d.comm) == set(d.phi_comm) == set(scen.topology.edges)
+    assert d.comm[(0, 1)].delta_star == pytest.approx(0.1 / (4 * 1.01 * 2))
+    assert d.phi_comm[(0, 1)] == pytest.approx(podf_bound(d.comm[(0, 1)]))
 
 
 def test_channels_deterministic_per_seed(scen):
-    a = scen.build_channels(seed=5)
-    b = scen.build_channels(seed=5)
-    c = scen.build_channels(seed=6)
+    a = scen.with_seed(5).build_channels()
+    b = scen.with_seed(5).build_channels()
+    c = scen.with_seed(6).build_channels()
     assert a.sequences == b.sequences
     assert a.sequences != c.sequences
 
@@ -119,14 +127,44 @@ def test_certificate_satisfied(scen):
     assert cert.t_star_bound is not None and cert.t_star_bound > 0
 
 
+@pytest.mark.parametrize("mode", MODES)
+def test_certificate_delta_is_engine_delta(scen, mode):
+    s = scen.with_mode(mode)
+    m = Simulation(s.engine_config("frequency", s.build_channels())).run()
+    assert s.certificate().delta == m.delta
+
+
 def test_engine_config_modes(scen):
-    cfg = scen.engine_config("frequency", None, mode="resilient-global")
+    cfg = scen.with_mode("resilient-global").engine_config("frequency", None)
     assert cfg.mode == "resilient-global"
-    assert cfg.edge_eps == pytest.approx([1.2624] * 8)
+    assert cfg.edge_eps == pytest.approx((1.2624,) * 8)
     # target set follows the operating sensitivity
     assert cfg.eps_reference == pytest.approx(1.2624)
     cfg_a = scen.engine_config("frequency", None)
     assert cfg_a.eps_reference == pytest.approx(0.1)
+
+
+def test_engine_config_phi_act_from_channels(scen):
+    d = scen.design()
+    channels = scen.build_channels("actuation", 0.5)
+    cfg = scen.engine_config("frequency", channels)
+    assert cfg.phi_act == [podf_bound(p.scaled(0.5)) for p in d.act]
+    assert cfg.phi_act[0] < d.phi_act[0]
+    assert scen.engine_config("frequency", scen.build_channels()).phi_act == list(d.phi_act)
+
+
+def test_placeholder_actuation_uses_its_own_delta_star(data):
+    # nodes without a budget get unattackable traces at their channel's delta*
+    bare = copy.deepcopy(data)
+    del bare["channels"]["actuation"]
+    bare["channels"]["delta_star_actuation"] = 0.02
+    scen = parse_scenario(bare)
+    channels = scen.build_channels()
+    for i in range(4):
+        assert channels.params[("act", i)].delta_star == 0.02
+        assert channels.params[("meas", i)].delta_star == 0.01
+        assert channels.sequences[("act", i)].intervals == ()
+    assert scen.engine_config("frequency", channels).phi_act == [0.0] * 4
 
 
 def test_missing_instance_rejected(scen):
@@ -139,6 +177,21 @@ def test_mg_power_shares(scen):
     assert shares == pytest.approx([20.0, 20.0, 15.0, 15.0, 10.0])
 
 
+def test_budget_overrides_by_node_and_edge(data):
+    case = copy.deepcopy(data)
+    weak = {"eta": 0.5, "kappa": 0.01, "tau_f": 20.0, "tau_d": 50.0}
+    case["channels"]["measurement"]["overrides"] = {"2": weak, 3: weak}
+    case["channels"]["communication"]["overrides"] = {"1-2": weak, "0-3": {}}
+    scen = parse_scenario(case)
+    assert scen.meas_budgets[0] == data["channels"]["measurement"]["default"]
+    assert scen.meas_budgets[2] == scen.meas_budgets[3] == weak
+    assert scen.comm_budgets[(1, 2)] == weak and scen.comm_budgets[(0, 3)] is None
+    assert scen.comm_budgets[(0, 1)] == data["channels"]["communication"]["default"]
+    with pytest.raises(ConfigError, match=r"channels\.communication\[1-2\]"):
+        case["channels"]["communication"]["overrides"]["1-2"] = {"eta": 1.0}
+        parse_scenario(case)
+
+
 def test_attack_free_when_channels_absent(data):
     bare = copy.deepcopy(data)
     del bare["channels"]
@@ -146,3 +199,22 @@ def test_attack_free_when_channels_absent(data):
     scen = parse_scenario(bare)
     assert not scen.has_attacks
     assert scen.build_channels() is None
+
+
+@pytest.mark.parametrize("mode", ["nominal", "self-adaptive"])
+def test_power_sharing_from_outside_target_set(data, mode):
+    # criterion 8's bundled power instance starts inside delta (spread 0.2 <
+    # 0.3); this one starts at spread 0.8, so consensus has to be reached
+    case = copy.deepcopy(data)
+    case["instances"]["power"]["initial_power_kw"] = [40.0, 36.0, 28.0, 42.0]
+    scen = parse_scenario(case).with_mode(mode)
+    x0 = scen.instances["power"]["initial"]
+    assert max(x0) - min(x0) == pytest.approx(0.8)
+    m = Simulation(scen.engine_config("power", scen.build_channels())).run()
+    assert m.converged
+    assert m.entry_time > scen.activation_time
+    total_kw = m.final_states[1] * sum(scen.mg_ratings[1]) / scen.droop_constant
+    shares = np.array(mg_power_shares(scen, 1, total_kw))
+    target = np.array([4.0, 4.0, 3.0, 3.0, 2.0])
+    ratio = shares / shares[-1] * target[-1]
+    assert np.max(np.abs(ratio - target) / target) < 0.01
