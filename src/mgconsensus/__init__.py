@@ -19,10 +19,10 @@ from .attacks import (
 from .controller import clock_reset, deadzone_sign, dwell_time_floor
 from .design import (
     DesignCertificate,
-    consensus_set_check,
+    certified_params,
     convergence_bound,
-    global_design,
-    local_design,
+    global_threshold,
+    local_threshold,
     lyapunov,
 )
 from .engine import EngineConfig, RunMetrics, Simulation
@@ -35,10 +35,10 @@ __version__ = "0.1.0"
 __all__ = [
     "ChannelSet", "ConfigError", "DesignCertificate", "DgSpec", "DosParams",
     "DosSequence", "EngineConfig", "MgEquivalent", "RunMetrics", "Scenario",
-    "Simulation", "Topology", "aggregate", "clock_reset", "consensus_set_check",
+    "Simulation", "Topology", "aggregate", "certified_params", "clock_reset",
     "convergence_bound", "deadzone_sign", "dg_from_rating", "dwell_time_floor",
-    "generate_channel_set", "generate_sequence", "global_design", "load_scenario",
-    "load_topology", "local_design", "lyapunov", "parse_scenario", "podf_bound",
-    "podf_witness", "share_power", "verify_sequence", "worst_case_sequence",
-    "__version__",
+    "generate_channel_set", "generate_sequence", "global_threshold",
+    "load_scenario", "load_topology", "local_threshold", "lyapunov",
+    "parse_scenario", "podf_bound", "podf_witness", "share_power",
+    "verify_sequence", "worst_case_sequence", "__version__",
 ]

@@ -1,9 +1,9 @@
-"""Online self-adaptation of edge sensitivity and clock rate.
+"""Online self-adaptation: the observed delay aggregate and the input scaling.
 
 After every successful communication attempt the edge measures how stale
 its data actually was (own measurement age, neighbour data age, actuation
-delay of the previous command) and re-tunes (eps, rate) to the observed
-delays instead of the offline worst case.
+delay of the previous command). The engine feeds that aggregate gamma to
+`design.certified_params` in place of the offline worst-case threshold.
 """
 
 from __future__ import annotations
@@ -18,23 +18,6 @@ def delay_aggregate(
     if min(own_delay, nbr_delay, act_delay) < 0.0:
         raise MissingTimestampError("delays must be non-negative")
     return d_i * (own_delay + act_delay) + d_j * (nbr_delay + act_delay)
-
-
-def adapt_params(
-    gamma: float, alpha: float, beta: float, eps_floor: float
-) -> tuple[float, float]:
-    """Pick (eps, rate) strictly inside the adaptation inequalities.
-
-    alpha > 1 margins eps above gamma, beta > 1 margins the rate; gamma = 0
-    degenerates continuously to rate = beta / 2 (> 1/2 as required).
-    """
-    if alpha <= 1.0 or beta <= 1.0:
-        raise ValueError("margins alpha and beta must exceed 1")
-    if eps_floor <= 0.0:
-        raise ValueError("eps_floor must be positive")
-    eps = max(eps_floor, alpha * gamma)
-    rate = beta * eps / (2.0 * (eps - gamma))
-    return eps, rate
 
 
 def scaled_input(u_ternary: float, theta: float, rate: float, phi_act: float) -> float:

@@ -210,11 +210,7 @@ def generate_sequence(p: DosParams, horizon: float, seed: int) -> DosSequence:
     is shifted/clipped so that every boundary-anchored inequality stays
     satisfied (greedy budget enforcement). Deterministic in (p, horizon, seed).
     """
-    phi = p.duty_ratio
-    if phi >= 1.0:
-        raise BudgetInfeasibleError(
-            f"duty ratio {phi:.4f} >= 1: cannot generate a bounded sequence"
-        )
+    podf_bound(p)  # the one duty-ratio check: BudgetInfeasibleError when >= 1
     if p.eta < 1.0 or p.kappa <= 0.0:
         # any attack start instantly violates one of the limit inequalities
         return DosSequence((), horizon)
@@ -240,8 +236,7 @@ def generate_sequence(p: DosParams, horizon: float, seed: int) -> DosSequence:
 
 def worst_case_sequence(p: DosParams, horizon: float) -> DosSequence:
     """Adversarial sequence alternating maximal windows at both budget limits."""
-    if p.duty_ratio >= 1.0:
-        raise BudgetInfeasibleError("duty ratio >= 1")
+    podf_bound(p)  # the one duty-ratio check: BudgetInfeasibleError when >= 1
     if p.eta < 1.0 or p.kappa <= 0.0:
         return DosSequence((), horizon)
     budget = _BudgetState(p, horizon)

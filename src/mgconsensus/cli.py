@@ -151,6 +151,8 @@ def cmd_attacks_verify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if not args.intensity > 0:
+        raise ConfigError(f"--intensity must be > 0, got {args.intensity!r}")
     scen = load_scenario(args.scenario)
     classes = [c.strip() for c in args.classes.split(",") if c.strip()]
     seeds = list(range(args.seeds))

@@ -1,7 +1,8 @@
 """Offline parameter design and certification.
 
-Pure functions mapping persistency bounds to certified (eps, rate) choices,
-the finite-time convergence bound, and the consensus-set membership test.
+Pure functions: the sensitivity thresholds, the one rule mapping a threshold
+to a certified (eps, rate), the finite-time convergence bound, and the
+Lyapunov function.
 """
 
 from __future__ import annotations
@@ -17,31 +18,6 @@ def global_threshold(phi_meas_max: float, phi_act_max: float, d_max: int) -> flo
     return 2.0 * d_max * (phi_meas_max + 2.0 * phi_act_max)
 
 
-def global_design(
-    phi_meas_max: float,
-    phi_act_max: float,
-    d_max: int,
-    eps_margin: float = 2.0,
-    rate_margin: float = 1.01,
-    eps_floor: float = 0.0,
-) -> tuple[float, float]:
-    """Uniform (eps, rate) satisfying the network-wide criteria strictly.
-
-    With zero persistency bounds the threshold vanishes and any positive
-    sensitivity with rate > 1/2 certifies; eps_floor supplies it.
-    """
-    if eps_margin <= 1.0 or rate_margin <= 1.0:
-        raise ValueError("design margins must exceed 1")
-    thr = global_threshold(phi_meas_max, phi_act_max, d_max)
-    eps = max(eps_margin * thr, eps_floor)
-    if eps <= thr:
-        raise CriterionViolatedError(
-            "eps_floor required: zero thresholds need a positive sensitivity"
-        )
-    rate = rate_margin * eps / (2.0 * (eps - thr))
-    return eps, rate
-
-
 def local_threshold(
     phi_meas_i: float, phi_meas_j: float, phi_act_i: float, d_i: int, d_j: int
 ) -> float:
@@ -49,26 +25,24 @@ def local_threshold(
     return d_i * (phi_meas_i + 2.0 * phi_act_i) + d_j * (phi_meas_j + 2.0 * phi_act_i)
 
 
-def local_design(
-    phi_meas_i: float,
-    phi_meas_j: float,
-    phi_act_i: float,
-    d_i: int,
-    d_j: int,
-    eps_margin: float = 2.0,
-    rate_margin: float = 1.01,
-    eps_floor: float = 0.0,
+def certified_params(
+    threshold: float, eps_margin: float, rate_margin: float, eps_floor: float
 ) -> tuple[float, float]:
-    """Per-edge (eps, rate) satisfying the local criteria strictly."""
+    """(eps, rate) strictly inside eps > threshold, rate > eps / (2 (eps - threshold)).
+
+    The one certification rule: the offline designs pass a global or local
+    threshold from worst-case PoDF bounds, the self-adaptive edges the delay
+    aggregate gamma observed at a trigger. A zero threshold needs a positive
+    eps_floor, and then gives rate = rate_margin / 2 (> 1/2 as required).
+    """
     if eps_margin <= 1.0 or rate_margin <= 1.0:
         raise ValueError("design margins must exceed 1")
-    thr = local_threshold(phi_meas_i, phi_meas_j, phi_act_i, d_i, d_j)
-    eps = max(eps_margin * thr, eps_floor)
-    if eps <= thr:
+    eps = max(eps_margin * threshold, eps_floor)
+    if eps <= threshold:
         raise CriterionViolatedError(
             "eps_floor required: zero thresholds need a positive sensitivity"
         )
-    rate = rate_margin * eps / (2.0 * (eps - thr))
+    rate = rate_margin * eps / (2.0 * (eps - threshold))
     return eps, rate
 
 
@@ -94,18 +68,6 @@ def convergence_bound(
         phi_comm_max + 2.0 * phi_act_max
     )
     return num / denom * v0
-
-
-def consensus_set_check(
-    states: Sequence[float], eps: float, n: int | None = None
-) -> tuple[bool, float]:
-    """Whether all pairwise gaps are below delta = eps * (n - 1)."""
-    if n is None:
-        n = len(states)
-    if n < 2:
-        raise ValueError("consensus set needs at least two nodes")
-    spread = max(states) - min(states)
-    return spread < eps * (n - 1), spread
 
 
 def lyapunov(states: Sequence[float]) -> float:

@@ -18,10 +18,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .adaptive import actuation_estimate, adapt_params, delay_aggregate, scaled_input
+from .adaptive import actuation_estimate, delay_aggregate, scaled_input
 from .attacks import ChannelSet, DosSequence
 from .controller import attacked_clock_reset, clock_reset, deadzone_sign, dwell_time_floor
-from .design import lyapunov
+from .design import certified_params, lyapunov
 from .topology import Topology
 
 # event kinds, in tie-break priority order
@@ -272,7 +272,7 @@ class Simulation:
                     nbr_delay = t - e_nbr_stamp[e]
                     if adaptive and comm_h:
                         gamma = delay_aggregate(own_delay, nbr_delay, 0.0, degs[i], degs[j])
-                        eps_k, rate_k = adapt_params(gamma, alpha, beta, eps_floor)
+                        eps_k, rate_k = certified_params(gamma, alpha, beta, eps_floor)
                     else:
                         eps_k, rate_k = cfg.edge_eps[e], cfg.edge_rate[e]
                     e_own_delay[e] = own_delay
@@ -331,7 +331,7 @@ class Simulation:
                             t_hat = actuation_estimate(e_trig_t[e], t, self.delta_act[i])
                             gamma = delay_aggregate(e_own_delay[e], e_nbr_delay[e], t_hat,
                                                     degs[i], degs[e_j[e]])
-                            eps_k, rate_k = adapt_params(gamma, alpha, beta, eps_floor)
+                            eps_k, rate_k = certified_params(gamma, alpha, beta, eps_floor)
                             _u, theta = set_command(e, i, e_j[e], e_diff[e], eps_k, rate_k)
                             push(max(e_trig_t[e] + theta / rate_k, t), K_EXPIRY, e, e_ver[e])
                         new_sum = 0.0

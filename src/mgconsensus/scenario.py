@@ -20,9 +20,10 @@ from .attacks import (
 )
 from .design import (
     DesignCertificate,
+    certified_params,
     convergence_bound,
-    global_design,
-    local_design,
+    global_threshold,
+    local_threshold,
     lyapunov,
 )
 from .engine import EngineConfig
@@ -59,7 +60,8 @@ _SCHEMA: dict[str, Any] = {
     "droop_constant": None,
 }
 
-_BUDGET_KEYS = {"eta", "kappa", "tau_f", "tau_d"}
+# each budget key and its admissible range (compared against 0)
+_BUDGET_KEYS = {"eta": ">=", "kappa": ">=", "tau_f": ">", "tau_d": ">"}
 
 
 def _check_keys(data: dict, schema: dict, path: str = "") -> None:
@@ -70,14 +72,25 @@ def _check_keys(data: dict, schema: dict, path: str = "") -> None:
             _check_keys(sub, schema[key], f"{path}{key}.")
 
 
+def _checked(value: Any, key: str, op: str, low: float) -> float:
+    """`value` as a float with `value op low` (op ">" or ">="); else a ConfigError naming `key`."""
+    try:
+        v = float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key} must be a number, got {value!r}") from None
+    if not (v > low if op == ">" else v >= low):
+        raise ConfigError(f"{key} must be {op} {low:g}, got {value!r}")
+    return v
+
+
 def _budget(entry: dict, where: str) -> dict:
-    extra = set(entry) - _BUDGET_KEYS
+    extra = set(entry) - _BUDGET_KEYS.keys()
     if extra:
         raise ConfigError(f"unknown budget keys {sorted(extra)} in {where}")
-    missing = _BUDGET_KEYS - set(entry)
+    missing = _BUDGET_KEYS.keys() - set(entry)
     if missing:
         raise ConfigError(f"missing budget keys {sorted(missing)} in {where}")
-    return {k: float(entry[k]) for k in _BUDGET_KEYS}
+    return {k: _checked(entry[k], f"{where}.{k}", op, 0.0) for k, op in _BUDGET_KEYS.items()}
 
 
 def _bound(p: Optional[DosParams], where: str) -> float:
@@ -144,17 +157,18 @@ class Scenario:
         if self.mode == "nominal":
             kind, edge_eps, edge_rate = "nominal", (self.eps,) * ne, (self.rate,) * ne
         elif self.mode == "resilient-global":
-            e, r = global_design(
-                max(phi_meas), max(phi_act), topo.d_max,
-                self.eps_margin, self.rate_margin, eps_floor=self.eps,
+            e, r = certified_params(
+                global_threshold(max(phi_meas), max(phi_act), topo.d_max),
+                self.eps_margin, self.rate_margin, self.eps,
             )
             kind, edge_eps, edge_rate = "global", (e,) * ne, (r,) * ne
         else:
             kind = "local"
             edge_eps, edge_rate = zip(*(
-                local_design(
-                    phi_meas[i], phi_meas[j], phi_act[i], topo.degrees[i], topo.degrees[j],
-                    self.eps_margin, self.rate_margin, eps_floor=self.eps,
+                certified_params(
+                    local_threshold(phi_meas[i], phi_meas[j], phi_act[i],
+                                    topo.degrees[i], topo.degrees[j]),
+                    self.eps_margin, self.rate_margin, self.eps,
                 )
                 for i, j in dirs
             ))
@@ -196,12 +210,21 @@ class Scenario:
             channels.check_complete(self.topology, d.comm, self.per_direction_comm)
             return channels
         meas, act, comm = d.meas, d.act, d.comm
+
+        def scaled(p: Optional[DosParams], where: str) -> Optional[DosParams]:
+            if p is None:
+                return None
+            q = p.scaled(intensity)
+            _bound(q, f"{where} at intensity {intensity:g}")
+            return q
+
         if scale_class == "measurement":
-            meas = [p.scaled(intensity) if p else None for p in meas]
+            meas = [scaled(p, f"channels.measurement[{i}]") for i, p in enumerate(meas)]
         elif scale_class == "actuation":
-            act = [p.scaled(intensity) if p else None for p in act]
+            act = [scaled(p, f"channels.actuation[{i}]") for i, p in enumerate(act)]
         elif scale_class == "communication":
-            comm = {k: p.scaled(intensity) for k, p in comm.items()}
+            comm = {(i, j): scaled(p, f"channels.communication[{i}-{j}]")
+                    for (i, j), p in comm.items()}
         elif scale_class is not None:
             raise ConfigError(f"unknown channel class '{scale_class}'")
         # a node without a budget gets an unattackable placeholder trace
@@ -219,8 +242,8 @@ class Scenario:
         keys = topo.directed_edges() if d.kind == "local" else ["all"]
         pm, pa = max(d.phi_meas), max(d.phi_act)
         pc = max(d.phi_comm.values()) if d.phi_comm else 0.0
-        x0 = self.instances.get("frequency", {}).get("initial")
-        v0 = lyapunov(x0) if x0 else 0.0
+        # the bound must cover every instance, so it scales with the largest V(0)
+        v0 = max(lyapunov(inst["initial"]) for inst in self.instances.values())
         notes, t_bound = [], None
         try:
             t_bound = convergence_bound(
@@ -344,6 +367,9 @@ def parse_scenario(data: dict) -> Scenario:
     if mode not in MODES:
         raise ConfigError(f"unknown controller mode '{mode}'")
 
+    def ctrl_number(key: str, default: float, low: float) -> float:
+        return _checked(ctrl.get(key, default), f"controller.{key}", ">", low)
+
     ch = data.get("channels") or {}
 
     def _budgets(section: str, keys) -> list[Optional[dict]]:
@@ -379,17 +405,19 @@ def parse_scenario(data: dict) -> Scenario:
         seed=int(data.get("seed", 0)),
         horizon=horizon,
         activation_time=activation,
-        record_period=float(data.get("record_period", 0.05)),
+        record_period=_checked(data.get("record_period", 0.05), "record_period", ">", 0.0),
         mode=mode,
-        eps=float(ctrl.get("eps", 0.1)),
-        rate=float(ctrl.get("rate", 1.0)),
-        eps_margin=float(ctrl.get("eps_margin", 2.0)),
-        rate_margin=float(ctrl.get("rate_margin", 1.01)),
-        alpha=float(ctrl.get("alpha", 1.5)),
-        beta=float(ctrl.get("beta", 1.1)),
+        eps=ctrl_number("eps", 0.1, 0.0),
+        rate=ctrl_number("rate", 1.0, 0.0),
+        eps_margin=ctrl_number("eps_margin", 2.0, 1.0),
+        rate_margin=ctrl_number("rate_margin", 1.01, 1.0),
+        alpha=ctrl_number("alpha", 1.5, 1.0),
+        beta=ctrl_number("beta", 1.1, 1.0),
         has_attacks=bool(ch),
-        delta_meas=float(ch.get("delta_star_measurement", 0.01)),
-        delta_act=float(ch.get("delta_star_actuation", 0.01)),
+        delta_meas=_checked(ch.get("delta_star_measurement", 0.01),
+                            "channels.delta_star_measurement", ">", 0.0),
+        delta_act=_checked(ch.get("delta_star_actuation", 0.01),
+                           "channels.delta_star_actuation", ">", 0.0),
         per_direction_comm=bool(ch.get("per_direction_comm", False)),
         meas_budgets=_budgets("measurement", range(n)),
         act_budgets=_budgets("actuation", range(n)),

@@ -25,10 +25,9 @@ from mgconsensus.attacks import (
 )
 from mgconsensus.cli import main as cli_main
 from mgconsensus.design import (
+    certified_params,
     convergence_bound,
-    global_design,
     global_threshold,
-    local_design,
     local_threshold,
     lyapunov,
 )
@@ -104,7 +103,7 @@ def _reference_channels(topo, seed, horizon):
 @pytest.fixture(scope="module")
 def resilient_runs(topo):
     ne = len(topo.directed_edges())
-    eps, rate = global_design(PHI_REF, PHI_REF, topo.d_max)
+    eps, rate = certified_params(global_threshold(PHI_REF, PHI_REF, topo.d_max), 2.0, 1.01, 0.0)
     assert eps == pytest.approx(1.2624) and rate == pytest.approx(1.01)
     rng = np.random.default_rng(2)
     horizon = 60.0
@@ -205,9 +204,12 @@ def test_criterion_5_conservativeness_ordering(topo, heterogeneous_setup):
     meas, phi = heterogeneous_setup
     ne_dirs = topo.directed_edges()
     degs = topo.degrees
-    eps_g, rate_g = global_design(max(phi), max(phi), topo.d_max)
+    eps_g, rate_g = certified_params(
+        global_threshold(max(phi), max(phi), topo.d_max), 2.0, 1.01, 0.0
+    )
     local = [
-        local_design(phi[i], phi[j], phi[i], degs[i], degs[j])
+        certified_params(local_threshold(phi[i], phi[j], phi[i], degs[i], degs[j]),
+                         2.0, 1.01, 0.0)
         for i, j in ne_dirs
     ]
     eps_l = [e for e, _ in local]

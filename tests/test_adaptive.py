@@ -1,12 +1,10 @@
 import pytest
 
-from mgconsensus.adaptive import (
-    actuation_estimate,
-    adapt_params,
-    delay_aggregate,
-    scaled_input,
-)
-from mgconsensus.errors import MissingTimestampError
+from mgconsensus.adaptive import actuation_estimate, delay_aggregate, scaled_input
+from mgconsensus.design import certified_params
+from mgconsensus.errors import CriterionViolatedError, MissingTimestampError
+
+# the self-adaptive law is the offline rule with the observed gamma as threshold
 
 
 def test_delay_aggregate_weighs_degrees():
@@ -19,13 +17,13 @@ def test_delay_aggregate_weighs_degrees():
 
 
 def test_adapt_params_values():
-    eps, rate = adapt_params(0.2, alpha=1.5, beta=1.1, eps_floor=0.1)
+    eps, rate = certified_params(0.2, eps_margin=1.5, rate_margin=1.1, eps_floor=0.1)
     assert eps == pytest.approx(0.3)
     assert rate == pytest.approx(1.65)
 
 
 def test_adapt_zero_delays_degenerates_to_floor():
-    eps, rate = adapt_params(0.0, 1.5, 1.1, 0.1)
+    eps, rate = certified_params(0.0, 1.5, 1.1, 0.1)
     assert eps == 0.1
     assert rate == pytest.approx(0.55)
     assert rate > 0.5
@@ -33,18 +31,19 @@ def test_adapt_zero_delays_degenerates_to_floor():
 
 def test_adapt_keeps_eps_strictly_above_gamma():
     for gamma in (0.0, 0.01, 0.5, 3.0):
-        eps, rate = adapt_params(gamma, 1.5, 1.1, 0.1)
+        eps, rate = certified_params(gamma, 1.5, 1.1, 0.1)
         assert eps > gamma
         assert rate > 0.5
 
 
 def test_adapt_validation():
     with pytest.raises(ValueError):
-        adapt_params(0.1, 1.0, 1.1, 0.1)
+        certified_params(0.1, 1.0, 1.1, 0.1)
     with pytest.raises(ValueError):
-        adapt_params(0.1, 1.5, 0.9, 0.1)
-    with pytest.raises(ValueError):
-        adapt_params(0.1, 1.5, 1.1, 0.0)
+        certified_params(0.1, 1.5, 0.9, 0.1)
+    # a zero floor fails the eps > gamma criterion only where gamma = 0
+    with pytest.raises(CriterionViolatedError):
+        certified_params(0.0, 1.5, 1.1, 0.0)
 
 
 def test_scaled_input_shrinks_towards_budget():

@@ -175,6 +175,36 @@ def test_infeasible_budget_is_config_error(fast_scenario, tmp_path, capsys,
     assert channel in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "design"])
+@pytest.mark.parametrize("section,key,value,name", [
+    ("measurement", "tau_d", 0.0, "channels.measurement[0].tau_d"),
+    ("actuation", "kappa", -0.1, "channels.actuation[0].kappa"),
+    ("communication", "tau_f", 0.0, "channels.communication[0-1].tau_f"),
+    (None, "delta_star_measurement", 0.0, "channels.delta_star_measurement"),
+])
+def test_out_of_range_budget_is_config_error(fast_scenario, tmp_path, capsys,
+                                             command, section, key, value, name):
+    data = yaml.safe_load(fast_scenario.read_text())
+    (data["channels"][section]["default"] if section else data["channels"])[key] = value
+    scen = tmp_path / "scen.yaml"
+    scen.write_text(yaml.safe_dump(data))
+    assert main([command, str(scen), "--out", str(tmp_path / "out")]) == 2
+    assert name in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("intensity,message", [
+    ("0", "--intensity must be > 0"),
+    # duty ratio 30/25 + 30 * 0.01/10 = 1.23 admits no persistency bound
+    ("30", "channels.measurement[0] at intensity 30"),
+])
+def test_sweep_intensity_out_of_range_is_config_error(fast_scenario, capsys,
+                                                      intensity, message):
+    argv = ["sweep", str(fast_scenario), "--seeds", "1", "--classes", "measurement",
+            "--intensity", intensity]
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("content", [None, "{not json", "[1, 2]", '{"meas/0": {}}'])
 def test_verify_reports_unreadable_trace(tmp_path, capsys, content):
     trace = tmp_path / "trace.json"

@@ -1,15 +1,15 @@
+import numpy as np
 import pytest
 
 from mgconsensus.design import (
     DesignCertificate,
-    consensus_set_check,
+    certified_params,
     convergence_bound,
-    global_design,
     global_threshold,
-    local_design,
     local_threshold,
     lyapunov,
 )
+from mgconsensus.engine import _entry_time
 from mgconsensus.errors import CriterionViolatedError
 
 PHI = 0.0526  # per-channel persistency bound of the reference design
@@ -18,31 +18,32 @@ PHI = 0.0526  # per-channel persistency bound of the reference design
 def test_global_threshold_and_design():
     thr = global_threshold(PHI, PHI, d_max=2)
     assert thr == pytest.approx(0.6312)
-    eps, rate = global_design(PHI, PHI, 2)
+    eps, rate = certified_params(thr, 2.0, 1.01, 0.0)
     assert eps == pytest.approx(1.2624)
     assert rate == pytest.approx(1.01)
 
 
 def test_global_design_strictness():
-    eps, rate = global_design(PHI, PHI, 2, eps_margin=1.5, rate_margin=1.2)
     thr = global_threshold(PHI, PHI, 2)
+    eps, rate = certified_params(thr, eps_margin=1.5, rate_margin=1.2, eps_floor=0.0)
     assert eps > thr
     assert rate > eps / (2.0 * (eps - thr))
 
 
 def test_design_with_zero_bounds_needs_floor():
-    eps, rate = global_design(0.0, 0.0, 2, eps_floor=0.1)
+    thr = global_threshold(0.0, 0.0, 2)
+    eps, rate = certified_params(thr, 2.0, 1.01, eps_floor=0.1)
     assert eps == 0.1
     assert rate == pytest.approx(1.01 / 2.0)
     with pytest.raises(CriterionViolatedError):
-        global_design(0.0, 0.0, 2)
+        certified_params(thr, 2.0, 1.01, 0.0)
 
 
 def test_margin_validation():
     with pytest.raises(ValueError):
-        global_design(PHI, PHI, 2, eps_margin=1.0)
+        certified_params(global_threshold(PHI, PHI, 2), 1.0, 1.01, 0.0)
     with pytest.raises(ValueError):
-        local_design(PHI, PHI, PHI, 1, 1, rate_margin=0.99)
+        certified_params(local_threshold(PHI, PHI, PHI, 1, 1), 2.0, 0.99, 0.0)
 
 
 def test_local_threshold_formula():
@@ -54,8 +55,8 @@ def test_local_matches_global_on_regular_uniform_inputs():
     thr_g = global_threshold(PHI, PHI, 2)
     thr_l = local_threshold(PHI, PHI, PHI, 2, 2)
     assert thr_l == pytest.approx(thr_g)
-    eg, rg = global_design(PHI, PHI, 2)
-    el, rl = local_design(PHI, PHI, PHI, 2, 2)
+    eg, rg = certified_params(thr_g, 2.0, 1.01, 0.0)
+    el, rl = certified_params(thr_l, 2.0, 1.01, 0.0)
     assert (el, rl) == (pytest.approx(eg), pytest.approx(rg))
 
 
@@ -81,12 +82,13 @@ def test_convergence_bound_rejects_unstable_design():
 
 
 def test_consensus_set_check():
-    ok, spread = consensus_set_check([1.0, 1.1, 1.2], eps=0.11)
-    assert ok and spread == pytest.approx(0.2)
-    ok, _ = consensus_set_check([0.0, 1.0], eps=0.5)
-    assert not ok  # spread 1.0 not < 0.5 * (2 - 1)
-    with pytest.raises(ValueError):
-        consensus_set_check([1.0], eps=0.1)
+    # the target set is spread < delta = eps (n - 1), strictly; the engine's
+    # entry time is the first sample after which the spread stays inside it
+    times = np.array([0.0, 1.0, 2.0])
+    assert _entry_time(times, np.array([0.3, 0.2, 0.2]), 0.11 * 2) == (1.0, True)
+    assert _entry_time(times, np.array([1.0, 0.5, 0.49]), 0.5) == (2.0, True)
+    assert _entry_time(times, np.array([0.2, 0.2, 0.5]), 0.5) == (None, False)
+    assert _entry_time(times[:0], times[:0], 0.5) == (None, False)
 
 
 def test_lyapunov():

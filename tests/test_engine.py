@@ -3,8 +3,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mgconsensus.adaptive import adapt_params, delay_aggregate
+from mgconsensus.adaptive import delay_aggregate
 from mgconsensus.attacks import ChannelSet, DosParams, DosSequence
+from mgconsensus.design import certified_params
 from mgconsensus.engine import EngineConfig, Simulation
 from mgconsensus.scenario import load_scenario
 from mgconsensus.topology import load_topology
@@ -130,7 +131,7 @@ def test_retune_uses_delay_aggregate():
     ).run()
     for _e, _t, own, nbr, act, eps, rate in m.closed_commands:
         gamma = delay_aggregate(own, nbr, act, 1, 1)
-        assert (eps, rate) == adapt_params(gamma, 1.5, 1.1, 0.1)
+        assert (eps, rate) == certified_params(gamma, 1.5, 1.1, 0.1)
     assert any(c[4] > 0.0 for c in m.closed_commands)
 
 

@@ -1,4 +1,5 @@
 import copy
+import re
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +8,7 @@ import yaml
 
 from mgconsensus.errors import ConfigError
 from mgconsensus.attacks import podf_bound
+from mgconsensus.design import lyapunov
 from mgconsensus.engine import Simulation
 from mgconsensus.scenario import MODES, load_scenario, mg_power_shares, parse_scenario
 
@@ -73,6 +75,35 @@ def test_horizon_must_exceed_activation(data):
         parse_scenario(bad)
 
 
+@pytest.mark.parametrize("path,value", [
+    ("controller.eps", 0.0),
+    ("controller.rate", -1.0),
+    ("controller.rate", "fast"),
+    ("controller.eps_margin", 1.0),
+    ("controller.rate_margin", 1.0),
+    ("controller.alpha", 1.0),
+    ("controller.beta", 0.5),
+    ("record_period", 0.0),
+    ("channels.delta_star_measurement", 0.0),
+    ("channels.delta_star_actuation", -0.01),
+    ("channels.measurement.default.tau_d", 0.0),
+    ("channels.actuation.default.tau_f", -10.0),
+    ("channels.communication.default.kappa", -0.5),
+    ("channels.measurement.default.eta", -1.0),
+])
+def test_out_of_range_number_rejected(data, path, value):
+    bad = copy.deepcopy(data)
+    *parents, key = path.split(".")
+    node = bad
+    for part in parents:
+        node = node[part]
+    node[key] = value
+    # a budget error names the channel: channels.<section>[<label>].<key>
+    name = path.replace(".default.", "[0-1]." if "communication" in path else "[0].")
+    with pytest.raises(ConfigError, match=re.escape(name)):
+        parse_scenario(bad)
+
+
 def test_power_initial_derived_from_ratings(scen):
     # droop-scaled totals: c * P / sum(ratings)
     assert scen.instances["power"]["initial"] == pytest.approx(
@@ -125,6 +156,17 @@ def test_certificate_satisfied(scen):
     assert cert.satisfied
     assert cert.phi_meas_max == pytest.approx(0.0526)
     assert cert.t_star_bound is not None and cert.t_star_bound > 0
+
+
+def test_certificate_v0_covers_every_instance(data, scen):
+    # the bundled frequency V(0) is the larger one, so it sets the bound there
+    assert scen.certificate().v0 == lyapunov(scen.instances["frequency"]["initial"])
+    power_only = copy.deepcopy(data)
+    del power_only["instances"]["frequency"]
+    s = parse_scenario(power_only)
+    cert = s.certificate()
+    assert cert.v0 == lyapunov(s.instances["power"]["initial"]) > 0.0
+    assert cert.satisfied and cert.t_star_bound > 0.0
 
 
 @pytest.mark.parametrize("mode", MODES)
