@@ -102,6 +102,14 @@ class DosSequence:
         idx = bisect_right(self.starts, t) - 1
         return idx >= 0 and t < self.ends[idx]
 
+    def attacked(self, times) -> np.ndarray:
+        """`is_attacked` at every point of `times`, in one searchsorted."""
+        times = np.asarray(times, dtype=np.float64)
+        if not self.intervals:
+            return np.zeros(times.shape, dtype=bool)
+        idx = np.searchsorted(self.starts, times, side="right") - 1
+        return (idx >= 0) & (times < np.asarray(self.ends)[idx])
+
     def clipped(self, t1: float, t2: float) -> list[tuple[float, float]]:
         out = []
         for s, e in self.intervals:
@@ -274,7 +282,7 @@ def podf_witness(
             raise AttemptSpacingError(
                 f"attempts spaced {gaps.min():.6g} < delta_star {p.delta_star:.6g}"
             )
-    healthy = np.array([not s.is_attacked(float(t)) for t in attempts], dtype=bool)
+    healthy = ~s.attacked(attempts)
     delays = _kernels.witness_delays(attempts, healthy)
     unresolved = int(np.sum(delays < 0.0))
     resolved = delays[delays >= 0.0]
@@ -347,12 +355,17 @@ class ChannelSet:
         return cls(sequences, params)
 
 
+def load_yaml(stream):
+    """`yaml.safe_load`, through libyaml's CSafeLoader when PyYAML was built with it."""
+    return yaml.load(stream, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+
+
 def read_channel_set(path: str) -> ChannelSet:
     """Load a trace file written by `attacks generate`: JSON when the name ends
     in `.json`, YAML otherwise. An unreadable or malformed file is a ConfigError."""
     try:
         with open(path) as fh:
-            data = json.load(fh) if str(path).endswith(".json") else yaml.safe_load(fh)
+            data = json.load(fh) if str(path).endswith(".json") else load_yaml(fh)
         return ChannelSet.from_dict(data)
     except (OSError, ValueError, KeyError, TypeError, AttributeError, yaml.YAMLError) as exc:
         raise ConfigError(f"{path}: {exc}") from None

@@ -157,6 +157,11 @@ def cmd_sweep(args) -> int:
     classes = [c.strip() for c in args.classes.split(",") if c.strip()]
     seeds = list(range(args.seeds))
     instance = args.instance
+    if scen.has_attacks and not scen.trace_file:
+        # an infeasible class budget is a configuration error before any run
+        design = scen.design()
+        for cls in classes:
+            design.scaled_budgets(cls, args.intensity)
 
     def median_entry(scale_class, intensity) -> tuple[float, int]:
         entries, missed = [], 0

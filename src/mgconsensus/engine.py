@@ -1,17 +1,29 @@
 """Deterministic event-driven closed-loop simulation.
 
-States integrate exactly (piecewise-linear between events), so there is no
-step error by construction. One engine simulates one scalar-consensus
-instance (frequency or droop-scaled power); both instances of a scenario
-are two runs sharing topology and attack traces.
+Each node's state is piecewise linear in time: a new segment (start, value,
+slope) begins only when that node's actuation succeeds or a disturbance hits
+it, so states integrate exactly and their round-off does not depend on the
+other events. One engine simulates one scalar-consensus instance (frequency
+or droop-scaled power); both instances of a scenario are two runs sharing
+topology and attack traces.
 
-Event kinds at equal times resolve in a fixed order: attack boundary,
-measurement attempt, clock expiry, actuation attempt, disturbance, record
-sample; FIFO within a kind.
+The event heap holds clock expiries, actuation attempts and disturbances; at
+equal times they resolve in that order, FIFO within a kind. Measurements and
+record samples are not events:
+
+- node i measures itself on its grid 0, delta*_meas, 2 delta*_meas, ...; a
+  trigger at t reads i's cache lazily as x_i at the latest healthy grid point
+  <= t, taken just before any disturbance at that instant (a measurement
+  precedes an expiry at equal times, a disturbance follows both);
+- record samples, final states and V at the active triggers are read from the
+  segments after the run: samples just after any jump at their time (they
+  follow every event), V just before it (a trigger precedes a disturbance).
 """
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 from heapq import heappush, heappop
 from typing import Optional, Sequence
@@ -21,16 +33,13 @@ import numpy as np
 from .adaptive import actuation_estimate, delay_aggregate, scaled_input
 from .attacks import ChannelSet, DosSequence
 from .controller import attacked_clock_reset, clock_reset, deadzone_sign, dwell_time_floor
-from .design import certified_params, lyapunov
+from .design import certified_params
 from .topology import Topology
 
 # event kinds, in tie-break priority order
-K_BOUNDARY = 0
-K_MEAS = 1
-K_EXPIRY = 2
-K_ACT = 3
-K_DISTURB = 4
-K_RECORD = 5
+K_EXPIRY = 0
+K_ACT = 1
+K_DISTURB = 2
 
 
 @dataclass
@@ -70,7 +79,7 @@ class RunMetrics:
     converged: bool
     trigger_log: list           # (t, edge, comm_healthy, diff, u, theta, eps, rate, dwell_floor)
     closed_commands: list       # (edge, trigger_t, own_delay, nbr_delay, act_delay, eps, rate)
-    v_at_active_triggers: list  # (t, V) at successful triggers with |diff| >= eps
+    v_at_active_triggers: np.ndarray  # rows (t, V) at successful triggers with |diff| >= eps
     channel_stats: dict
     directed_edges: list
     final_states: list
@@ -98,6 +107,39 @@ def _entry_time(times: np.ndarray, spread: np.ndarray,
     if above[-1] == times.size - 1:
         return None, False
     return float(times[above[-1] + 1]), True
+
+
+def _measurement_grid(delta: float, horizon: float) -> np.ndarray:
+    """0, delta, 2 delta, ... up to the horizon, each point the previous one
+    plus delta: np.cumsum adds in order, so these are the floats of a loop
+    that repeats t += delta."""
+    steps = np.full(int(horizon / delta) + 3, delta)
+    steps[0] = 0.0
+    grid = np.cumsum(steps)
+    return grid[: np.searchsorted(grid, horizon, side="right")]
+
+
+def _record_times(period: float, horizon: float) -> np.ndarray:
+    """The sample grid k * period up to the horizon (1e-12 slack), plus the horizon."""
+    count = int((horizon + 1e-12) / period) + 3
+    grid = np.arange(count) * period
+    times = np.sort(np.append(grid[grid <= horizon + 1e-12], horizon))
+    return times[np.diff(times, prepend=-1.0) != 0.0]  # np.unique would import numpy.ma
+
+
+def _evaluate(seg_t: np.ndarray, seg_x: np.ndarray, seg_u: np.ndarray,
+              times: np.ndarray, after_jumps: bool) -> tuple[np.ndarray, np.ndarray]:
+    """One node's state and slope at the sorted `times` >= 0. At the start of a
+    segment, after_jumps reads that segment, else the one before it."""
+    # each segment covers a run of consecutive times: repeat it over its run
+    first = np.searchsorted(times, seg_t, side="left" if after_jumps else "right")
+    first[0] = 0
+    counts = np.diff(first, append=times.size)
+    slope = np.repeat(seg_u, counts)
+    x = times - np.repeat(seg_t, counts)
+    x *= slope
+    x += np.repeat(seg_x, counts)
+    return x, slope
 
 
 class Simulation:
@@ -142,15 +184,66 @@ class Simulation:
         edges = self.edges
         ne = len(edges)
         degs = self.degs
+        horizon = cfg.horizon
 
-        # plant
-        x = [float(v) for v in cfg.x0]
-        ustar = [0.0] * n
-        t_now = 0.0
+        # plant: node i's segments, x_i(t) = seg_x[m] + seg_u[m] (t - seg_t[m])
+        # on the last segment m starting at or before t; flat float arrays
+        # hold them in 24 bytes per segment
+        seg_t = [array("d", [0.0]) for _ in range(n)]
+        seg_x = [array("d", [v]) for v in cfg.x0]
+        seg_u = [array("d", [0.0]) for _ in range(n)]
+
+        # max - min over the states, kept while no segment starts; the early
+        # stop reads it only when every input is 0, so the states are constant
+        spread = None
+
+        def new_segment(i, t, slope, jump=0.0):
+            nonlocal spread
+            spread = None
+            ts, xs, us = seg_t[i], seg_x[i], seg_u[i]
+            xs.append(xs[-1] + us[-1] * (t - ts[-1]) + jump)
+            ts.append(t)
+            us.append(slope)
+
+        # measurement grids; a jammed grid point maps to the latest healthy one
+        # before it, or to 0, which reads x0 as the initial cache does
+        grids: dict[float, tuple[np.ndarray, list]] = {}
+        meas_grid, meas_jam, meas_bad = [], [], []
+        for i in range(n):
+            d = self.delta_meas[i]
+            if d not in grids:
+                g = _measurement_grid(d, horizon)
+                grids[d] = (g, g.tolist())
+            g = grids[d][0]
+            attacked = self.meas_ch[i].attacked(g)
+            bad = np.flatnonzero(attacked)
+            before = np.maximum.accumulate(np.where(attacked, 0, np.arange(g.size))) \
+                if bad.size else bad
+            meas_grid.append(grids[d][1])
+            meas_jam.append(dict(zip(bad.tolist(), before[bad].tolist())))
+            meas_bad.append(bad)
+
+        # the last read of each node holds until its next grid point: a new
+        # segment starts at or after the read, so the value at its stamp is final
+        meas_last: list = [None] * n
+        meas_until = [-1.0] * n
+
+        def measured(i, t):
+            """(stamp, value) of node i's cache at a trigger at t."""
+            if t < meas_until[i]:
+                return meas_last[i]
+            g = meas_grid[i]
+            k = bisect_right(g, t) - 1
+            s = g[meas_jam[i].get(k, k)]
+            ts = seg_t[i]
+            m = len(ts) - 1
+            while m and ts[m] >= s:
+                m -= 1
+            meas_until[i] = g[k + 1] if k + 1 < len(g) else np.inf
+            meas_last[i] = s, seg_x[i][m] + seg_u[i][m] * (s - ts[m])
+            return meas_last[i]
 
         # per-node controller side
-        cache_val = list(x)
-        cache_stamp = [0.0] * n
         pending: list[Optional[float]] = [None] * n
         pend_edges: list[list[int]] = [[] for _ in range(n)]
         act_ver = [0] * n
@@ -165,14 +258,18 @@ class Simulation:
         e_diff: list[Optional[float]] = [None] * ne
         e_own_delay = [0.0] * ne
         e_nbr_delay = [0.0] * ne
-        e_nbr_val = [x[b] for b in e_j]
+        e_nbr_val = [seg_x[b][0] for b in e_j]
         e_nbr_stamp = [0.0] * ne
         e_ver = [0] * ne
         phi_act = self.phi_act
         adaptive = self.adaptive
+        # edges with a nonzero input + nodes with a nonzero input + pending
+        # nodes: the early stop needs all three at zero
+        busy = 0
 
         def set_command(e, i, j, diff, eps_k, rate_k):
             """Apply the ternary rule to edge e; diff None means the link is jammed."""
+            nonlocal busy
             if diff is None:
                 u = 0
                 theta = attacked_clock_reset(eps_k, degs[i], degs[j])
@@ -181,7 +278,9 @@ class Simulation:
                 theta = clock_reset(diff, eps_k, degs[i], degs[j])
             e_eps[e] = eps_k
             e_rate[e] = rate_k
-            e_ueff[e] = scaled_input(u, theta, rate_k, phi_act[i]) if adaptive else float(u)
+            ueff = scaled_input(u, theta, rate_k, phi_act[i]) if adaptive else float(u)
+            busy += (ueff != 0.0) - (e_ueff[e] != 0.0)
+            e_ueff[e] = ueff
             e_ver[e] += 1
             return u, theta
 
@@ -193,9 +292,6 @@ class Simulation:
             heappush(heap, (time_, kind, seq, a, b))
             seq += 1
 
-        horizon = cfg.horizon
-        for i in range(n):
-            push(0.0, K_MEAS, i)
         for e in range(ne):
             push(cfg.activation_time, K_EXPIRY, e, 0)
         disturb_left = 0  # a frozen state is final only once none remain
@@ -203,72 +299,40 @@ class Simulation:
             if dt_ <= horizon:
                 push(dt_, K_DISTURB, node_, jump_)
                 disturb_left += 1
-        k = 0
-        while k * cfg.record_period <= horizon + 1e-12:
-            push(k * cfg.record_period, K_RECORD)
-            k += 1
-        push(horizon, K_RECORD)
-        for ch in (*self.meas_ch, *self.act_ch, *self.comm_ch):
-            for window in ch.intervals:
-                for b in window:
-                    if b <= horizon:
-                        push(b, K_BOUNDARY)
 
-        times: list[float] = []
-        rows: list[list[float]] = []
-        input_rows: list[list[float]] = []
         trigger_log: list = []
         closed: list = []
-        v_active: list = []
-        stats = {"meas_ok": 0, "meas_fail": 0, "act_ok": 0, "act_fail": 0,
-                 "comm_ok": 0, "comm_fail": 0}
+        active_times: list[float] = []
+        act_ok = act_fail = comm_ok = comm_fail = 0
 
         alpha, beta = cfg.alpha, cfg.beta
         eps_floor = cfg.eps_floor
         resilient = self.resilient
-        frozen = False
-        last_record_t = -1.0
+        stop_when_frozen = cfg.stop_when_frozen
+        frozen_at: Optional[float] = None
 
         while heap:
             t, kind, _sq, a, b = heappop(heap)
             if t > horizon + 1e-12:
                 break
-            dt = t - t_now
-            if dt > 0.0:
-                for i in range(n):
-                    if ustar[i] != 0.0:
-                        x[i] += ustar[i] * dt
-                t_now = t
 
-            if kind == K_MEAS:
-                i = a
-                if not self.meas_ch[i].is_attacked(t):
-                    cache_val[i] = x[i]
-                    cache_stamp[i] = t
-                    stats["meas_ok"] += 1
-                else:
-                    stats["meas_fail"] += 1
-                nxt = t + self.delta_meas[i]
-                if nxt <= horizon:
-                    push(nxt, K_MEAS, i)
-
-            elif kind == K_EXPIRY:
+            if kind == K_EXPIRY:
                 e, ver = a, b
                 if ver != e_ver[e]:
                     continue
                 i, j = e_i[e], e_j[e]
                 comm_h = not self.comm_ch[e].is_attacked(t)
                 if comm_h:
-                    stats["comm_ok"] += 1
+                    comm_ok += 1
                 else:
-                    stats["comm_fail"] += 1
+                    comm_fail += 1
                 e_trig_t[e] = t
                 if comm_h or not resilient:
+                    own_stamp, own_val = measured(i, t)
                     if comm_h:
-                        e_nbr_val[e] = cache_val[j]
-                        e_nbr_stamp[e] = cache_stamp[j]
-                    diff = e_nbr_val[e] - cache_val[i]
-                    own_delay = t - cache_stamp[i]
+                        e_nbr_stamp[e], e_nbr_val[e] = measured(j, t)
+                    diff = e_nbr_val[e] - own_val
+                    own_delay = t - own_stamp
                     nbr_delay = t - e_nbr_stamp[e]
                     if adaptive and comm_h:
                         gamma = delay_aggregate(own_delay, nbr_delay, 0.0, degs[i], degs[j])
@@ -283,7 +347,7 @@ class Simulation:
                 e_diff[e] = diff
                 u, theta = set_command(e, i, j, diff, eps_k, rate_k)
                 if comm_h and u != 0 and abs(diff) >= eps_k:
-                    v_active.append((t, lyapunov(x)))
+                    active_times.append(t)
                 push(t + theta / rate_k, K_EXPIRY, e, e_ver[e])
                 trigger_log.append(
                     (t, e, comm_h, diff, u, theta, eps_k, rate_k,
@@ -293,18 +357,21 @@ class Simulation:
                 new_sum = 0.0
                 for oe in self.out_edges[i]:
                     new_sum += e_ueff[oe]
-                if pending[i] is not None or new_sum != ustar[i]:
+                if pending[i] is not None or new_sum != seg_u[i][-1]:
+                    if pending[i] is None:
+                        busy += 1
                     pending[i] = new_sum
                     if e not in pend_edges[i]:
                         pend_edges[i].append(e)
                     act_ver[i] += 1
                     push(t, K_ACT, i, act_ver[i])
 
-                if cfg.stop_when_frozen and u == 0 and not disturb_left:
-                    if (all(v == 0.0 for v in e_ueff) and all(v == 0.0 for v in ustar)
-                            and all(p is None for p in pending)
-                            and (max(x) - min(x)) < self.delta):
-                        frozen = True
+                if stop_when_frozen and u == 0 and not disturb_left and not busy:
+                    if spread is None:  # each state sits at its last segment's value
+                        last = [xs[-1] for xs in seg_x]
+                        spread = max(last) - min(last)
+                    if spread < self.delta:
+                        frozen_at = t
                         break
 
             elif kind == K_ACT:
@@ -312,8 +379,9 @@ class Simulation:
                 if ver != act_ver[i] or pending[i] is None:
                     continue
                 if not self.act_ch[i].is_attacked(t):
-                    stats["act_ok"] += 1
-                    ustar[i] = pending[i]
+                    act_ok += 1
+                    busy += (pending[i] != 0.0) - (seg_u[i][-1] != 0.0) - 1
+                    new_segment(i, t, pending[i])
                     pending[i] = None
                     for e in pend_edges[i]:
                         closed.append(
@@ -322,7 +390,7 @@ class Simulation:
                         )
                     pend_edges[i].clear()
                 else:
-                    stats["act_fail"] += 1
+                    act_fail += 1
                     if adaptive:
                         # actuation-delay estimate grew; re-tune pending commands
                         for e in pend_edges[i]:
@@ -340,44 +408,57 @@ class Simulation:
                         pending[i] = new_sum
                     push(t + self.delta_act[i], K_ACT, i, ver)
 
-            elif kind == K_RECORD:
-                if t == last_record_t:
-                    continue
-                last_record_t = t
-                times.append(t)
-                rows.append(list(x))
-                input_rows.append(list(ustar))
-
-            elif kind == K_DISTURB:
-                x[a] += b
+            else:  # K_DISTURB
+                new_segment(a, t, seg_u[a][-1], b)
                 disturb_left -= 1
 
-            # K_BOUNDARY: nothing beyond the exact-integration advance
-
-        if frozen and (not times or times[-1] < t_now):
-            times.append(t_now)
-            rows.append(list(x))
-            input_rows.append(list(ustar))
-        return self._finish(times, rows, input_rows, trigger_log, closed,
-                            v_active, stats, x, frozen)
-
-    def _finish(self, times, rows, input_rows, trigger_log, closed, v_active,
-                stats, x, frozen) -> RunMetrics:
-        t_arr = np.asarray(times)
-        s_arr = np.asarray(rows) if rows else np.zeros((0, self.n))
-        u_arr = np.asarray(input_rows) if input_rows else np.zeros((0, self.n))
-        if s_arr.size:
-            mean = s_arr.mean(axis=1, keepdims=True)
-            v_series = 0.5 * ((s_arr - mean) ** 2).sum(axis=1)
-            spread = s_arr.max(axis=1) - s_arr.min(axis=1)
+        # the run covers the horizon, or ends at the trigger that froze it:
+        # measurements at that instant precede it and count, and the last row
+        # is the frozen state at that instant
+        times = _record_times(cfg.record_period, horizon)
+        if frozen_at is None:
+            n_meas = [len(g) for g in meas_grid]
         else:
-            v_series = np.zeros(0)
-            spread = np.zeros(0)
-        entry, converged = _entry_time(t_arr, spread, self.delta)
+            times = np.append(times[times < frozen_at], frozen_at)
+            n_meas = [bisect_right(g, frozen_at) for g in meas_grid]
+        n_fail = sum(int(np.searchsorted(bad, m)) for bad, m in zip(meas_bad, n_meas))
+        stats = {"meas_ok": sum(n_meas) - n_fail, "meas_fail": n_fail,
+                 "act_ok": act_ok, "act_fail": act_fail,
+                 "comm_ok": comm_ok, "comm_fail": comm_fail}
+
+        segments = [(np.frombuffer(seg_t[i]), np.frombuffer(seg_x[i]), np.frombuffer(seg_u[i]))
+                    for i in range(n)]
+        states = np.empty((times.size, n))
+        inputs = np.empty((times.size, n))
+        for i, seg in enumerate(segments):
+            states[:, i], inputs[:, i] = _evaluate(*seg, times, after_jumps=True)
+
+        # V = 1/2 sum (x_i - mean)^2 just before any jump at each active
+        # trigger, summed node by node in lyapunov's order: two passes over
+        # the segments keep the memory at a few arrays of the trigger count
+        t_act = np.asarray(active_times, dtype=np.float64)
+        total = np.zeros(t_act.size)
+        for seg in segments:
+            total += _evaluate(*seg, t_act, after_jumps=False)[0]
+        mean = total / n
+        v_act = np.zeros(t_act.size)
+        for seg in segments:
+            dev = _evaluate(*seg, t_act, after_jumps=False)[0] - mean
+            v_act += dev * dev
+
+        return self._finish(times, states, inputs, trigger_log, closed,
+                            np.column_stack((t_act, 0.5 * v_act)), stats)
+
+    def _finish(self, times, states, inputs, trigger_log, closed, v_active,
+                stats) -> RunMetrics:
+        mean = states.mean(axis=1, keepdims=True)
+        v_series = 0.5 * ((states - mean) ** 2).sum(axis=1)
+        spread = states.max(axis=1) - states.min(axis=1)
+        entry, converged = _entry_time(times, spread, self.delta)
         return RunMetrics(
-            times=t_arr,
-            states=s_arr,
-            inputs=u_arr,
+            times=times,
+            states=states,
+            inputs=inputs,
             v_series=v_series,
             spread_series=spread,
             delta=self.delta,
@@ -388,5 +469,5 @@ class Simulation:
             v_at_active_triggers=v_active,
             channel_stats=stats,
             directed_edges=self.edges,
-            final_states=list(x),
+            final_states=states[-1].tolist(),
         )

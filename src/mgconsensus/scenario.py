@@ -12,11 +12,9 @@ import os
 from dataclasses import dataclass, replace
 from typing import Any, Optional
 
-import yaml
-
 from . import aggregation
 from .attacks import (
-    ChannelSet, DosParams, generate_channel_set, podf_bound, read_channel_set,
+    ChannelSet, DosParams, generate_channel_set, load_yaml, podf_bound, read_channel_set,
 )
 from .design import (
     DesignCertificate,
@@ -116,6 +114,30 @@ class ResolvedDesign:
     edge_rate: tuple[float, ...]
     eps_reference: float                        # target set: delta = eps_reference * (n - 1)
 
+    def scaled_budgets(self, scale_class: Optional[str], intensity: float) -> tuple:
+        """meas, act and comm budgets with `scale_class` rescaled by `intensity`;
+        a rescaled budget without a persistency bound, or an unknown class, is a
+        ConfigError."""
+        meas, act, comm = self.meas, self.act, self.comm
+
+        def scaled(p: Optional[DosParams], where: str) -> Optional[DosParams]:
+            if p is None:
+                return None
+            q = p.scaled(intensity)
+            _bound(q, f"{where} at intensity {intensity:g}")
+            return q
+
+        if scale_class == "measurement":
+            meas = [scaled(p, f"channels.measurement[{i}]") for i, p in enumerate(meas)]
+        elif scale_class == "actuation":
+            act = [scaled(p, f"channels.actuation[{i}]") for i, p in enumerate(act)]
+        elif scale_class == "communication":
+            comm = {(i, j): scaled(p, f"channels.communication[{i}-{j}]")
+                    for (i, j), p in comm.items()}
+        elif scale_class is not None:
+            raise ConfigError(f"unknown channel class '{scale_class}'")
+        return meas, act, comm
+
 
 @dataclass
 class Scenario:
@@ -209,24 +231,7 @@ class Scenario:
             channels = read_channel_set(self.trace_file)
             channels.check_complete(self.topology, d.comm, self.per_direction_comm)
             return channels
-        meas, act, comm = d.meas, d.act, d.comm
-
-        def scaled(p: Optional[DosParams], where: str) -> Optional[DosParams]:
-            if p is None:
-                return None
-            q = p.scaled(intensity)
-            _bound(q, f"{where} at intensity {intensity:g}")
-            return q
-
-        if scale_class == "measurement":
-            meas = [scaled(p, f"channels.measurement[{i}]") for i, p in enumerate(meas)]
-        elif scale_class == "actuation":
-            act = [scaled(p, f"channels.actuation[{i}]") for i, p in enumerate(act)]
-        elif scale_class == "communication":
-            comm = {(i, j): scaled(p, f"channels.communication[{i}-{j}]")
-                    for (i, j), p in comm.items()}
-        elif scale_class is not None:
-            raise ConfigError(f"unknown channel class '{scale_class}'")
+        meas, act, comm = d.scaled_budgets(scale_class, intensity)
         # a node without a budget gets an unattackable placeholder trace
         meas = [p or DosParams(0.0, 0.0, 1.0, 2.0, self.delta_meas) for p in meas]
         act = [p or DosParams(0.0, 0.0, 1.0, 2.0, self.delta_act) for p in act]
@@ -431,7 +436,7 @@ def parse_scenario(data: dict) -> Scenario:
 
 def load_scenario(path: str) -> Scenario:
     with open(path) as fh:
-        data = yaml.safe_load(fh)
+        data = load_yaml(fh)
     try:
         scen = parse_scenario(data)
     except ConfigError as exc:

@@ -67,6 +67,28 @@ def test_half_open_windows():
     assert s.clipped(2.0, 3.0) == []
 
 
+@st.composite
+def _sequences_and_points(draw):
+    """Sorted disjoint windows and query points that include every window
+    start and end, a point on each side of them, and random points."""
+    cuts = sorted(set(draw(st.lists(st.floats(0.0, 10.0), max_size=12))))
+    windows = tuple((a, b) for a, b in zip(cuts[0::2], cuts[1::2]))
+    edges = [b for w in windows for b in w]
+    points = edges + [np.nextafter(b, -np.inf) for b in edges] + \
+        [np.nextafter(b, np.inf) for b in edges] + [0.0, 10.0] + \
+        draw(st.lists(st.floats(-1.0, 11.0), max_size=20))
+    return DosSequence(windows, 10.0), points
+
+
+@given(_sequences_and_points())
+@settings(max_examples=200, deadline=None)
+def test_vectorised_query_matches_is_attacked(case):
+    s, points = case
+    got = s.attacked(points)
+    assert got.dtype == bool and got.shape == (len(points),)
+    assert got.tolist() == [s.is_attacked(float(t)) for t in points]
+
+
 def test_verify_accepts_within_budget():
     p = DosParams(2.0, 2.0, 5.0, 10.0, 0.1)
     s = DosSequence(((1.0, 1.5), (8.0, 8.5)), 20.0)

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 import yaml
 
+from mgconsensus import cli
 from mgconsensus.cli import main
 
 SCENARIO = Path(__file__).resolve().parent.parent / "scenarios" / "ring4_dos.yaml"
@@ -203,6 +204,19 @@ def test_sweep_intensity_out_of_range_is_config_error(fast_scenario, capsys,
             "--intensity", intensity]
     assert main(argv) == 2
     assert message in capsys.readouterr().err
+
+
+def test_sweep_checks_every_class_budget_before_any_run(fast_scenario, capsys, monkeypatch):
+    # the actuation class fails at intensity 30 (duty ratio 1.23): that is
+    # reported before the first engine run, not after the baseline seeds
+    def no_run(cfg):
+        raise AssertionError("engine run before the budget check")
+
+    monkeypatch.setattr(cli, "Simulation", no_run)
+    argv = ["sweep", str(fast_scenario), "--seeds", "20",
+            "--classes", "actuation,measurement", "--intensity", "30"]
+    assert main(argv) == 2
+    assert "channels.actuation[0] at intensity 30" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("content", [None, "{not json", "[1, 2]", '{"meas/0": {}}'])

@@ -6,7 +6,7 @@ import pytest
 from mgconsensus.adaptive import delay_aggregate
 from mgconsensus.attacks import ChannelSet, DosParams, DosSequence
 from mgconsensus.design import certified_params
-from mgconsensus.engine import EngineConfig, Simulation
+from mgconsensus.engine import EngineConfig, Simulation, _measurement_grid
 from mgconsensus.scenario import load_scenario
 from mgconsensus.topology import load_topology
 
@@ -185,3 +185,13 @@ def test_early_freeze_waits_for_disturbances(mode):
             full = Simulation(scen.engine_config(name, channels)).run()
             froz = Simulation(scen.engine_config(name, channels, stop_when_frozen=True)).run()
             assert froz.entry_time == full.entry_time, (seed, name)
+
+
+@pytest.mark.parametrize("delta", [0.007, 0.01, 0.0125, 0.05, 0.1])
+@pytest.mark.parametrize("horizon", [7.3, 60.0, 8_000.0])
+def test_measurement_grid_is_the_repeated_sum(delta, horizon):
+    # the engine's cumsum grid must be the floats a t += delta loop visits
+    want = [0.0]
+    while want[-1] + delta <= horizon:
+        want.append(want[-1] + delta)
+    assert _measurement_grid(delta, horizon).tolist() == want

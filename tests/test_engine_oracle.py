@@ -1,0 +1,383 @@
+"""The segment engine against the step-by-step event loop it replaced.
+
+`oracle_run` is that loop: every measurement attempt, attack boundary and
+record sample is a heap event, and all n states advance by u * dt on every
+pop. It keeps the same rules, so the two engines agree on every decision and
+differ in the states only by round-off.
+"""
+
+from heapq import heappop, heappush
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from mgconsensus.adaptive import actuation_estimate, delay_aggregate, scaled_input
+from mgconsensus.attacks import ChannelSet, DosParams, DosSequence
+from mgconsensus.controller import (
+    attacked_clock_reset,
+    clock_reset,
+    deadzone_sign,
+    dwell_time_floor,
+)
+from mgconsensus.design import certified_params, lyapunov
+from mgconsensus.engine import EngineConfig, Simulation, _entry_time
+from mgconsensus.scenario import MODES, load_scenario
+from mgconsensus.topology import load_topology
+
+SCENARIO = Path(__file__).resolve().parent.parent / "scenarios" / "ring4_dos.yaml"
+TOL = 1e-12
+
+# event kinds, in tie-break priority order
+K_BOUNDARY, K_MEAS, K_EXPIRY, K_ACT, K_DISTURB, K_RECORD = range(6)
+
+
+def oracle_run(sim: Simulation) -> dict:
+    """Run `sim`'s configuration through the step-by-step event loop."""
+    cfg = sim.cfg
+    n = sim.n
+    edges = sim.edges
+    ne = len(edges)
+    degs = sim.degs
+
+    x = [float(v) for v in cfg.x0]
+    ustar = [0.0] * n
+    t_now = 0.0
+
+    cache_val = list(x)
+    cache_stamp = [0.0] * n
+    pending = [None] * n
+    pend_edges = [[] for _ in range(n)]
+    act_ver = [0] * n
+
+    e_i = [a for a, _ in edges]
+    e_j = [b for _, b in edges]
+    e_ueff = [0.0] * ne
+    e_eps = list(cfg.edge_eps)
+    e_rate = list(cfg.edge_rate)
+    e_trig_t = [0.0] * ne
+    e_diff = [None] * ne
+    e_own_delay = [0.0] * ne
+    e_nbr_delay = [0.0] * ne
+    e_nbr_val = [x[b] for b in e_j]
+    e_nbr_stamp = [0.0] * ne
+    e_ver = [0] * ne
+    phi_act = sim.phi_act
+    adaptive = sim.adaptive
+
+    def set_command(e, i, j, diff, eps_k, rate_k):
+        if diff is None:
+            u = 0
+            theta = attacked_clock_reset(eps_k, degs[i], degs[j])
+        else:
+            u = deadzone_sign(diff, eps_k)
+            theta = clock_reset(diff, eps_k, degs[i], degs[j])
+        e_eps[e] = eps_k
+        e_rate[e] = rate_k
+        e_ueff[e] = scaled_input(u, theta, rate_k, phi_act[i]) if adaptive else float(u)
+        e_ver[e] += 1
+        return u, theta
+
+    heap = []
+    seq = 0
+
+    def push(time_, kind, a=0, b=0):
+        nonlocal seq
+        heappush(heap, (time_, kind, seq, a, b))
+        seq += 1
+
+    horizon = cfg.horizon
+    for i in range(n):
+        push(0.0, K_MEAS, i)
+    for e in range(ne):
+        push(cfg.activation_time, K_EXPIRY, e, 0)
+    disturb_left = 0
+    for dt_, node_, jump_ in sorted(cfg.disturbances):
+        if dt_ <= horizon:
+            push(dt_, K_DISTURB, node_, jump_)
+            disturb_left += 1
+    k = 0
+    while k * cfg.record_period <= horizon + 1e-12:
+        push(k * cfg.record_period, K_RECORD)
+        k += 1
+    push(horizon, K_RECORD)
+    for ch in (*sim.meas_ch, *sim.act_ch, *sim.comm_ch):
+        for window in ch.intervals:
+            for b in window:
+                if b <= horizon:
+                    push(b, K_BOUNDARY)
+
+    times, rows, input_rows = [], [], []
+    trigger_log, closed, v_active = [], [], []
+    stats = {"meas_ok": 0, "meas_fail": 0, "act_ok": 0, "act_fail": 0,
+             "comm_ok": 0, "comm_fail": 0}
+    alpha, beta = cfg.alpha, cfg.beta
+    eps_floor = cfg.eps_floor
+    resilient = sim.resilient
+    frozen = False
+    last_record_t = -1.0
+
+    while heap:
+        t, kind, _sq, a, b = heappop(heap)
+        if t > horizon + 1e-12:
+            break
+        dt = t - t_now
+        if dt > 0.0:
+            for i in range(n):
+                if ustar[i] != 0.0:
+                    x[i] += ustar[i] * dt
+            t_now = t
+
+        if kind == K_MEAS:
+            i = a
+            if not sim.meas_ch[i].is_attacked(t):
+                cache_val[i] = x[i]
+                cache_stamp[i] = t
+                stats["meas_ok"] += 1
+            else:
+                stats["meas_fail"] += 1
+            nxt = t + sim.delta_meas[i]
+            if nxt <= horizon:
+                push(nxt, K_MEAS, i)
+
+        elif kind == K_EXPIRY:
+            e, ver = a, b
+            if ver != e_ver[e]:
+                continue
+            i, j = e_i[e], e_j[e]
+            comm_h = not sim.comm_ch[e].is_attacked(t)
+            stats["comm_ok" if comm_h else "comm_fail"] += 1
+            e_trig_t[e] = t
+            if comm_h or not resilient:
+                if comm_h:
+                    e_nbr_val[e] = cache_val[j]
+                    e_nbr_stamp[e] = cache_stamp[j]
+                diff = e_nbr_val[e] - cache_val[i]
+                own_delay = t - cache_stamp[i]
+                nbr_delay = t - e_nbr_stamp[e]
+                if adaptive and comm_h:
+                    gamma = delay_aggregate(own_delay, nbr_delay, 0.0, degs[i], degs[j])
+                    eps_k, rate_k = certified_params(gamma, alpha, beta, eps_floor)
+                else:
+                    eps_k, rate_k = cfg.edge_eps[e], cfg.edge_rate[e]
+                e_own_delay[e] = own_delay
+                e_nbr_delay[e] = nbr_delay
+            else:
+                diff = None
+                eps_k, rate_k = e_eps[e], e_rate[e]
+            e_diff[e] = diff
+            u, theta = set_command(e, i, j, diff, eps_k, rate_k)
+            if comm_h and u != 0 and abs(diff) >= eps_k:
+                v_active.append((t, list(x)))
+            push(t + theta / rate_k, K_EXPIRY, e, e_ver[e])
+            trigger_log.append(
+                (t, e, comm_h, diff, u, theta, eps_k, rate_k,
+                 dwell_time_floor(eps_k, rate_k, degs[i], degs[j]))
+            )
+
+            new_sum = 0.0
+            for oe in sim.out_edges[i]:
+                new_sum += e_ueff[oe]
+            if pending[i] is not None or new_sum != ustar[i]:
+                pending[i] = new_sum
+                if e not in pend_edges[i]:
+                    pend_edges[i].append(e)
+                act_ver[i] += 1
+                push(t, K_ACT, i, act_ver[i])
+
+            if cfg.stop_when_frozen and u == 0 and not disturb_left:
+                if (all(v == 0.0 for v in e_ueff) and all(v == 0.0 for v in ustar)
+                        and all(p is None for p in pending)
+                        and (max(x) - min(x)) < sim.delta):
+                    frozen = True
+                    break
+
+        elif kind == K_ACT:
+            i, ver = a, b
+            if ver != act_ver[i] or pending[i] is None:
+                continue
+            if not sim.act_ch[i].is_attacked(t):
+                stats["act_ok"] += 1
+                ustar[i] = pending[i]
+                pending[i] = None
+                for e in pend_edges[i]:
+                    closed.append(
+                        (e, e_trig_t[e], e_own_delay[e], e_nbr_delay[e],
+                         t - e_trig_t[e], e_eps[e], e_rate[e])
+                    )
+                pend_edges[i].clear()
+            else:
+                stats["act_fail"] += 1
+                if adaptive:
+                    for e in pend_edges[i]:
+                        if e_diff[e] is None:
+                            continue
+                        t_hat = actuation_estimate(e_trig_t[e], t, sim.delta_act[i])
+                        gamma = delay_aggregate(e_own_delay[e], e_nbr_delay[e], t_hat,
+                                                degs[i], degs[e_j[e]])
+                        eps_k, rate_k = certified_params(gamma, alpha, beta, eps_floor)
+                        _u, theta = set_command(e, i, e_j[e], e_diff[e], eps_k, rate_k)
+                        push(max(e_trig_t[e] + theta / rate_k, t), K_EXPIRY, e, e_ver[e])
+                    new_sum = 0.0
+                    for oe in sim.out_edges[i]:
+                        new_sum += e_ueff[oe]
+                    pending[i] = new_sum
+                push(t + sim.delta_act[i], K_ACT, i, ver)
+
+        elif kind == K_RECORD:
+            if t == last_record_t:
+                continue
+            last_record_t = t
+            times.append(t)
+            rows.append(list(x))
+            input_rows.append(list(ustar))
+
+        elif kind == K_DISTURB:
+            x[a] += b
+            disturb_left -= 1
+
+    if frozen and (not times or times[-1] < t_now):
+        times.append(t_now)
+        rows.append(list(x))
+        input_rows.append(list(ustar))
+    return dict(times=np.asarray(times), states=np.asarray(rows),
+                inputs=np.asarray(input_rows), trigger_log=trigger_log,
+                closed=closed, v_active=v_active, stats=stats, final=x, frozen=frozen)
+
+
+# ---- comparison ---------------------------------------------------------
+
+def _assert_rows_close(got, want, tol=TOL):
+    """Same length and the same row by row: exact in the ints and bools,
+    within tol in the floats (None where the oracle has None)."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert len(g) == len(w)
+        for a, b in zip(g, w):
+            if isinstance(b, float) or isinstance(a, float):
+                assert a is not None and b is not None, (g, w)
+                assert abs(a - b) <= tol, (g, w)
+            else:
+                assert a == b, (g, w)
+
+
+def assert_matches_oracle(sim: Simulation):
+    """Run `sim` both ways and check every output against the oracle's."""
+    got, want = sim.run(), oracle_run(sim)
+    # decisions: edge, comm health and u exactly; the floats within TOL
+    assert [r[1:3] + r[4:5] for r in got.trigger_log] == \
+        [r[1:3] + r[4:5] for r in want["trigger_log"]]
+    _assert_rows_close(got.trigger_log, want["trigger_log"])
+    _assert_rows_close(got.closed_commands, want["closed"])
+    assert got.channel_stats == want["stats"]
+    assert got.times.shape == want["times"].shape
+    assert np.max(np.abs(got.times - want["times"])) <= TOL
+    assert np.max(np.abs(got.states - want["states"]), initial=0.0) <= TOL
+    # an input may differ only at a sample that meets an actuation up to
+    # round-off, where the two orders of sample and actuation can differ
+    off = np.flatnonzero(np.max(np.abs(got.inputs - want["inputs"]), axis=1) > TOL)
+    acts = np.array([c[1] + c[4] for c in want["closed"]])
+    for k in off:
+        assert np.min(np.abs(acts - got.times[k])) <= TOL, got.times[k]
+    assert np.max(np.abs(np.asarray(got.final_states) - want["final"])) <= TOL
+    # V at the active triggers is the Lyapunov function of the oracle's x there
+    va = got.v_at_active_triggers
+    assert va.shape == (len(want["v_active"]), 2)
+    for (t, v), (tw, xw) in zip(va, want["v_active"]):
+        assert abs(t - tw) <= TOL
+        assert abs(v - lyapunov(xw)) <= TOL
+    return got, want
+
+
+@pytest.fixture(scope="module")
+def scen():
+    return load_scenario(str(SCENARIO))
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("seed", [0, 3])
+def test_bundled_runs_match_oracle(scen, mode, seed):
+    s = scen.with_mode(mode).with_seed(seed)
+    channels = s.build_channels()
+    for name in s.instances:
+        got, want = assert_matches_oracle(Simulation(s.engine_config(name, channels)))
+        spread = want["states"].max(axis=1) - want["states"].min(axis=1)
+        assert got.entry_time == _entry_time(want["times"], spread, got.delta)[0]
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_early_stop_matches_oracle(scen, mode):
+    s = scen.with_mode(mode)
+    channels = s.build_channels()
+    for name in s.instances:
+        got, want = assert_matches_oracle(
+            Simulation(s.engine_config(name, channels, stop_when_frozen=True)))
+        # the run stopped early; the counts (compared above) stop with it, and
+        # the last row is the state it froze in
+        assert want["frozen"] and got.times[-1] < s.horizon
+        np.testing.assert_array_equal(got.states[-1], got.final_states)
+
+
+PAIR = [[0, 1], [1, 0]]
+
+
+def _pair_cfg(**kw):
+    topo = load_topology(PAIR)
+    base = dict(topology=topo, x0=[0.0, 1.0], mode="nominal", eps_floor=0.1,
+                edge_eps=[0.1, 0.1], edge_rate=[1.0, 1.0], horizon=3.0,
+                record_period=0.05, delta_meas=[0.25, 0.25], delta_act=[0.01, 0.01])
+    base.update(kw)
+    return EngineConfig(**base)
+
+
+@pytest.mark.parametrize("activation", [1.0, 1.1])
+def test_disturbance_on_grid_point_reads_value_before_jump(activation):
+    # node 1 jumps by 5 at t = 1.0, a point of its 0.25 s grid; the edges
+    # first trigger at that instant, or later with 1.0 still the latest
+    # grid point: either way the cache holds the pre-jump value
+    m, _ = assert_matches_oracle(Simulation(_pair_cfg(
+        disturbances=[(1.0, 1, 5.0)], activation_time=activation)))
+    first = m.trigger_log[0]
+    assert first[0] == activation and m.directed_edges[first[1]] == (0, 1)
+    assert first[3] == 1.0  # x1(1.0-) - x0(1.0-), not 6.0
+    k = int(np.searchsorted(m.times, 1.0))
+    assert m.states[k, 1] == 6.0  # the record sample is taken after the jump
+
+
+def test_actuation_on_grid_point_matches_oracle():
+    # node 1 actuates at t = 0.25 and node 0, whose attempt then is jammed,
+    # at t = 0.5: both slope changes sit on points of the 0.25 s grid
+    cs = ChannelSet({("act", 0): DosSequence(((0.25, 0.5),), 3.0)},
+                    {("act", 0): DosParams(1.0, 0.25, 1.0, 1e9, 0.25)})
+    m, _ = assert_matches_oracle(Simulation(_pair_cfg(
+        channels=cs, activation_time=0.25, delta_act=[0.25, 0.25])))
+    assert m.channel_stats["act_fail"] == 1
+    assert [c[:2] for c in m.closed_commands[:2]] == [(1, 0.25), (0, 0.5)]
+
+
+def test_jammed_grid_points_keep_the_last_healthy_reading():
+    seq = DosSequence(((0.0, 0.6), (1.0, 1.7)), 3.0)
+    p = DosParams(2.0, 1.5, 1.0, 1e9, 0.25)
+    cs = ChannelSet({("meas", 0): seq, ("meas", 1): seq}, {("meas", 0): p, ("meas", 1): p})
+    m, _ = assert_matches_oracle(Simulation(_pair_cfg(channels=cs, mode="resilient-global")))
+    assert m.channel_stats["meas_fail"] > 0
+
+
+def test_early_stop_waits_for_cancelling_edge_inputs():
+    # on the path 1-0-2 the links into node 0 are jammed, so only node 0's
+    # edges act, with -1 and +1 that cancel: every node input stays 0, yet
+    # the run is not frozen while an edge input is nonzero
+    topo = load_topology([[0, 1, 1], [1, 0, 0], [1, 0, 0]])
+    jam = DosSequence(((0.0, 5.0),), 5.0)
+    p = DosParams(1.0, 5.0, 1.0, 1e9, 0.1)
+    cs = ChannelSet({("comm", 1, 0): jam, ("comm", 2, 0): jam},
+                    {("comm", 1, 0): p, ("comm", 2, 0): p})
+    cfg = EngineConfig(
+        topology=topo, x0=[0.15, 0.0, 0.3], mode="resilient-global", eps_floor=0.1,
+        edge_eps=[0.1] * 4, edge_rate=[1.0] * 4, horizon=5.0, record_period=0.05,
+        channels=cs, per_direction_comm=True, eps_reference=0.25,  # delta 0.5 > spread
+        stop_when_frozen=True,
+    )
+    m, want = assert_matches_oracle(Simulation(cfg))
+    assert not want["frozen"] and m.times[-1] == 5.0
+    assert {row[4] for row in m.trigger_log if m.directed_edges[row[1]][0] == 0} == {-1, 1}

@@ -33,6 +33,13 @@ def test_bundled_scenario_loads(scen):
     assert scen.instances.keys() == {"frequency", "power"}
 
 
+def test_parse_without_libyaml_gives_equal_scenario(scen, monkeypatch):
+    # load_yaml takes libyaml's CSafeLoader when PyYAML has it; the pure-Python
+    # SafeLoader it falls back to must read the same scenario
+    monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    assert load_scenario(str(SCENARIO)) == scen
+
+
 def test_unknown_top_level_key_rejected(data):
     bad = copy.deepcopy(data)
     bad["extra"] = 1
