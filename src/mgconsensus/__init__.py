@@ -4,7 +4,6 @@ Deterministic event-driven simulator plus the offline design, online
 self-adaptation, and attack-trace tooling around it.
 """
 
-from .aggregation import DgSpec, MgEquivalent, aggregate, dg_from_rating, share_power
 from .attacks import (
     ChannelSet,
     DosParams,
@@ -33,12 +32,11 @@ from .topology import Topology, load_topology
 __version__ = "0.1.0"
 
 __all__ = [
-    "ChannelSet", "ConfigError", "DesignCertificate", "DgSpec", "DosParams",
-    "DosSequence", "EngineConfig", "MgEquivalent", "RunMetrics", "Scenario",
-    "Simulation", "Topology", "aggregate", "certified_params", "clock_reset",
-    "convergence_bound", "deadzone_sign", "dg_from_rating", "dwell_time_floor",
-    "generate_channel_set", "generate_sequence", "global_threshold",
-    "load_scenario", "load_topology", "local_threshold", "lyapunov",
-    "parse_scenario", "podf_bound", "podf_witness", "share_power",
+    "ChannelSet", "ConfigError", "DesignCertificate", "DosParams", "DosSequence",
+    "EngineConfig", "RunMetrics", "Scenario", "Simulation", "Topology",
+    "certified_params", "clock_reset", "convergence_bound", "deadzone_sign",
+    "dwell_time_floor", "generate_channel_set", "generate_sequence",
+    "global_threshold", "load_scenario", "load_topology", "local_threshold",
+    "lyapunov", "parse_scenario", "podf_bound", "podf_witness",
     "verify_sequence", "worst_case_sequence", "__version__",
 ]

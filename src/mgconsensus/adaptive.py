@@ -8,15 +8,12 @@ delay of the previous command). The engine feeds that aggregate gamma to
 
 from __future__ import annotations
 
-from .errors import MissingTimestampError
-
 
 def delay_aggregate(
     own_delay: float, nbr_delay: float, act_delay: float, d_i: int, d_j: int
 ) -> float:
-    """Degree-weighted sum of the observed delays driving adaptation."""
-    if min(own_delay, nbr_delay, act_delay) < 0.0:
-        raise MissingTimestampError("delays must be non-negative")
+    """Degree-weighted sum of the observed delays driving adaptation; the
+    delays are t - stamp >= 0, since no stamp precedes activation_time >= 0."""
     return d_i * (own_delay + act_delay) + d_j * (nbr_delay + act_delay)
 
 

@@ -17,7 +17,6 @@ from typing import Iterable, Sequence
 import numpy as np
 import yaml
 
-from . import _kernels
 from .errors import AttemptSpacingError, BudgetInfeasibleError, ConfigError
 from .topology import Topology
 
@@ -110,14 +109,6 @@ class DosSequence:
         idx = np.searchsorted(self.starts, times, side="right") - 1
         return (idx >= 0) & (times < np.asarray(self.ends)[idx])
 
-    def clipped(self, t1: float, t2: float) -> list[tuple[float, float]]:
-        out = []
-        for s, e in self.intervals:
-            a, b = max(s, t1), min(e, t2)
-            if a < b:
-                out.append((a, b))
-        return out
-
 
 @dataclass
 class VerifyReport:
@@ -127,29 +118,68 @@ class VerifyReport:
     violations: list[str] = field(default_factory=list)
 
 
-def verify_sequence(
-    s: DosSequence, p: DosParams, t1: float = 0.0, t2: float | None = None
-) -> VerifyReport:
-    """Check both budget inequalities over every boundary-anchored sub-window.
+# --- duration budget ---------------------------------------------------
+# Worst sub-windows are anchored at interval boundaries: for every pair of
+# indices p <= q the attacked time cum_{q+1} - cum_p of [start_p, end_q)
+# must stay within kappa + (end_q - start_p) / tau_d. A prefix minimum over
+# p gives the slack in O(n) time and memory:
+# kappa + min_q [(end_q / tau_d - cum_{q+1}) + min_{p<=q} (cum_p - start_p / tau_d)];
+# negative means the budget is violated.
+
+def duration_min_slack(starts, ends, kappa, tau_d):
+    if starts.shape[0] == 0:
+        return np.inf
+    cum = np.concatenate(([0.0], np.cumsum(ends - starts)))
+    a = np.minimum.accumulate(cum[:-1] - starts / tau_d)
+    return float(kappa + np.min(ends / tau_d - cum[1:] + a))
+
+
+# --- frequency budget --------------------------------------------------
+# For every pair of off->on transition times s_p <= s_q the limit window
+# (t1 = s_p, t2 -> s_q+) contains q - p + 1 transitions, which must stay
+# within eta + (s_q - s_p) / tau_f. The slack is
+# eta - 1 + min_q [(s_q / tau_f - q) + min_{p<=q} (p - s_p / tau_f)].
+
+def frequency_min_slack(trans, eta, tau_f):
+    n = trans.shape[0]
+    if n == 0:
+        return np.inf
+    idx = np.arange(n, dtype=np.float64)
+    a = np.minimum.accumulate(idx - trans / tau_f)
+    return float(eta - 1.0 + np.min(trans / tau_f - idx + a))
+
+
+# --- persistency witness -----------------------------------------------
+# For each attempt that falls inside an attack window, the delay until the
+# first later attempt in healthy time (-1 when none follows). healthy is a
+# bool mask over attempts.
+
+def witness_delays(attempts, healthy):
+    failed = np.flatnonzero(~healthy)
+    ok_times = attempts[healthy]
+    if failed.size == 0:
+        return np.empty(0, dtype=np.float64)
+    idx = np.searchsorted(ok_times, attempts[failed], side="left")
+    out = np.full(failed.size, -1.0)
+    have = idx < ok_times.size
+    out[have] = ok_times[idx[have]] - attempts[failed][have]
+    return out
+
+
+def verify_sequence(s: DosSequence, p: DosParams) -> VerifyReport:
+    """Check both budget inequalities over every boundary-anchored sub-window
+    of [0, horizon).
 
     Checking windows anchored at transition points suffices: both bound
     gaps are piecewise linear in (t1, t2) with extrema only at interval
     boundaries (unit-tested against dense grids).
     """
-    if t2 is None:
-        t2 = s.horizon
-    if not (t1 < t2 <= s.horizon):
-        raise ValueError(f"window [{t1}, {t2}) invalid for horizon {s.horizon}")
-
-    clipped = s.clipped(t1, t2)
-    starts = np.array([a for a, _ in clipped], dtype=np.float64)
-    ends = np.array([b for _, b in clipped], dtype=np.float64)
-    # only genuine off->on transitions count towards the frequency budget
-    trans = np.array([a for a in s.starts if t1 <= a < t2], dtype=np.float64)
-
+    starts = np.array(s.starts, dtype=np.float64)
+    ends = np.array(s.ends, dtype=np.float64)
     tol = 1e-9
-    f_slack = float(_kernels.frequency_min_slack(trans, p.eta, p.tau_f))
-    d_slack = float(_kernels.duration_min_slack(starts, ends, p.kappa, p.tau_d))
+    # every window start is an off->on transition, counted by the frequency budget
+    f_slack = frequency_min_slack(starts, p.eta, p.tau_f)
+    d_slack = duration_min_slack(starts, ends, p.kappa, p.tau_d)
     violations = []
     if f_slack < -tol:
         violations.append(
@@ -215,7 +245,7 @@ def generate_sequence(p: DosParams, horizon: float, seed: int) -> DosSequence:
     """Pseudo-random attack sequence satisfying the budget by construction.
 
     Candidate windows are sampled from exponential inter-arrivals, then each
-    is shifted/clipped so that every boundary-anchored inequality stays
+    is shifted and shortened so that every boundary-anchored inequality stays
     satisfied (greedy budget enforcement). Deterministic in (p, horizon, seed).
     """
     podf_bound(p)  # the one duty-ratio check: BudgetInfeasibleError when >= 1
@@ -283,7 +313,7 @@ def podf_witness(
                 f"attempts spaced {gaps.min():.6g} < delta_star {p.delta_star:.6g}"
             )
     healthy = ~s.attacked(attempts)
-    delays = _kernels.witness_delays(attempts, healthy)
+    delays = witness_delays(attempts, healthy)
     unresolved = int(np.sum(delays < 0.0))
     resolved = delays[delays >= 0.0]
     max_delay = float(resolved.max()) if resolved.size else 0.0
@@ -304,18 +334,18 @@ class ChannelSet:
     sequences: dict[ChannelId, DosSequence]
     params: dict[ChannelId, DosParams]
 
-    def check_complete(self, topo: Topology, comm_edges: Iterable[tuple[int, int]] | None = None,
+    def check_complete(self, topo: Topology, comm_edges: Iterable[tuple[int, int]],
                        per_direction: bool = False) -> None:
         """Require every channel `generate_channel_set` writes for these budgets.
 
-        `comm_edges` lists the edges (i < j) that carry a communication budget
-        (default: every edge); `per_direction` asks for both directions.
+        `comm_edges` lists the edges (i < j) that carry a communication budget;
+        `per_direction` asks for both directions.
         """
         for i in range(topo.node_count):
             for kind in ("meas", "act"):
                 if (kind, i) not in self.sequences:
                     raise ConfigError(f"missing {kind} channel for node {i}")
-        for i, j in topo.edges if comm_edges is None else comm_edges:
+        for i, j in comm_edges:
             for key in _comm_keys(i, j, per_direction):
                 if key not in self.sequences:
                     raise ConfigError(f"missing comm channel {key}")

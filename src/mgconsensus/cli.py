@@ -54,7 +54,7 @@ def _metrics_summary(metrics: RunMetrics) -> dict:
         "entry_time": metrics.entry_time,
         "converged": metrics.converged,
         "delta": metrics.delta,
-        "final_states": [float(v) for v in metrics.final_states],
+        "final_states": [float(v) for v in metrics.states[-1]],
         "final_spread": float(metrics.spread_series[-1]) if metrics.spread_series.size else None,
         "final_v": float(metrics.v_series[-1]) if metrics.v_series.size else None,
         "trigger_count": len(metrics.trigger_log),
@@ -150,9 +150,15 @@ def cmd_attacks_verify(args) -> int:
     return 0 if ok else 1
 
 
+def _fmt(value, spec: str) -> str:
+    return "none" if value is None else format(value, spec)
+
+
 def cmd_sweep(args) -> int:
     if not args.intensity > 0:
         raise ConfigError(f"--intensity must be > 0, got {args.intensity!r}")
+    if args.seeds < 1:
+        raise ConfigError(f"--seeds must be >= 1, got {args.seeds}")
     scen = load_scenario(args.scenario)
     classes = [c.strip() for c in args.classes.split(",") if c.strip()]
     seeds = list(range(args.seeds))
@@ -163,7 +169,9 @@ def cmd_sweep(args) -> int:
         for cls in classes:
             design.scaled_budgets(cls, args.intensity)
 
-    def median_entry(scale_class, intensity) -> tuple[float, int]:
+    def median_entry(scale_class, intensity) -> tuple[float | None, int]:
+        """Median entry time over the converged seeds (None if none converged)
+        and the count of the others."""
         entries, missed = [], 0
         for s in seeds:
             ch = scen.with_seed(scen.seed + s).build_channels(scale_class, intensity)
@@ -174,8 +182,7 @@ def cmd_sweep(args) -> int:
                 missed += 1
             else:
                 entries.append(m.entry_time)
-        med = statistics.median(entries) if entries else float("nan")
-        return med, missed
+        return (statistics.median(entries) if entries else None), missed
 
     base_med, base_miss = median_entry(None, 1.0)
     result = {
@@ -188,13 +195,14 @@ def cmd_sweep(args) -> int:
     }
     for cls in classes:
         med, miss = median_entry(cls, args.intensity)
+        gain = None if med is None or base_med is None else base_med - med
         result["reduced"][cls] = {
             "median_entry_time": med,
             "unconverged": miss,
-            "improvement": base_med - med,
+            "improvement": gain,
         }
-        print(f"{cls}: median entry {med:.4f} (baseline {base_med:.4f}, "
-              f"improvement {base_med - med:+.4f})")
+        print(f"{cls}: median entry {_fmt(med, '.4f')} (baseline {_fmt(base_med, '.4f')}, "
+              f"improvement {_fmt(gain, '+.4f')})")
     if args.out:
         _write_json(Path(args.out), result)
         print(f"wrote {args.out}")

@@ -15,9 +15,10 @@ record samples are not events:
   trigger at t reads i's cache lazily as x_i at the latest healthy grid point
   <= t, taken just before any disturbance at that instant (a measurement
   precedes an expiry at equal times, a disturbance follows both);
-- record samples, final states and V at the active triggers are read from the
-  segments after the run: samples just after any jump at their time (they
-  follow every event), V just before it (a trigger precedes a disturbance).
+- record samples are read from the segments after the run, just after any
+  jump at their time (they follow every event). `RunMetrics.segments` keeps
+  the segments for reads at other times: `_evaluate(..., after_jumps=False)`
+  gives the states a trigger saw (a trigger precedes a disturbance).
 """
 
 from __future__ import annotations
@@ -52,18 +53,18 @@ class EngineConfig:
     eps_floor: float
     edge_eps: Sequence[float]                   # per directed edge, design values
     edge_rate: Sequence[float]
-    alpha: float = 1.5
-    beta: float = 1.1
-    phi_act: Sequence[float] | None = None      # per node, offline actuation bound
-    delta_meas: Sequence[float] | None = None
-    delta_act: Sequence[float] | None = None
+    alpha: float
+    beta: float
+    phi_act: Sequence[float]                    # per node, offline actuation bound
+    delta_meas: float                           # every node's attempt interval
+    delta_act: float
+    horizon: float
+    record_period: float
+    eps_reference: float                        # delta = eps_reference * (n - 1)
     channels: ChannelSet | None = None
     per_direction_comm: bool = False
     activation_time: float = 0.0
-    horizon: float = 60.0
-    record_period: float = 0.05
     disturbances: Sequence[tuple[float, int, float]] = ()
-    eps_reference: float | None = None          # delta = eps_reference * (n - 1)
     stop_when_frozen: bool = False
 
 
@@ -79,10 +80,9 @@ class RunMetrics:
     converged: bool
     trigger_log: list           # (t, edge, comm_healthy, diff, u, theta, eps, rate, dwell_floor)
     closed_commands: list       # (edge, trigger_t, own_delay, nbr_delay, act_delay, eps, rate)
-    v_at_active_triggers: np.ndarray  # rows (t, V) at successful triggers with |diff| >= eps
     channel_stats: dict
     directed_edges: list
-    final_states: list
+    segments: list              # per node, arrays (t, x, u) of segment starts, as in run()
 
     def min_dwell_margin(self) -> float:
         """Smallest (observed gap - guaranteed floor) over all edges."""
@@ -157,6 +157,8 @@ class Simulation:
         ]
         if len(cfg.edge_eps) != len(self.edges) or len(cfg.edge_rate) != len(self.edges):
             raise ValueError("edge_eps/edge_rate must match the directed edge count")
+        if cfg.activation_time < 0.0:  # every delay t - stamp is then >= 0
+            raise ValueError("activation_time must be >= 0")
 
         # a channel without a trace is an unattacked one
         sequences = cfg.channels.sequences if cfg.channels else {}
@@ -169,14 +171,9 @@ class Simulation:
             for i, j in self.edges
         ]
 
-        self.phi_act = list(cfg.phi_act) if cfg.phi_act else [0.0] * self.n
-        self.delta_meas = list(cfg.delta_meas) if cfg.delta_meas else [0.01] * self.n
-        self.delta_act = list(cfg.delta_act) if cfg.delta_act else [0.01] * self.n
-
         self.resilient = cfg.mode != "nominal"
         self.adaptive = cfg.mode == "self-adaptive"
-        n_ref = cfg.eps_reference if cfg.eps_reference is not None else cfg.eps_floor
-        self.delta = n_ref * (self.n - 1)
+        self.delta = cfg.eps_reference * (self.n - 1)
 
     def run(self) -> RunMetrics:
         cfg = self.cfg
@@ -205,21 +202,16 @@ class Simulation:
             ts.append(t)
             us.append(slope)
 
-        # measurement grids; a jammed grid point maps to the latest healthy one
-        # before it, or to 0, which reads x0 as the initial cache does
-        grids: dict[float, tuple[np.ndarray, list]] = {}
-        meas_grid, meas_jam, meas_bad = [], [], []
+        # the measurement grid; a node's jammed grid point maps to its latest
+        # healthy one before it, or to 0, which reads x0 as the initial cache does
+        grid_np = _measurement_grid(cfg.delta_meas, horizon)
+        grid = grid_np.tolist()
+        meas_jam, meas_bad = [], []
         for i in range(n):
-            d = self.delta_meas[i]
-            if d not in grids:
-                g = _measurement_grid(d, horizon)
-                grids[d] = (g, g.tolist())
-            g = grids[d][0]
-            attacked = self.meas_ch[i].attacked(g)
+            attacked = self.meas_ch[i].attacked(grid_np)
             bad = np.flatnonzero(attacked)
-            before = np.maximum.accumulate(np.where(attacked, 0, np.arange(g.size))) \
+            before = np.maximum.accumulate(np.where(attacked, 0, np.arange(grid_np.size))) \
                 if bad.size else bad
-            meas_grid.append(grids[d][1])
             meas_jam.append(dict(zip(bad.tolist(), before[bad].tolist())))
             meas_bad.append(bad)
 
@@ -232,14 +224,13 @@ class Simulation:
             """(stamp, value) of node i's cache at a trigger at t."""
             if t < meas_until[i]:
                 return meas_last[i]
-            g = meas_grid[i]
-            k = bisect_right(g, t) - 1
-            s = g[meas_jam[i].get(k, k)]
+            k = bisect_right(grid, t) - 1
+            s = grid[meas_jam[i].get(k, k)]
             ts = seg_t[i]
             m = len(ts) - 1
             while m and ts[m] >= s:
                 m -= 1
-            meas_until[i] = g[k + 1] if k + 1 < len(g) else np.inf
+            meas_until[i] = grid[k + 1] if k + 1 < len(grid) else np.inf
             meas_last[i] = s, seg_x[i][m] + seg_u[i][m] * (s - ts[m])
             return meas_last[i]
 
@@ -261,7 +252,8 @@ class Simulation:
         e_nbr_val = [seg_x[b][0] for b in e_j]
         e_nbr_stamp = [0.0] * ne
         e_ver = [0] * ne
-        phi_act = self.phi_act
+        phi_act = cfg.phi_act
+        delta_act = cfg.delta_act
         adaptive = self.adaptive
         # edges with a nonzero input + nodes with a nonzero input + pending
         # nodes: the early stop needs all three at zero
@@ -302,7 +294,6 @@ class Simulation:
 
         trigger_log: list = []
         closed: list = []
-        active_times: list[float] = []
         act_ok = act_fail = comm_ok = comm_fail = 0
 
         alpha, beta = cfg.alpha, cfg.beta
@@ -346,8 +337,6 @@ class Simulation:
                     eps_k, rate_k = e_eps[e], e_rate[e]
                 e_diff[e] = diff
                 u, theta = set_command(e, i, j, diff, eps_k, rate_k)
-                if comm_h and u != 0 and abs(diff) >= eps_k:
-                    active_times.append(t)
                 push(t + theta / rate_k, K_EXPIRY, e, e_ver[e])
                 trigger_log.append(
                     (t, e, comm_h, diff, u, theta, eps_k, rate_k,
@@ -396,7 +385,7 @@ class Simulation:
                         for e in pend_edges[i]:
                             if e_diff[e] is None:
                                 continue
-                            t_hat = actuation_estimate(e_trig_t[e], t, self.delta_act[i])
+                            t_hat = actuation_estimate(e_trig_t[e], t, delta_act)
                             gamma = delay_aggregate(e_own_delay[e], e_nbr_delay[e], t_hat,
                                                     degs[i], degs[e_j[e]])
                             eps_k, rate_k = certified_params(gamma, alpha, beta, eps_floor)
@@ -406,7 +395,7 @@ class Simulation:
                         for oe in self.out_edges[i]:
                             new_sum += e_ueff[oe]
                         pending[i] = new_sum
-                    push(t + self.delta_act[i], K_ACT, i, ver)
+                    push(t + delta_act, K_ACT, i, ver)
 
             else:  # K_DISTURB
                 new_segment(a, t, seg_u[a][-1], b)
@@ -417,12 +406,12 @@ class Simulation:
         # is the frozen state at that instant
         times = _record_times(cfg.record_period, horizon)
         if frozen_at is None:
-            n_meas = [len(g) for g in meas_grid]
+            n_meas = len(grid)
         else:
             times = np.append(times[times < frozen_at], frozen_at)
-            n_meas = [bisect_right(g, frozen_at) for g in meas_grid]
-        n_fail = sum(int(np.searchsorted(bad, m)) for bad, m in zip(meas_bad, n_meas))
-        stats = {"meas_ok": sum(n_meas) - n_fail, "meas_fail": n_fail,
+            n_meas = bisect_right(grid, frozen_at)
+        n_fail = sum(int(np.searchsorted(bad, n_meas)) for bad in meas_bad)
+        stats = {"meas_ok": n * n_meas - n_fail, "meas_fail": n_fail,
                  "act_ok": act_ok, "act_fail": act_fail,
                  "comm_ok": comm_ok, "comm_fail": comm_fail}
 
@@ -433,24 +422,6 @@ class Simulation:
         for i, seg in enumerate(segments):
             states[:, i], inputs[:, i] = _evaluate(*seg, times, after_jumps=True)
 
-        # V = 1/2 sum (x_i - mean)^2 just before any jump at each active
-        # trigger, summed node by node in lyapunov's order: two passes over
-        # the segments keep the memory at a few arrays of the trigger count
-        t_act = np.asarray(active_times, dtype=np.float64)
-        total = np.zeros(t_act.size)
-        for seg in segments:
-            total += _evaluate(*seg, t_act, after_jumps=False)[0]
-        mean = total / n
-        v_act = np.zeros(t_act.size)
-        for seg in segments:
-            dev = _evaluate(*seg, t_act, after_jumps=False)[0] - mean
-            v_act += dev * dev
-
-        return self._finish(times, states, inputs, trigger_log, closed,
-                            np.column_stack((t_act, 0.5 * v_act)), stats)
-
-    def _finish(self, times, states, inputs, trigger_log, closed, v_active,
-                stats) -> RunMetrics:
         mean = states.mean(axis=1, keepdims=True)
         v_series = 0.5 * ((states - mean) ** 2).sum(axis=1)
         spread = states.max(axis=1) - states.min(axis=1)
@@ -466,8 +437,7 @@ class Simulation:
             converged=converged,
             trigger_log=trigger_log,
             closed_commands=closed,
-            v_at_active_triggers=v_active,
             channel_stats=stats,
             directed_edges=self.edges,
-            final_states=states[-1].tolist(),
+            segments=segments,
         )

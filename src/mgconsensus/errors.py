@@ -25,17 +25,5 @@ class AttemptSpacingError(ValueError):
     """Transmission attempts are closer together than the channel minimum."""
 
 
-class MissingTimestampError(ValueError):
-    """A delay fed to the adaptation law is negative (timestamps out of order)."""
-
-
 class CriterionViolatedError(ValueError):
     """Design inequalities do not hold; no certificate can be issued."""
-
-
-class EmptyMgError(ValueError):
-    """A microgrid must contain at least one generator."""
-
-
-class InconsistentDroopsError(ValueError):
-    """Droop coefficients are not inversely proportional to ratings."""

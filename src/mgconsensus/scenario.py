@@ -8,11 +8,11 @@ scenario files are the reproducibility contract.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, replace
 from typing import Any, Optional
 
-from . import aggregation
 from .attacks import (
     ChannelSet, DosParams, generate_channel_set, load_yaml, podf_bound, read_channel_set,
 )
@@ -70,12 +70,27 @@ def _check_keys(data: dict, schema: dict, path: str = "") -> None:
             _check_keys(sub, schema[key], f"{path}{key}.")
 
 
-def _checked(value: Any, key: str, op: str, low: float) -> float:
-    """`value` as a float with `value op low` (op ">" or ">="); else a ConfigError naming `key`."""
+def _number(value: Any, key: str) -> float:
+    """`value` as a finite float; else a ConfigError naming `key`."""
     try:
         v = float(value)
     except (TypeError, ValueError):
-        raise ConfigError(f"{key} must be a number, got {value!r}") from None
+        v = math.nan
+    if not math.isfinite(v):  # an infinite horizon never ends attack generation
+        raise ConfigError(f"{key} must be a finite number, got {value!r}")
+    return v
+
+
+def _seed(value: Any) -> int:
+    """`value` as a seed (an integer >= 0, as np.random.SeedSequence needs); else a ConfigError."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ConfigError(f"seed must be an integer >= 0, got {value!r}")
+    return value
+
+
+def _checked(value: Any, key: str, op: str, low: float) -> float:
+    """`value` as a float with `value op low` (op ">" or ">="); else a ConfigError naming `key`."""
+    v = _number(value, key)
     if not (v > low if op == ">" else v >= low):
         raise ConfigError(f"{key} must be {op} {low:g}, got {value!r}")
     return v
@@ -290,7 +305,6 @@ class Scenario:
             raise ConfigError(f"scenario has no '{instance}' instance")
         inst = self.instances[instance]
         d = self.design()
-        n = self.topology.node_count
         phi_act = d.phi_act if channels is None else [
             _bound(channels.params[("act", i)], f"channel act/{i}") if p else 0.0
             for i, p in enumerate(d.act)
@@ -305,16 +319,14 @@ class Scenario:
             alpha=self.alpha,
             beta=self.beta,
             phi_act=phi_act,
-            delta_meas=[self.delta_meas] * n,
-            delta_act=[self.delta_act] * n,
+            delta_meas=self.delta_meas,
+            delta_act=self.delta_act,
             channels=channels,
             per_direction_comm=self.per_direction_comm,
             activation_time=self.activation_time,
             horizon=self.horizon,
             record_period=self.record_period,
-            disturbances=[
-                (ev["time"], ev["node"], ev["jump"]) for ev in inst.get("disturbances", [])
-            ],
+            disturbances=inst["disturbances"],
             eps_reference=d.eps_reference,
             stop_when_frozen=stop_when_frozen,
         )
@@ -325,7 +337,18 @@ class Scenario:
         return replace(self, mode=mode)
 
     def with_seed(self, seed: int) -> "Scenario":
-        return replace(self, seed=seed)
+        return replace(self, seed=_seed(seed))
+
+
+def _disturbance(ev: Any, n: int, where: str) -> tuple[float, int, float]:
+    """(time, node, jump) of one disturbance entry; time >= 0, node a node id."""
+    if not isinstance(ev, dict) or set(ev) != {"time", "node", "jump"}:
+        raise ConfigError(f"{where} needs exactly the keys time, node and jump")
+    node = ev["node"]
+    if isinstance(node, bool) or not isinstance(node, int) or not 0 <= node < n:
+        raise ConfigError(f"{where}.node must be a node id in 0..{n - 1}, got {node!r}")
+    return (_checked(ev["time"], f"{where}.time", ">=", 0.0), node,
+            _number(ev["jump"], f"{where}.jump"))
 
 
 def _instances(data: dict, n: int, mg_ratings, droop_constant) -> dict[str, dict]:
@@ -334,6 +357,7 @@ def _instances(data: dict, n: int, mg_ratings, droop_constant) -> dict[str, dict
         if name not in data:
             continue
         inst = dict(data[name])
+        where = f"instances.{name}"
         if name == "power" and "initial" not in inst:
             if "initial_power_kw" not in inst or mg_ratings is None:
                 raise ConfigError(
@@ -342,16 +366,18 @@ def _instances(data: dict, n: int, mg_ratings, droop_constant) -> dict[str, dict
             powers = inst.pop("initial_power_kw")
             if len(powers) != n or len(mg_ratings) != n:
                 raise ConfigError("initial_power_kw and mgs must have one entry per node")
+            # the MG-equivalent state: the harmonic droop c / sum(R) times the MG total
             inst["initial"] = [
-                droop_constant * p / sum(r) for p, r in zip(powers, mg_ratings)
+                droop_constant * _number(p, f"{where}.initial_power_kw") / sum(r)
+                for p, r in zip(powers, mg_ratings)
             ]
         if "initial" not in inst or len(inst["initial"]) != n:
             raise ConfigError(f"instance '{name}' needs one initial state per node")
-        inst["initial"] = [float(v) for v in inst["initial"]]
-        for d in inst.get("disturbances", []) or []:
-            if set(d) - {"time", "node", "jump"}:
-                raise ConfigError(f"unknown disturbance keys in instance '{name}'")
-        inst.setdefault("disturbances", [])
+        inst["initial"] = [_number(v, f"{where}.initial") for v in inst["initial"]]
+        inst["disturbances"] = [
+            _disturbance(ev, n, f"{where}.disturbances[{k}]")
+            for k, ev in enumerate(inst.get("disturbances") or [])
+        ]
         out[name] = inst
     if not out:
         raise ConfigError("scenario defines no instances")
@@ -388,10 +414,8 @@ def parse_scenario(data: dict) -> Scenario:
             out.append(_budget(entry, f"channels.{section}[{label}]") if entry else None)
         return out
 
-    horizon = float(data.get("horizon", 60.0))
-    activation = float(data.get("activation_time", 0.0))
-    if horizon <= activation:
-        raise ConfigError("horizon must exceed activation_time")
+    activation = _checked(data.get("activation_time", 0.0), "activation_time", ">=", 0.0)
+    horizon = _checked(data.get("horizon", 60.0), "horizon", ">", activation)
 
     mgs = data.get("mgs")
     mg_ratings = None
@@ -402,12 +426,15 @@ def parse_scenario(data: dict) -> Scenario:
         for k, mg in enumerate(mgs):
             if set(mg) - {"ratings_kw", "name"}:
                 raise ConfigError(f"unknown keys in mgs[{k}]")
-            mg_ratings.append([float(r) for r in mg["ratings_kw"]])
-    droop_constant = float(data.get("droop_constant", 1.0))
+            ratings = mg.get("ratings_kw") or []
+            if not isinstance(ratings, list) or not ratings:
+                raise ConfigError(f"mgs[{k}].ratings_kw must list at least one rating")
+            mg_ratings.append([_checked(r, f"mgs[{k}].ratings_kw", ">", 0.0) for r in ratings])
+    droop_constant = _checked(data.get("droop_constant", 1.0), "droop_constant", ">", 0.0)
 
     return Scenario(
         topology=topo,
-        seed=int(data.get("seed", 0)),
+        seed=_seed(data.get("seed", 0)),
         horizon=horizon,
         activation_time=activation,
         record_period=_checked(data.get("record_period", 0.05), "record_period", ">", 0.0),
@@ -447,11 +474,10 @@ def load_scenario(path: str) -> Scenario:
 
 
 def mg_power_shares(scen: Scenario, mg_index: int, total_power_kw: float) -> list[float]:
-    """Intra-MG split of one MG's total power using its rating table."""
+    """Intra-MG split of one MG's total power in proportion to its ratings: with
+    each DG's droop c / R_k, every DG then sits at the MG's droop-scaled state."""
     if scen.mg_ratings is None:
         raise ConfigError("scenario has no mgs tables")
-    dgs = [
-        aggregation.dg_from_rating(r, scen.droop_constant)
-        for r in scen.mg_ratings[mg_index]
-    ]
-    return aggregation.share_power(total_power_kw, dgs)
+    ratings = scen.mg_ratings[mg_index]
+    rating_sum = sum(ratings)
+    return [total_power_kw * r / rating_sum for r in ratings]

@@ -68,8 +68,9 @@ def nominal_runs(topo):
         x0 = rng.uniform(0.0, 5.0, 4)
         cfg = EngineConfig(
             topology=topo, x0=list(x0), mode="nominal", eps_floor=0.1,
-            edge_eps=[0.1] * ne, edge_rate=[1.0] * ne,
-            horizon=60.0, record_period=0.05, stop_when_frozen=True,
+            edge_eps=[0.1] * ne, edge_rate=[1.0] * ne, alpha=1.5, beta=1.1,
+            phi_act=[0.0] * 4, delta_meas=0.01, delta_act=0.01,
+            horizon=60.0, record_period=0.05, eps_reference=0.1, stop_when_frozen=True,
         )
         runs.append((x0, Simulation(cfg).run()))
     return runs, time.perf_counter() - t0
@@ -113,8 +114,8 @@ def resilient_runs(topo):
         x0 = rng.uniform(0.0, 10.0, 4)
         cfg = EngineConfig(
             topology=topo, x0=list(x0), mode="resilient-global", eps_floor=eps,
-            edge_eps=[eps] * ne, edge_rate=[rate] * ne,
-            delta_meas=[0.01] * 4, delta_act=[0.01] * 4,
+            edge_eps=[eps] * ne, edge_rate=[rate] * ne, alpha=1.5, beta=1.1,
+            phi_act=[0.0] * 4, delta_meas=0.01, delta_act=0.01,
             channels=channels, horizon=horizon, record_period=0.05,
             eps_reference=eps,
         )
@@ -133,7 +134,7 @@ def test_criterion_4_resilient_convergence(resilient_runs):
         ok = (m.converged and m.entry_time is not None and m.entry_time <= bound
               and m.delta == pytest.approx(3 * 1.2624))
         # Lyapunov strictly decreases across successful above-threshold triggers
-        va = m.v_at_active_triggers
+        va = conftest.v_at_active_triggers(m)
         for (t1, v1), (t2, v2) in zip(va, va[1:]):
             if t2 > t1 and not v2 < v1:
                 ok = False
@@ -229,9 +230,9 @@ def test_criterion_5_conservativeness_ordering(topo, heterogeneous_setup):
         ):
             cfg = EngineConfig(
                 topology=topo, x0=x0, mode=mode, eps_floor=0.1,
-                edge_eps=ee, edge_rate=er, phi_act=phi,
-                delta_meas=[0.01] * 4, delta_act=[0.01] * 4,
-                channels=channels, horizon=horizon, record_period=0.1,
+                edge_eps=ee, edge_rate=er, alpha=1.5, beta=1.1, phi_act=phi,
+                delta_meas=0.01, delta_act=0.01,
+                channels=channels, horizon=horizon, record_period=0.1, eps_reference=0.1,
             )
             m = Simulation(cfg).run()
             spreads[mode] = m.spread_series[-1]
@@ -309,15 +310,24 @@ def test_criterion_8_power_sharing():
     channels = scen.build_channels()
     m = Simulation(scen.engine_config("power", channels)).run()
     assert m.converged
-    x2 = m.final_states[1]  # MG 2 droop-scaled total
-    total_kw = x2 * sum(scen.mg_ratings[1]) / scen.droop_constant
-    shares = mg_power_shares(scen, 1, total_kw)
+    # each MG's total from its droop-scaled state x_k = c P_k / sum(R_k)
+    shares = [
+        mg_power_shares(scen, k, x * sum(ratings) / scen.droop_constant)
+        for k, (x, ratings) in enumerate(zip(m.states[-1], scen.mg_ratings))
+    ]
     target = np.array([4.0, 4.0, 3.0, 3.0, 2.0])
-    ratio = np.array(shares) / shares[-1] * target[-1]
+    ratio = np.array(shares[1]) / shares[1][-1] * target[-1]
     err = float(np.max(np.abs(ratio - target) / target))
-    ok = err < 0.01
+    # consensus on the states loads every DG of every MG alike: the per-unit
+    # loads P_ik / R_ik spread by the state spread / c, below delta / c
+    per_unit = [p / r for s, ratings in zip(shares, scen.mg_ratings)
+                for p, r in zip(s, ratings)]
+    spread = max(per_unit) - min(per_unit)
+    bound = m.delta / scen.droop_constant
+    ok = err < 0.01 and spread < bound
     _report(8, ok, f"MG2 intra-MG shares ratio {np.round(ratio, 4).tolist()} "
-                   f"vs 4:4:3:3:2, max rel err {err:.2e} (< 1 %)")
+                   f"vs 4:4:3:3:2, max rel err {err:.2e} (< 1 %); per-unit DG load "
+                   f"spread over all MGs {spread:.4f} (< delta/c = {bound:.4g})")
 
 
 # --- criterion 9 -------------------------------------------------------
@@ -343,9 +353,9 @@ def test_criterion_9_actuation_hardening_pays_most(topo):
             channels = generate_channel_set(topo, mp, ap, cp, horizon, 2000 + seed)
             cfg = EngineConfig(
                 topology=topo, x0=x0s[seed], mode="self-adaptive", eps_floor=0.1,
-                edge_eps=[0.1] * ne, edge_rate=[1.0] * ne, phi_act=phi_act,
-                delta_meas=[0.01] * 4, delta_act=[0.01] * 4,
-                channels=channels, horizon=horizon, record_period=0.1,
+                edge_eps=[0.1] * ne, edge_rate=[1.0] * ne, alpha=1.5, beta=1.1,
+                phi_act=phi_act, delta_meas=0.01, delta_act=0.01,
+                channels=channels, horizon=horizon, record_period=0.1, eps_reference=0.1,
                 stop_when_frozen=True,
             )
             m = Simulation(cfg).run()

@@ -2,7 +2,7 @@ import pytest
 
 from mgconsensus.adaptive import actuation_estimate, delay_aggregate, scaled_input
 from mgconsensus.design import certified_params
-from mgconsensus.errors import CriterionViolatedError, MissingTimestampError
+from mgconsensus.errors import CriterionViolatedError
 
 # the self-adaptive law is the offline rule with the observed gamma as threshold
 
@@ -12,8 +12,6 @@ def test_delay_aggregate_weighs_degrees():
     assert delay_aggregate(0.02, 0.05, 0.01, 2, 3) == pytest.approx(
         2 * 0.03 + 3 * 0.06
     )
-    with pytest.raises(MissingTimestampError):
-        delay_aggregate(-0.1, 0.0, 0.0, 1, 1)
 
 
 def test_adapt_params_values():

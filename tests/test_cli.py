@@ -83,6 +83,23 @@ def test_config_error_exit_code(tmp_path):
     assert main(["run", str(bad)]) == 2
 
 
+@pytest.mark.parametrize("key,edit", [
+    ("activation_time", lambda d: d.update(activation_time=-1.0)),
+    ("instances.frequency.disturbances[0].node",
+     lambda d: d["instances"]["frequency"].update(disturbances=[{"time": 2.0, "node": 7,
+                                                                 "jump": 0.1}])),
+    ("mgs[0].ratings_kw", lambda d: d["mgs"][0].update(ratings_kw=[])),
+    ("horizon", lambda d: d.update(horizon="long")),
+], ids=["activation-negative", "disturbance-node", "ratings-empty", "horizon-text"])
+def test_bad_scenario_value_exits_2_naming_its_key(fast_scenario, tmp_path, capsys, key, edit):
+    data = yaml.safe_load(fast_scenario.read_text())
+    edit(data)
+    scen = tmp_path / "scen.yaml"
+    scen.write_text(yaml.safe_dump(data))
+    assert main(["run", str(scen), "--out", str(tmp_path / "out")]) == 2
+    assert key in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "variant", ["bundled", "no-comm-budget", "empty-override", "per-direction"]
 )
@@ -155,6 +172,37 @@ def test_sweep_smoke(fast_scenario, tmp_path):
     assert rc == 0
     data = json.loads(out.read_text())
     assert "actuation" in data["reduced"]
+
+
+@pytest.mark.parametrize("command", ["run", "attacks generate"])
+def test_negative_seed_flag_is_config_error(fast_scenario, tmp_path, capsys, command):
+    argv = command.split() + [str(fast_scenario), "--seed", "-1", "--out", str(tmp_path / "o")]
+    assert main(argv) == 2
+    assert "seed must be an integer >= 0" in capsys.readouterr().err
+
+
+def test_sweep_needs_a_seed(fast_scenario, capsys):
+    assert main(["sweep", str(fast_scenario), "--seeds", "0"]) == 2
+    assert "--seeds must be >= 1" in capsys.readouterr().err
+
+
+def test_sweep_writes_null_when_no_seed_converges(fast_scenario, tmp_path):
+    # a kick at the horizon leaves every run outside the target set at its end
+    data = yaml.safe_load(fast_scenario.read_text())
+    data["instances"]["frequency"]["disturbances"] = [{"time": 12.0, "node": 0, "jump": 5.0}]
+    scen = tmp_path / "scen.yaml"
+    scen.write_text(yaml.safe_dump(data))
+    out = tmp_path / "sweep.json"
+    assert main(["sweep", str(scen), "--seeds", "2", "--classes", "actuation",
+                 "--out", str(out)]) == 0
+
+    def no_constant(name):
+        raise AssertionError(f"sweep.json holds {name}, which is not JSON")
+
+    result = json.loads(out.read_text(), parse_constant=no_constant)
+    assert result["baseline"] == {"median_entry_time": None, "unconverged": 2}
+    assert result["reduced"]["actuation"] == {
+        "median_entry_time": None, "unconverged": 2, "improvement": None}
 
 
 @pytest.mark.parametrize("command", ["run", "design", "attacks generate", "sweep"])

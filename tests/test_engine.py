@@ -20,8 +20,9 @@ def _cfg(adj, x0, **kw):
     ne = len(topo.directed_edges())
     base = dict(
         topology=topo, x0=x0, mode="nominal", eps_floor=0.1,
-        edge_eps=[0.1] * ne, edge_rate=[1.0] * ne,
-        horizon=20.0, record_period=0.05,
+        edge_eps=[0.1] * ne, edge_rate=[1.0] * ne, alpha=1.5, beta=1.1,
+        phi_act=[0.0] * topo.node_count, delta_meas=0.01, delta_act=0.01,
+        horizon=20.0, record_period=0.05, eps_reference=0.1,
     )
     base.update(kw)
     return EngineConfig(**base)
@@ -154,8 +155,7 @@ def test_early_freeze_matches_full_run():
 
 def test_adaptive_mode_converges_attack_free():
     m = Simulation(
-        _cfg(RING4, [0.0, 2.0, 4.0, 1.0], mode="self-adaptive",
-             phi_act=[0.0] * 4, stop_when_frozen=True)
+        _cfg(RING4, [0.0, 2.0, 4.0, 1.0], mode="self-adaptive", stop_when_frozen=True)
     ).run()
     assert m.converged
     assert m.min_dwell_margin() >= -1e-12

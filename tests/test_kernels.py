@@ -9,8 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mgconsensus import _kernels
-from mgconsensus.attacks import DosParams, generate_sequence, verify_sequence
+from mgconsensus.attacks import (
+    DosParams,
+    duration_min_slack,
+    frequency_min_slack,
+    generate_sequence,
+    verify_sequence,
+    witness_delays,
+)
 
 
 def _random_intervals(rng, n, horizon=100.0):
@@ -55,7 +61,7 @@ def _witness_oracle(attempts, healthy):
 def test_backends_agree_on_duration(seed):
     rng = np.random.default_rng(seed)
     starts, ends = _random_intervals(rng, 40)
-    assert _kernels.duration_min_slack(starts, ends, 1.0, 10.0) == pytest.approx(
+    assert duration_min_slack(starts, ends, 1.0, 10.0) == pytest.approx(
         _duration_oracle(starts, ends, 1.0, 10.0), rel=1e-12
     )
 
@@ -64,7 +70,7 @@ def test_backends_agree_on_duration(seed):
 def test_backends_agree_on_frequency(seed):
     rng = np.random.default_rng(100 + seed)
     trans = np.sort(rng.uniform(0.0, 50.0, 30))
-    assert _kernels.frequency_min_slack(trans, 2.0, 5.0) == pytest.approx(
+    assert frequency_min_slack(trans, 2.0, 5.0) == pytest.approx(
         _frequency_oracle(trans, 2.0, 5.0), rel=1e-12
     )
 
@@ -75,12 +81,12 @@ def test_backends_agree_on_witness(seed):
     attempts = np.cumsum(rng.uniform(0.05, 0.5, 200))
     healthy = rng.random(200) > 0.4
     np.testing.assert_allclose(
-        _kernels.witness_delays(attempts, healthy), _witness_oracle(attempts, healthy)
+        witness_delays(attempts, healthy), _witness_oracle(attempts, healthy)
     )
 
 
 def test_witness_delay_values():
-    f = _kernels.witness_delays
+    f = witness_delays
     attempts = np.array([0.0, 1.0, 2.0, 3.0])
     healthy = np.array([False, False, True, False])
     out = f(attempts, healthy)
@@ -90,32 +96,32 @@ def test_witness_delay_values():
 
 def test_empty_inputs():
     e = np.empty(0)
-    assert _kernels.duration_min_slack(e, e, 1.0, 10.0) == np.inf
-    assert _kernels.frequency_min_slack(e, 1.0, 5.0) == np.inf
-    assert _kernels.witness_delays(e, np.empty(0, dtype=bool)).size == 0
+    assert duration_min_slack(e, e, 1.0, 10.0) == np.inf
+    assert frequency_min_slack(e, 1.0, 5.0) == np.inf
+    assert witness_delays(e, np.empty(0, dtype=bool)).size == 0
 
 
 def test_single_window():
     starts, ends = np.array([2.0]), np.array([3.5])
-    assert _kernels.duration_min_slack(starts, ends, 1.0, 10.0) == pytest.approx(
+    assert duration_min_slack(starts, ends, 1.0, 10.0) == pytest.approx(
         1.0 + 1.5 / 10.0 - 1.5, rel=1e-15
     )
-    assert _kernels.frequency_min_slack(starts, 2.5, 5.0) == 1.5
+    assert frequency_min_slack(starts, 2.5, 5.0) == 1.5
 
 
 def test_tied_starts():
     # three transitions at one instant count three within a zero-length gap
     trans = np.array([1.0, 1.0, 1.0, 6.0])
-    assert _kernels.frequency_min_slack(trans, 3.0, 5.0) == pytest.approx(0.0, abs=1e-15)
-    assert _kernels.frequency_min_slack(trans, 3.0, 5.0) == pytest.approx(
+    assert frequency_min_slack(trans, 3.0, 5.0) == pytest.approx(0.0, abs=1e-15)
+    assert frequency_min_slack(trans, 3.0, 5.0) == pytest.approx(
         _frequency_oracle(trans, 3.0, 5.0), abs=1e-15
     )
     # a zero-length window sharing its start with the next one
     starts, ends = np.array([1.0, 1.0, 6.0]), np.array([1.0, 2.0, 6.5])
-    assert _kernels.duration_min_slack(starts, ends, 0.5, 10.0) == pytest.approx(
+    assert duration_min_slack(starts, ends, 0.5, 10.0) == pytest.approx(
         _duration_oracle(starts, ends, 0.5, 10.0), rel=1e-14
     )
-    assert _kernels.duration_min_slack(starts, ends, 0.5, 10.0) == pytest.approx(
+    assert duration_min_slack(starts, ends, 0.5, 10.0) == pytest.approx(
         0.5 + 5.5 / 10.0 - 1.5, rel=1e-14  # anchored at 1.0, ending at 6.5
     )
 

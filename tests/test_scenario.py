@@ -82,6 +82,39 @@ def test_horizon_must_exceed_activation(data):
         parse_scenario(bad)
 
 
+@pytest.mark.parametrize("name,key,index,value,where", [
+    ("frequency", "initial", 2, "hot", "instances.frequency.initial"),
+    ("frequency", "initial", 0, float("nan"), "instances.frequency.initial"),
+    ("power", "initial_power_kw", 0, None, "instances.power.initial_power_kw"),
+    ("frequency", "disturbances", 0, {"time": 1.0, "node": 7, "jump": 0.1},
+     "instances.frequency.disturbances[0].node"),
+    ("frequency", "disturbances", 0, {"time": 1.0, "node": 1},
+     "instances.frequency.disturbances[0]"),
+    ("frequency", "disturbances", 1, {"time": -2.0, "node": 1, "jump": 0.1},
+     "instances.frequency.disturbances[1].time"),
+    ("frequency", "disturbances", 1, {"time": 2.0, "node": 1, "jump": "up"},
+     "instances.frequency.disturbances[1].jump"),
+], ids=["initial-text", "initial-nan", "initial-power-none", "disturbance-node", "disturbance-no-jump",
+        "disturbance-before-start", "disturbance-jump-text"])
+def test_bad_instance_entry_rejected(data, name, key, index, value, where):
+    # each of these used to end in a traceback or in a run on wrong numbers
+    bad = copy.deepcopy(data)
+    bad["instances"][name][key][index] = value
+    with pytest.raises(ConfigError, match=re.escape(where)):
+        parse_scenario(bad)
+
+
+def test_disturbance_after_horizon_is_ignored(data):
+    late = copy.deepcopy(data)
+    late["instances"]["frequency"]["disturbances"].append({"time": 61.0, "node": 3, "jump": 9.0})
+    on_time = parse_scenario(data).with_mode("nominal")
+    scen = parse_scenario(late).with_mode("nominal")
+    assert scen.instances["frequency"]["disturbances"][-1] == (61.0, 3, 9.0)
+    a = Simulation(on_time.engine_config("frequency")).run()
+    b = Simulation(scen.engine_config("frequency")).run()
+    np.testing.assert_array_equal(a.states, b.states)
+
+
 @pytest.mark.parametrize("path,value", [
     ("controller.eps", 0.0),
     ("controller.rate", -1.0),
@@ -97,6 +130,12 @@ def test_horizon_must_exceed_activation(data):
     ("channels.actuation.default.tau_f", -10.0),
     ("channels.communication.default.kappa", -0.5),
     ("channels.measurement.default.eta", -1.0),
+    ("activation_time", -1.0),
+    ("horizon", "soon"),
+    ("horizon", float("inf")),
+    ("seed", "abc"),
+    ("seed", -1),
+    ("droop_constant", 0.0),
 ])
 def test_out_of_range_number_rejected(data, path, value):
     bad = copy.deepcopy(data)
@@ -226,6 +265,17 @@ def test_mg_power_shares(scen):
     assert shares == pytest.approx([20.0, 20.0, 15.0, 15.0, 10.0])
 
 
+def test_mg_power_shares_proportional_to_ratings(scen):
+    # P R_k / sum(R): the MG total split at one per-unit load, in the ratings' ratio
+    for k, ratings in enumerate(scen.mg_ratings):
+        shares = mg_power_shares(scen, k, 50.0)
+        assert sum(shares) == pytest.approx(50.0)
+        assert [s / r for s, r in zip(shares, ratings)] == \
+            pytest.approx([50.0 / sum(ratings)] * len(ratings))
+    shares = mg_power_shares(scen, 1, 80.0)
+    assert [s / shares[-1] for s in shares] == pytest.approx([2.0, 2.0, 1.5, 1.5, 1.0])
+
+
 def test_budget_overrides_by_node_and_edge(data):
     case = copy.deepcopy(data)
     weak = {"eta": 0.5, "kappa": 0.01, "tau_f": 20.0, "tau_d": 50.0}
@@ -262,7 +312,7 @@ def test_power_sharing_from_outside_target_set(data, mode):
     m = Simulation(scen.engine_config("power", scen.build_channels())).run()
     assert m.converged
     assert m.entry_time > scen.activation_time
-    total_kw = m.final_states[1] * sum(scen.mg_ratings[1]) / scen.droop_constant
+    total_kw = m.states[-1][1] * sum(scen.mg_ratings[1]) / scen.droop_constant
     shares = np.array(mg_power_shares(scen, 1, total_kw))
     target = np.array([4.0, 4.0, 3.0, 3.0, 2.0])
     ratio = shares / shares[-1] * target[-1]
