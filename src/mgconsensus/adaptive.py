@@ -24,8 +24,6 @@ def scaled_input(u_ternary: float, theta: float, rate: float, phi_act: float) ->
     contributes the same displacement as the ideal ternary pulse would under
     the worst admissible actuation delay.
     """
-    if phi_act < 0.0:
-        raise ValueError("phi_act must be non-negative")
     if u_ternary == 0.0:
         return 0.0
     span = theta / rate

@@ -38,14 +38,24 @@ def _write_trace_csv(path: Path, metrics: RunMetrics, n: int) -> None:
 def _write_events_csv(path: Path, metrics: RunMetrics) -> None:
     header = "time,edge_i,edge_j,comm_healthy,diff,u,theta,eps,rate,dwell_floor"
     lines = [header]
-    for t, e, h, diff, u, theta, eps, rate, floor_ in metrics.trigger_log:
-        i, j = metrics.directed_edges[e]
-        lines.append(",".join([
-            repr(float(t)), str(i), str(j), str(int(h)),
-            "" if diff is None else repr(float(diff)),
-            str(u), repr(float(theta)), repr(float(eps)), repr(float(rate)),
-            repr(float(floor_)),
-        ]))
+    # most rows repeat their edge's previous row after the time: format that
+    # text once per change
+    latest: dict = {}   # edge -> (row after its time, text)
+    for row in metrics.trigger_log:
+        key = row[1:]
+        prev = latest.get(row[1])
+        if prev is None or prev[0] != key:
+            e, h, diff, u, theta, eps, rate, floor_ = key
+            i, j = metrics.directed_edges[e]
+            prev = key, ",".join([
+                str(i), str(j), str(int(h)),
+                "" if diff is None else repr(float(diff)),
+                str(u), repr(float(theta)), repr(float(eps)), repr(float(rate)),
+                repr(float(floor_)),
+            ])
+            if diff != 0.0:  # 0.0 == -0.0, but their reprs differ
+                latest[e] = prev
+        lines.append(repr(float(row[0])) + "," + prev[1])
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -177,7 +187,7 @@ def cmd_sweep(args) -> int:
             ch = scen.with_seed(scen.seed + s).build_channels(scale_class, intensity)
             # engine_config reads the actuation bounds from `ch`, so a hardened
             # budget also shrinks the bound the input scaling is designed against
-            m = Simulation(scen.engine_config(instance, ch, stop_when_frozen=True)).run()
+            m = Simulation(scen.engine_config(instance, ch)).run()
             if m.entry_time is None:
                 missed += 1
             else:

@@ -19,15 +19,44 @@ record samples are not events:
   jump at their time (they follow every event). `RunMetrics.segments` keeps
   the segments for reads at other times: `_evaluate(..., after_jumps=False)`
   gives the states a trigger saw (a trigger precedes a disturbance).
+
+Quiescent stretches. The ternary dead zone keeps every input at 0 once no
+edge or node input is nonzero and no node awaits an actuation (`busy` counts
+these), and every edge has read caches stamped after the latest segment
+start, with its diff inside the dead zone (`fresh` holds those edges). Both
+change in O(1) per event: an edge joins `fresh` at a reading trigger after
+which nothing is busy, and every segment start empties it. When nothing is
+busy and every edge is fresh after a trigger, the states stay constant until
+the next disturbance, and every edge is simulated up to it (or to the
+horizon) without the heap:
+
+- offline modes: an edge's clock period eps / (2 (d_i + d_j) R) is constant,
+  so its trigger times are a cumsum run and its comm health one `attacked`
+  query;
+- self-adaptive mode: each edge steps its gamma recurrence alone, with no
+  node-input sum and no actuation push. Only an edge whose diff lies outside
+  the eps floor can leave the dead zone; those step first, so that the others
+  step only up to the earliest such trigger.
+
+A trigger that would leave the dead zone (a nominal edge's first healthy read
+after a jammed link, or an adapted eps that no longer covers the diff) hands
+every edge back to the event heap at that instant. `trigger_log` keeps each
+stretch as per-edge runs and merges them into rows when first read, by
+replaying the heap on the runs' times alone. Rows at equal times thus keep the
+heap's order, that of each edge's previous trigger, and so do the expiries
+handed back, which take the order of the runs' last rows from the same replay.
 """
 
 from __future__ import annotations
 
 from array import array
 from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
-from heapq import heappush, heappop
-from typing import Optional, Sequence
+from heapq import heapify, heappop, heappush, heapreplace
+from itertools import accumulate, repeat
+from math import nextafter
+from typing import Optional
 
 import numpy as np
 
@@ -65,7 +94,158 @@ class EngineConfig:
     per_direction_comm: bool = False
     activation_time: float = 0.0
     disturbances: Sequence[tuple[float, int, float]] = ()
-    stop_when_frozen: bool = False
+
+
+@dataclass(eq=False)
+class _Run:
+    """One edge's triggers in a quiescent stretch: their times, comm health
+    and commanded (eps, rate), one pair in the offline modes and one per row
+    in self-adaptive mode. Every row has u = 0 and theta and floor from its
+    (eps, rate); its diff is `before` up to the first healthy row and `after`
+    from there on, except that a resilient edge's jammed rows hold None. `q`
+    orders the runs' first rows, as their pushes before the stretch did."""
+
+    edge: int
+    degs: tuple[int, int]
+    times: np.ndarray
+    healthy: np.ndarray
+    eps: float | np.ndarray
+    rate: float | np.ndarray
+    before: Optional[float]
+    after: float
+    q: int
+
+    def floors(self) -> np.ndarray:
+        return np.broadcast_to(dwell_time_floor(self.eps, self.rate, *self.degs),
+                               self.times.shape)
+
+    def rows(self, resilient: bool) -> list:
+        hl = self.healthy.tolist()
+        if resilient:
+            diffs = [self.after if h else None for h in hl]
+        else:
+            first = hl.index(True) if True in hl else len(hl)
+            diffs = [self.before] * first + [self.after] * (len(hl) - first)
+        # inside the dead zone clock_reset gives this theta as well
+        theta = attacked_clock_reset(self.eps, *self.degs)
+        floor_ = dwell_time_floor(self.eps, self.rate, *self.degs)
+        cols = [v.tolist() if isinstance(v, np.ndarray) else repeat(v)
+                for v in (theta, self.eps, self.rate, floor_)]
+        return list(zip(self.times.tolist(), repeat(self.edge), hl, diffs, repeat(0), *cols))
+
+
+class _Stretch:
+    """The rows of a quiescent stretch, kept as one `_Run` per edge and merged
+    into heap order when first read."""
+
+    def __init__(self, runs: list, resilient: bool):
+        self.runs = runs                     # each with rows
+        self.resilient = resilient
+        self._len = sum(r.times.size for r in self.runs)
+        self._merged: Optional[tuple] = None
+        self._rows: Optional[list] = None
+
+    def __len__(self) -> int:
+        return self._len
+
+    def rows(self) -> list:
+        if self._rows is None:
+            flat = [row for r in self.runs for row in r.rows(self.resilient)]
+            self._rows = list(map(flat.__getitem__, self._merge()[0]))
+        return self._rows
+
+    def last_rows(self) -> list:
+        """Indices of the runs in the heap order of their last rows."""
+        return self._merge()[1]
+
+    def _merge(self) -> tuple:
+        """Replay the heap on the runs: pop the earliest (time, push) and push
+        that run's next row with the pop's position; the first rows were pushed
+        before the stretch, in the order of q. Gives the rows' positions in the
+        runs' concatenation, in heap order, and the runs in the order their last
+        rows pop."""
+        if self._merged is None:
+            runs = self.runs
+            times = [r.times.tolist() for r in runs]
+            starts = list(accumulate([0] + [len(ts) for ts in times[:-1]]))
+            low = max((r.q for r in runs), default=0) + 1
+            heap = [(ts[0], r.q - low, n) for n, (r, ts) in enumerate(zip(runs, times))]
+            heapify(heap)
+            nxt = [1] * len(runs)
+            order, last = [], []
+            pos = 0
+            while heap:
+                n = heap[0][2]
+                k = nxt[n]
+                order.append(starts[n] + k - 1)
+                if k < len(times[n]):
+                    heapreplace(heap, (times[n][k], pos, n))
+                    nxt[n] = k + 1
+                else:
+                    heappop(heap)
+                    last.append(n)
+                pos += 1
+            self._merged = order, last
+        return self._merged
+
+
+class TriggerLog(Sequence):
+    """A run's trigger rows (t, edge, comm_healthy, diff, u, theta, eps, rate,
+    dwell_floor) in event order. Rows from the event heap are stored as they
+    are; a quiescent stretch as per-edge runs, built into rows when first
+    read, so `len()` never builds them."""
+
+    def __init__(self, parts: list):
+        self._parts = parts                  # lists of rows and `_Stretch`es
+        self._ends = list(accumulate(len(p) for p in parts))
+
+    def __len__(self) -> int:
+        return self._ends[-1] if self._ends else 0
+
+    @staticmethod
+    def _rows(part) -> list:
+        return part if isinstance(part, list) else part.rows()
+
+    def __iter__(self):
+        for part in self._parts:
+            yield from self._rows(part)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return list(self)[k]
+        if k < 0:
+            k += len(self)
+        if not 0 <= k < len(self):
+            raise IndexError("trigger log index out of range")
+        p = bisect_right(self._ends, k)
+        return self._rows(self._parts[p])[k - (self._ends[p - 1] if p else 0)]
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence) or isinstance(other, str):
+            return NotImplemented
+        return len(self) == len(other) and list(self) == list(other)
+
+    def __repr__(self) -> str:
+        return f"TriggerLog({len(self)} rows)"
+
+    def edge_columns(self) -> dict:
+        """Per edge, its trigger times and dwell floors in order; stretches are
+        read run by run, without building their rows."""
+        cols: dict = {}
+        for part in self._parts:
+            if isinstance(part, list):
+                groups: dict = {}
+                for row in part:
+                    ts, fs = groups.setdefault(row[1], ([], []))
+                    ts.append(row[0])
+                    fs.append(row[8])
+                runs = [(e, np.array(ts), np.array(fs)) for e, (ts, fs) in groups.items()]
+            else:
+                runs = [(r.edge, r.times, r.floors()) for r in part.runs]
+            for e, ts, fs in runs:
+                cols.setdefault(e, []).append((ts, fs))
+        return {e: (np.concatenate([ts for ts, _ in c]), np.concatenate([fs for _, fs in c]))
+                for e, c in cols.items()}
 
 
 @dataclass
@@ -78,7 +258,7 @@ class RunMetrics:
     delta: float
     entry_time: Optional[float]
     converged: bool
-    trigger_log: list           # (t, edge, comm_healthy, diff, u, theta, eps, rate, dwell_floor)
+    trigger_log: TriggerLog     # (t, edge, comm_healthy, diff, u, theta, eps, rate, dwell_floor)
     closed_commands: list       # (edge, trigger_t, own_delay, nbr_delay, act_delay, eps, rate)
     channel_stats: dict
     directed_edges: list
@@ -86,13 +266,10 @@ class RunMetrics:
 
     def min_dwell_margin(self) -> float:
         """Smallest (observed gap - guaranteed floor) over all edges."""
-        last: dict[int, tuple[float, float]] = {}
         margin = np.inf
-        for t, e, _h, _d, _u, _th, _eps, _rate, floor_ in self.trigger_log:
-            if e in last:
-                prev_t, prev_floor = last[e]
-                margin = min(margin, (t - prev_t) - prev_floor)
-            last[e] = (t, floor_)
+        for times, floors in self.trigger_log.edge_columns().values():
+            if times.size > 1:
+                margin = min(margin, float(np.min(np.diff(times) - floors[:-1])))
         return float(margin)
 
 
@@ -109,14 +286,24 @@ def _entry_time(times: np.ndarray, spread: np.ndarray,
     return float(times[above[-1] + 1]), True
 
 
+def _cumsum_run(t0: float, step: float, limit: float) -> np.ndarray:
+    """t0, t0 + step, ... while before `limit`, then the first point past it.
+    Each point is the previous one plus step: np.cumsum adds in order, so
+    these are the floats of a loop that repeats t += step."""
+    count = max(int((limit - t0) / step), 0) + 2
+    while True:
+        steps = np.full(count, step)
+        steps[0] = t0
+        run = np.cumsum(steps)
+        k = int(np.searchsorted(run, limit, side="left"))
+        if k < count:
+            return run[: k + 1]
+        count *= 2
+
+
 def _measurement_grid(delta: float, horizon: float) -> np.ndarray:
-    """0, delta, 2 delta, ... up to the horizon, each point the previous one
-    plus delta: np.cumsum adds in order, so these are the floats of a loop
-    that repeats t += delta."""
-    steps = np.full(int(horizon / delta) + 3, delta)
-    steps[0] = 0.0
-    grid = np.cumsum(steps)
-    return grid[: np.searchsorted(grid, horizon, side="right")]
+    """0, delta, 2 delta, ... up to the horizon, as a loop repeating t += delta."""
+    return _cumsum_run(0.0, delta, nextafter(horizon, np.inf))[:-1]
 
 
 def _record_times(period: float, horizon: float) -> np.ndarray:
@@ -159,6 +346,8 @@ class Simulation:
             raise ValueError("edge_eps/edge_rate must match the directed edge count")
         if cfg.activation_time < 0.0:  # every delay t - stamp is then >= 0
             raise ValueError("activation_time must be >= 0")
+        if any(p < 0.0 for p in cfg.phi_act):
+            raise ValueError("phi_act must be non-negative")
 
         # a channel without a trace is an unattacked one
         sequences = cfg.channels.sequences if cfg.channels else {}
@@ -189,18 +378,20 @@ class Simulation:
         seg_t = [array("d", [0.0]) for _ in range(n)]
         seg_x = [array("d", [v]) for v in cfg.x0]
         seg_u = [array("d", [0.0]) for _ in range(n)]
-
-        # max - min over the states, kept while no segment starts; the early
-        # stop reads it only when every input is 0, so the states are constant
-        spread = None
+        # the latest segment start after the initial ones: a read at a later
+        # stamp sees every node's current segment
+        last_start = -1.0
+        # edges that read such stamps at a trigger after which nothing was busy
+        fresh: set = set()
 
         def new_segment(i, t, slope, jump=0.0):
-            nonlocal spread
-            spread = None
+            nonlocal last_start
             ts, xs, us = seg_t[i], seg_x[i], seg_u[i]
             xs.append(xs[-1] + us[-1] * (t - ts[-1]) + jump)
             ts.append(t)
             us.append(slope)
+            last_start = t
+            fresh.clear()
 
         # the measurement grid; a node's jammed grid point maps to its latest
         # healthy one before it, or to 0, which reads x0 as the initial cache does
@@ -221,18 +412,24 @@ class Simulation:
         meas_until = [-1.0] * n
 
         def measured(i, t):
-            """(stamp, value) of node i's cache at a trigger at t."""
+            """(stamp, value) of node i's cache at a trigger at t, which is not
+            before the last one's."""
             if t < meas_until[i]:
                 return meas_last[i]
             k = bisect_right(grid, t) - 1
             s = grid[meas_jam[i].get(k, k)]
             ts = seg_t[i]
             m = len(ts) - 1
-            while m and ts[m] >= s:
+            while m and ts[m] >= s:  # the value just before any jump at s
                 m -= 1
             meas_until[i] = grid[k + 1] if k + 1 < len(grid) else np.inf
             meas_last[i] = s, seg_x[i][m] + seg_u[i][m] * (s - ts[m])
             return meas_last[i]
+
+        def stamp(i, t):
+            """The stamp of node i's cache at t, at any t."""
+            k = bisect_right(grid, t) - 1
+            return grid[meas_jam[i].get(k, k)]
 
         # per-node controller side
         pending: list[Optional[float]] = [None] * n
@@ -255,8 +452,7 @@ class Simulation:
         phi_act = cfg.phi_act
         delta_act = cfg.delta_act
         adaptive = self.adaptive
-        # edges with a nonzero input + nodes with a nonzero input + pending
-        # nodes: the early stop needs all three at zero
+        # edges with a nonzero input + nodes with a nonzero input + pending nodes
         busy = 0
 
         def set_command(e, i, j, diff, eps_k, rate_k):
@@ -286,21 +482,141 @@ class Simulation:
 
         for e in range(ne):
             push(cfg.activation_time, K_EXPIRY, e, 0)
-        disturb_left = 0  # a frozen state is final only once none remain
         for dt_, node_, jump_ in sorted(cfg.disturbances):
             if dt_ <= horizon:
                 push(dt_, K_DISTURB, node_, jump_)
-                disturb_left += 1
 
-        trigger_log: list = []
+        log_parts: list = [[]]
+        log_rows = log_parts[-1]
         closed: list = []
         act_ok = act_fail = comm_ok = comm_fail = 0
 
         alpha, beta = cfg.alpha, cfg.beta
         eps_floor = cfg.eps_floor
         resilient = self.resilient
-        stop_when_frozen = cfg.stop_when_frozen
-        frozen_at: Optional[float] = None
+
+        def hand_back(expiries):
+            """Replace the heap's expiries and stale actuation attempts by
+            `expiries`, (time, edge) in the order the heap pushed them."""
+            heap[:] = [ev for ev in heap if ev[1] == K_DISTURB]
+            heapify(heap)
+            for time_, e in expiries:
+                e_ver[e] += 1
+                push(time_, K_EXPIRY, e, e_ver[e])
+
+        def step_adaptive(e, diff, st, until):
+            """Step edge e's gamma recurrence from st = [t, eps, rate, times,
+            healths, epss, rates] while t < until; True if it stops at a
+            trigger whose adapted eps does not cover the diff."""
+            t, eps_k, rate_k, ts, hs, es, rs = st
+            attacked = self.comm_ch[e].is_attacked
+            jam_i, jam_j = meas_jam[e_i[e]].get, meas_jam[e_j[e]].get
+            d_i, d_j = degs[e_i[e]], degs[e_j[e]]
+            add_t, add_h, add_eps, add_rate = ts.append, hs.append, es.append, rs.append
+            broke = False
+            while t < until:
+                if attacked(t):
+                    theta = attacked_clock_reset(eps_k, d_i, d_j)
+                    add_h(False)
+                else:
+                    k = bisect_right(grid, t) - 1
+                    gamma = delay_aggregate(t - grid[jam_i(k, k)], t - grid[jam_j(k, k)],
+                                            0.0, d_i, d_j)
+                    eps_n, rate_n = certified_params(gamma, alpha, beta, eps_floor)
+                    if deadzone_sign(diff, eps_n):
+                        broke = True
+                        break
+                    eps_k, rate_k = eps_n, rate_n
+                    theta = clock_reset(diff, eps_k, d_i, d_j)
+                    add_h(True)
+                add_t(t)
+                add_eps(eps_k)
+                add_rate(rate_k)
+                t = t + theta / rate_k
+            st[:3] = t, eps_k, rate_k
+            return broke
+
+        def stretch_runs(live, diffs, limit):
+            """Every edge's triggers from its live expiry (time, seq) while before
+            `limit`, cut before the first one that would leave the dead zone.
+            Returns the runs of the edges with rows, each edge's next expiry and
+            the cut."""
+            cols, breaks = [], []
+            if adaptive:
+                st = [[t0, e_eps[e], e_rate[e], [], [], [], []] for e, (t0, _sq) in enumerate(live)]
+                # eps never falls below the floor: only an edge whose diff is
+                # outside it can break, and those step first
+                for e in sorted(range(ne), key=lambda e: not deadzone_sign(diffs[e], eps_floor)):
+                    if step_adaptive(e, diffs[e], st[e], min(breaks, default=limit)):
+                        breaks.append(st[e][0])
+                for t, _eps, _rate, ts, hs, es, rs in st:
+                    cols.append((np.array(ts + [t]), np.array(hs, dtype=bool),
+                                 np.array(es), np.array(rs)))
+            else:
+                for e, (t0, _sq) in enumerate(live):
+                    eps_k, rate_k = e_eps[e], e_rate[e]
+                    # clock_reset inside the dead zone gives this float as well
+                    theta = attacked_clock_reset(eps_k, degs[e_i[e]], degs[e_j[e]])
+                    times = _cumsum_run(t0, theta / rate_k, limit)
+                    healthy = ~self.comm_ch[e].attacked(times[:-1])
+                    if deadzone_sign(diffs[e], eps_k) and healthy.any():
+                        breaks.append(times[int(np.argmax(healthy))])
+                    cols.append((times, healthy, eps_k, rate_k))
+            cut = min(breaks, default=limit)
+            q = np.argsort(np.argsort([sq for _t, sq in live]))
+            runs, nxt = [], []
+            for e, (times, healthy, eps_k, rate_k) in enumerate(cols):
+                k = int(np.searchsorted(times[:-1], cut, side="left"))
+                nxt.append(float(times[k]))
+                if k:
+                    if adaptive:
+                        eps_k, rate_k = eps_k[:k], rate_k[:k]
+                    runs.append(_Run(e, (degs[e_i[e]], degs[e_j[e]]), times[:k], healthy[:k],
+                                     eps_k, rate_k, e_diff[e], diffs[e], int(q[e])))
+            return runs, nxt, cut
+
+        def fast_forward(t_now):
+            """Run a quiescent stretch from a trigger at t_now and log it, with a
+            new list for the heap's rows after it; False at the horizon."""
+            live = [None] * ne
+            disturb = []
+            for time_, kind, sq, a, b in heap:
+                if kind == K_EXPIRY and b == e_ver[a]:
+                    live[a] = (time_, sq)
+                elif kind == K_DISTURB:
+                    disturb.append(time_)
+            limit = min(disturb) if disturb else nextafter(horizon + 1e-12, np.inf)
+            # every node's cache reads its current segment from here on
+            x_now = [measured(i, t_now)[1] for i in range(n)]
+            diffs = [x_now[j] - x_now[i] for i, j in edges]
+            runs, nxt, cut = stretch_runs(live, diffs, limit)
+            stretch = _Stretch(runs, resilient)
+            if runs:
+                log_parts.extend((stretch, []))
+            if cut == limit and not disturb:
+                return False
+            # the heap resumes at the cut: leave each edge as its last row did
+            for r in runs:
+                e, i, j = r.edge, e_i[r.edge], e_j[r.edge]
+                e_trig_t[e] = float(r.times[-1])
+                if adaptive:
+                    e_eps[e], e_rate[e] = float(r.eps[-1]), float(r.rate[-1])
+                read = np.flatnonzero(r.healthy)
+                t_read = e_trig_t[e]
+                if read.size:
+                    t_read = float(r.times[read[-1]])
+                    e_nbr_stamp[e], e_nbr_val[e] = stamp(j, t_read), x_now[j]
+                    e_diff[e] = r.after
+                if resilient and not r.healthy[-1]:
+                    e_diff[e] = None  # the own cache is read with the link only
+                if read.size or not resilient:
+                    e_own_delay[e] = t_read - stamp(i, t_read)
+                    e_nbr_delay[e] = t_read - e_nbr_stamp[e]
+            ran = {r.edge for r in runs}
+            order = sorted((e for e in range(ne) if e not in ran), key=lambda e: live[e][1])
+            order += [runs[k].edge for k in stretch.last_rows()]
+            hand_back([(nxt[e], e) for e in order])
+            return True
 
         while heap:
             t, kind, _sq, a, b = heappop(heap)
@@ -338,7 +654,7 @@ class Simulation:
                 e_diff[e] = diff
                 u, theta = set_command(e, i, j, diff, eps_k, rate_k)
                 push(t + theta / rate_k, K_EXPIRY, e, e_ver[e])
-                trigger_log.append(
+                log_rows.append(
                     (t, e, comm_h, diff, u, theta, eps_k, rate_k,
                      dwell_time_floor(eps_k, rate_k, degs[i], degs[j]))
                 )
@@ -355,13 +671,15 @@ class Simulation:
                     act_ver[i] += 1
                     push(t, K_ACT, i, act_ver[i])
 
-                if stop_when_frozen and u == 0 and not disturb_left and not busy:
-                    if spread is None:  # each state sits at its last segment's value
-                        last = [xs[-1] for xs in seg_x]
-                        spread = max(last) - min(last)
-                    if spread < self.delta:
-                        frozen_at = t
-                        break
+                if not busy:
+                    # a jammed resilient trigger reads nothing
+                    if diff is not None and own_stamp > last_start and \
+                            (not comm_h or e_nbr_stamp[e] > last_start):
+                        fresh.add(e)
+                    if len(fresh) == ne:
+                        if not fast_forward(t):
+                            break
+                        log_rows = log_parts[-1]
 
             elif kind == K_ACT:
                 i, ver = a, b
@@ -399,19 +717,16 @@ class Simulation:
 
             else:  # K_DISTURB
                 new_segment(a, t, seg_u[a][-1], b)
-                disturb_left -= 1
 
-        # the run covers the horizon, or ends at the trigger that froze it:
-        # measurements at that instant precede it and count, and the last row
-        # is the frozen state at that instant
+        for part in log_parts:  # the stretches' comm attempts
+            if isinstance(part, _Stretch):
+                for r in part.runs:
+                    ok = int(np.count_nonzero(r.healthy))
+                    comm_ok += ok
+                    comm_fail += r.healthy.size - ok
         times = _record_times(cfg.record_period, horizon)
-        if frozen_at is None:
-            n_meas = len(grid)
-        else:
-            times = np.append(times[times < frozen_at], frozen_at)
-            n_meas = bisect_right(grid, frozen_at)
-        n_fail = sum(int(np.searchsorted(bad, n_meas)) for bad in meas_bad)
-        stats = {"meas_ok": n * n_meas - n_fail, "meas_fail": n_fail,
+        n_fail = sum(bad.size for bad in meas_bad)
+        stats = {"meas_ok": n * len(grid) - n_fail, "meas_fail": n_fail,
                  "act_ok": act_ok, "act_fail": act_fail,
                  "comm_ok": comm_ok, "comm_fail": comm_fail}
 
@@ -435,7 +750,7 @@ class Simulation:
             delta=self.delta,
             entry_time=entry,
             converged=converged,
-            trigger_log=trigger_log,
+            trigger_log=TriggerLog([p for p in log_parts if len(p)]),
             closed_commands=closed,
             channel_stats=stats,
             directed_edges=self.edges,

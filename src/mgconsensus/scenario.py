@@ -297,7 +297,6 @@ class Scenario:
         self,
         instance: str,
         channels: Optional[ChannelSet] = None,
-        stop_when_frozen: bool = False,
     ) -> EngineConfig:
         """One instance run. The adaptive input scaling uses the PoDF bound of
         each actuation channel in `channels` (0 for a node without a budget)."""
@@ -328,7 +327,6 @@ class Scenario:
             record_period=self.record_period,
             disturbances=inst["disturbances"],
             eps_reference=d.eps_reference,
-            stop_when_frozen=stop_when_frozen,
         )
 
     def with_mode(self, mode: str) -> "Scenario":

@@ -70,7 +70,7 @@ def nominal_runs(topo):
             topology=topo, x0=list(x0), mode="nominal", eps_floor=0.1,
             edge_eps=[0.1] * ne, edge_rate=[1.0] * ne, alpha=1.5, beta=1.1,
             phi_act=[0.0] * 4, delta_meas=0.01, delta_act=0.01,
-            horizon=60.0, record_period=0.05, eps_reference=0.1, stop_when_frozen=True,
+            horizon=60.0, record_period=0.05, eps_reference=0.1,
         )
         runs.append((x0, Simulation(cfg).run()))
     return runs, time.perf_counter() - t0
@@ -356,7 +356,6 @@ def test_criterion_9_actuation_hardening_pays_most(topo):
                 edge_eps=[0.1] * ne, edge_rate=[1.0] * ne, alpha=1.5, beta=1.1,
                 phi_act=phi_act, delta_meas=0.01, delta_act=0.01,
                 channels=channels, horizon=horizon, record_period=0.1, eps_reference=0.1,
-                stop_when_frozen=True,
             )
             m = Simulation(cfg).run()
             out.append(m.entry_time if m.entry_time is not None else horizon)

@@ -49,8 +49,6 @@ def test_scaled_input_shrinks_towards_budget():
     assert scaled_input(-1, 0.2, 1.0, 0.1) == pytest.approx(-2 / 3)
     assert scaled_input(0, 0.2, 1.0, 0.1) == 0.0
     assert scaled_input(1, 0.2, 1.0, 0.0) == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        scaled_input(1, 0.2, 1.0, -0.1)
 
 
 def test_scaled_input_matches_worst_case_displacement():

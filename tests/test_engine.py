@@ -9,6 +9,7 @@ from mgconsensus.design import certified_params
 from mgconsensus.engine import EngineConfig, Simulation, _measurement_grid
 from mgconsensus.scenario import load_scenario
 from mgconsensus.topology import load_topology
+from test_engine_oracle import assert_matches_oracle, heap_push_times
 
 PAIR = [[0, 1], [1, 0]]
 RING4 = [[0, 1, 0, 1], [1, 0, 1, 0], [0, 1, 0, 1], [1, 0, 1, 0]]
@@ -144,21 +145,28 @@ def test_measurement_jam_freezes_cache():
     assert m.states[-1][0] > 0.5
 
 
-def test_early_freeze_matches_full_run():
-    full = Simulation(_cfg(RING4, [0.0, 2.0, 4.0, 1.0])).run()
-    froz = Simulation(_cfg(RING4, [0.0, 2.0, 4.0, 1.0], stop_when_frozen=True)).run()
-    assert froz.converged and full.converged
-    assert froz.entry_time == pytest.approx(full.entry_time)
-    assert froz.times[-1] <= full.times[-1]
-    assert froz.spread_series[-1] < froz.delta
+def test_early_freeze_matches_full_run(monkeypatch):
+    # the ring settles early, and the rest of the 20 s is one quiescent
+    # stretch: it matches the step-by-step loop over the full horizon. Dyadic
+    # eps and grids keep both engines exact, so no tie flips on round-off.
+    pushes = heap_push_times(monkeypatch)
+    m, _ = assert_matches_oracle(Simulation(_cfg(
+        RING4, [0.0, 2.0, 4.0, 1.0], eps_floor=0.125, edge_eps=[0.125] * 8,
+        delta_meas=0.015625, delta_act=0.015625)))
+    assert m.converged and m.spread_series[-1] < m.delta
+    assert len(pushes) < len(m.trigger_log) / 4
+    assert m.times[-1] == 20.0 and m.trigger_log[-1][0] > 19.9
 
 
 def test_adaptive_mode_converges_attack_free():
-    m = Simulation(
-        _cfg(RING4, [0.0, 2.0, 4.0, 1.0], mode="self-adaptive", stop_when_frozen=True)
-    ).run()
+    m = Simulation(_cfg(RING4, [0.0, 2.0, 4.0, 1.0], mode="self-adaptive")).run()
     assert m.converged
     assert m.min_dwell_margin() >= -1e-12
+
+
+def test_negative_actuation_bound_rejected():
+    with pytest.raises(ValueError, match="phi_act"):
+        Simulation(_cfg(PAIR, [0.0, 1.0], mode="self-adaptive", phi_act=[0.0, -0.1]))
 
 
 def test_record_grid_and_horizon_sample():
@@ -176,15 +184,23 @@ def test_lyapunov_series_matches_states():
 
 @pytest.mark.parametrize("mode", ["nominal", "resilient-global", "resilient-local",
                                   "self-adaptive"])
-def test_early_freeze_waits_for_disturbances(mode):
-    # the bundled frequency instance settles before its t=30 and t=45 jumps
+def test_early_freeze_waits_for_disturbances(mode, monkeypatch):
+    # the bundled frequency instance is quiescent before its t=30 and t=45
+    # jumps: each stretch ends at the jump, which lands on a constant state,
+    # and the run goes on to the horizon
     scen = load_scenario(str(SCENARIO)).with_mode(mode)
     for seed in (0, 1, 2):
-        channels = scen.with_seed(seed).build_channels()
-        for name in scen.instances:
-            full = Simulation(scen.engine_config(name, channels)).run()
-            froz = Simulation(scen.engine_config(name, channels, stop_when_frozen=True)).run()
-            assert froz.entry_time == full.entry_time, (seed, name)
+        cfg = scen.engine_config("frequency", scen.with_seed(seed).build_channels())
+        pushes = heap_push_times(monkeypatch)
+        m = Simulation(cfg).run()
+        assert len(pushes) < len(m.trigger_log) / 4, seed
+        for t_d, node, jump in cfg.disturbances:
+            k = int(np.searchsorted(m.times, t_d))
+            assert not m.inputs[k - 1].any()
+            assert m.states[k, node] - m.states[k - 1, node] == pytest.approx(jump)
+        assert m.times[-1] == scen.horizon and m.trigger_log[-1][0] > scen.horizon - 0.1
+        if mode in ("nominal", "self-adaptive"):  # back in the target set after the last jump
+            assert m.entry_time > 45.0, seed
 
 
 @pytest.mark.parametrize("delta", [0.007, 0.01, 0.0125, 0.05, 0.1])
