@@ -15,6 +15,8 @@ import statistics
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .attacks import read_channel_set, verify_sequence
 from .engine import RunMetrics, Simulation
 from .errors import ConfigError
@@ -25,38 +27,61 @@ def _write_json(path: Path, data) -> None:
     path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
+def _reprs(values: np.ndarray) -> tuple[list, np.ndarray]:
+    """repr of each distinct float in `values`, and per value the index of its
+    own. Keyed by bit pattern, so -0.0 and 0.0 keep their own reprs."""
+    bits, index = np.unique(values.view(np.int64), return_inverse=True)
+    return [repr(v) for v in bits.view(np.float64).tolist()], index
+
+
 def _write_trace_csv(path: Path, metrics: RunMetrics, n: int) -> None:
     header = ["time"] + [f"x{i}" for i in range(n)] + [f"u{i}" for i in range(n)]
-    lines = [",".join(header)]
-    for t, row, urow in zip(metrics.times, metrics.states, metrics.inputs):
-        vals = [repr(float(t))] + [repr(float(v)) for v in row]
-        vals += [repr(float(v)) for v in urow]
-        lines.append(",".join(vals))
-    path.write_text("\n".join(lines) + "\n")
+    block = np.column_stack((metrics.times, metrics.states, metrics.inputs))
+    text, index = _reprs(block.ravel())
+    cells = map(text.__getitem__, index.tolist())
+    lines = map(",".join, zip(*[cells] * block.shape[1]))
+    path.write_text("\n".join([",".join(header), *lines]) + "\n")
+
+
+def _tail_text(tail: tuple, directed_edges: list) -> str:
+    """The CSV text of a trigger row after its time, from the comma on."""
+    e, h, diff, u, theta, eps, rate, floor_ = tail
+    i, j = directed_edges[e]
+    return "," + ",".join([str(i), str(j), str(int(h)), "" if diff is None else repr(float(diff)),
+                           str(u), repr(float(theta)), repr(float(eps)), repr(float(rate)),
+                           repr(float(floor_))]) + "\n"
 
 
 def _write_events_csv(path: Path, metrics: RunMetrics) -> None:
-    header = "time,edge_i,edge_j,comm_healthy,diff,u,theta,eps,rate,dwell_floor"
-    lines = [header]
-    # most rows repeat their edge's previous row after the time: format that
-    # text once per change
-    latest: dict = {}   # edge -> (row after its time, text)
-    for row in metrics.trigger_log:
-        key = row[1:]
-        prev = latest.get(row[1])
-        if prev is None or prev[0] != key:
-            e, h, diff, u, theta, eps, rate, floor_ = key
-            i, j = metrics.directed_edges[e]
-            prev = key, ",".join([
-                str(i), str(j), str(int(h)),
-                "" if diff is None else repr(float(diff)),
-                str(u), repr(float(theta)), repr(float(eps)), repr(float(rate)),
-                repr(float(floor_)),
-            ])
-            if diff != 0.0:  # 0.0 == -0.0, but their reprs differ
-                latest[e] = prev
-        lines.append(repr(float(row[0])) + "," + prev[1])
-    path.write_text("\n".join(lines) + "\n")
+    edges = metrics.directed_edges
+    latest: dict = {}   # edge -> (row after its time, text) of heap rows
+    with path.open("w") as fh:
+        fh.write("time,edge_i,edge_j,comm_healthy,diff,u,theta,eps,rate,dwell_floor\n")
+        for part in metrics.trigger_log.parts:
+            if isinstance(part, list):
+                # most rows repeat their edge's previous row after the time:
+                # format that text once per change
+                lines = []
+                for row in part:
+                    tail = row[1:]
+                    prev = latest.get(row[1])
+                    if prev is None or prev[0] != tail:
+                        prev = tail, _tail_text(tail, edges)
+                        if tail[2] != 0.0:  # 0.0 == -0.0, but their reprs differ
+                            latest[row[1]] = prev
+                    lines.append(repr(float(row[0])) + prev[1])
+                fh.write("".join(lines))
+                continue
+            # a stretch, written from its columns: each distinct row after the
+            # time, and each distinct time, is formatted once
+            tails, blocks = part.table()
+            text = [_tail_text(tail, edges) for tail in tails]
+            for times, codes in blocks:
+                stamps, index = _reprs(times)
+                pieces = [""] * (2 * times.size)
+                pieces[0::2] = map(stamps.__getitem__, index.tolist())
+                pieces[1::2] = map(text.__getitem__, codes.tolist())
+                fh.write("".join(pieces))
 
 
 def _metrics_summary(metrics: RunMetrics) -> dict:

@@ -41,20 +41,21 @@ horizon) without the heap:
 A trigger that would leave the dead zone (a nominal edge's first healthy read
 after a jammed link, or an adapted eps that no longer covers the diff) hands
 every edge back to the event heap at that instant. `trigger_log` keeps each
-stretch as per-edge runs and merges them into rows when first read, by
-replaying the heap on the runs' times alone. Rows at equal times thus keep the
-heap's order, that of each edge's previous trigger, and so do the expiries
-handed back, which take the order of the runs' last rows from the same replay.
+stretch as per-edge runs plus their heap order, found once by replaying the
+heap on the runs' times alone, and builds its rows only when they are read.
+Rows at equal times thus keep the heap's order, that of each edge's previous
+trigger, and so do the expiries handed back, which take the order of the runs'
+last rows from the same replay.
 """
 
 from __future__ import annotations
 
 from array import array
 from bisect import bisect_right
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush, heapreplace
-from itertools import accumulate, repeat
+from itertools import accumulate
 from math import nextafter
 from typing import Optional
 
@@ -70,6 +71,9 @@ from .topology import Topology
 K_EXPIRY = 0
 K_ACT = 1
 K_DISTURB = 2
+
+# a stretch's rows are built, or written, this many at a time
+BLOCK = 4096
 
 
 @dataclass
@@ -119,40 +123,78 @@ class _Run:
         return np.broadcast_to(dwell_time_floor(self.eps, self.rate, *self.degs),
                                self.times.shape)
 
-    def rows(self, resilient: bool) -> list:
-        hl = self.healthy.tolist()
-        if resilient:
-            diffs = [self.after if h else None for h in hl]
-        else:
-            first = hl.index(True) if True in hl else len(hl)
-            diffs = [self.before] * first + [self.after] * (len(hl) - first)
-        # inside the dead zone clock_reset gives this theta as well
-        theta = attacked_clock_reset(self.eps, *self.degs)
-        floor_ = dwell_time_floor(self.eps, self.rate, *self.degs)
-        cols = [v.tolist() if isinstance(v, np.ndarray) else repeat(v)
-                for v in (theta, self.eps, self.rate, floor_)]
-        return list(zip(self.times.tolist(), repeat(self.edge), hl, diffs, repeat(0), *cols))
+    def tails(self, resilient: bool) -> tuple[np.ndarray, list]:
+        """The rows after their time, (edge, comm_healthy, diff, u, theta, eps,
+        rate, dwell_floor): the distinct ones, and per row the index of its own."""
+        size = self.times.size
+        h = self.healthy
+        # 0/1 jammed/healthy, + 2 from the first healthy row of a nominal edge
+        phase = h.astype(np.int8)
+        if not resilient and h.any():
+            phase[int(np.argmax(h)):] += 2
+        eps = np.broadcast_to(self.eps, (size,))
+        rate = np.broadcast_to(self.rate, (size,))
+        keys = (phase, eps.view(np.int64), rate.view(np.int64))
+        new = np.zeros(size, dtype=bool)
+        new[0] = True
+        for col in keys:
+            new[1:] |= col[1:] != col[:-1]
+        starts = np.flatnonzero(new)
+        seen: dict = {}
+        tails: list = []
+        codes = []
+        for s, key in zip(starts.tolist(), zip(*(col[starts].tolist() for col in keys))):
+            code = seen.get(key)
+            if code is None:
+                code = seen[key] = len(tails)
+                eps_k, rate_k = float(eps[s]), float(rate[s])
+                if resilient:
+                    diff = self.after if key[0] else None
+                else:
+                    diff = self.after if key[0] >= 2 else self.before
+                # inside the dead zone clock_reset gives this theta as well
+                tails.append((self.edge, bool(key[0] & 1), diff, 0,
+                              attacked_clock_reset(eps_k, *self.degs), eps_k, rate_k,
+                              dwell_time_floor(eps_k, rate_k, *self.degs)))
+            codes.append(code)
+        return np.repeat(np.array(codes, dtype=np.intp), np.diff(starts, append=size)), tails
 
 
 class _Stretch:
-    """The rows of a quiescent stretch, kept as one `_Run` per edge and merged
-    into heap order when first read."""
+    """The rows of a quiescent stretch, kept as one `_Run` per edge and their
+    heap order; no row is kept, each is built when read."""
 
     def __init__(self, runs: list, resilient: bool):
         self.runs = runs                     # each with rows
         self.resilient = resilient
-        self._len = sum(r.times.size for r in self.runs)
+        self.starts = list(accumulate([0] + [r.times.size for r in runs]))
         self._merged: Optional[tuple] = None
-        self._rows: Optional[list] = None
 
     def __len__(self) -> int:
-        return self._len
+        return self.starts[-1]
 
-    def rows(self) -> list:
-        if self._rows is None:
-            flat = [row for r in self.runs for row in r.rows(self.resilient)]
-            self._rows = list(map(flat.__getitem__, self._merge()[0]))
-        return self._rows
+    def table(self) -> tuple[list, Iterator]:
+        """The distinct rows after their time (see `_Run.tails`), and the rows in
+        heap order as blocks of (times, indices into those), BLOCK rows each."""
+        times, codes, tails = [], [], []
+        for r in self.runs:
+            c, t = r.tails(self.resilient)
+            codes.append(c + len(tails))
+            tails += t
+            times.append(r.times)
+        times, codes = np.concatenate(times), np.concatenate(codes)
+        order = self._merge()[0]
+        blocks = ((times[k], codes[k]) for k in (order[a:a + BLOCK]
+                                                 for a in range(0, order.size, BLOCK)))
+        return tails, blocks
+
+    def row(self, k: int) -> tuple:
+        """The k-th row in heap order, built from its run alone."""
+        p = int(self._merge()[0][k])
+        n = bisect_right(self.starts, p) - 1
+        r, m = self.runs[n], p - self.starts[n]
+        codes, tails = r.tails(self.resilient)
+        return (float(r.times[m]),) + tails[codes[m]]
 
     def last_rows(self) -> list:
         """Indices of the runs in the heap order of their last rows."""
@@ -163,52 +205,50 @@ class _Stretch:
         that run's next row with the pop's position; the first rows were pushed
         before the stretch, in the order of q. Gives the rows' positions in the
         runs' concatenation, in heap order, and the runs in the order their last
-        rows pop."""
+        rows pop: after its last row a run pushes an infinite time, so those
+        entries end in that order."""
         if self._merged is None:
             runs = self.runs
-            times = [r.times.tolist() for r in runs]
-            starts = list(accumulate([0] + [len(ts) for ts in times[:-1]]))
+            nexts = [iter(r.times.tolist() + [np.inf]).__next__ for r in runs]
             low = max((r.q for r in runs), default=0) + 1
-            heap = [(ts[0], r.q - low, n) for n, (r, ts) in enumerate(zip(runs, times))]
+            heap = [(nxt(), r.q - low, n) for n, (r, nxt) in enumerate(zip(runs, nexts))]
             heapify(heap)
-            nxt = [1] * len(runs)
-            order, last = [], []
-            pos = 0
-            while heap:
+            popped = array("q")              # the run of each row, in heap order
+            add = popped.append
+            for pos in range(len(self)):
                 n = heap[0][2]
-                k = nxt[n]
-                order.append(starts[n] + k - 1)
-                if k < len(times[n]):
-                    heapreplace(heap, (times[n][k], pos, n))
-                    nxt[n] = k + 1
-                else:
-                    heappop(heap)
-                    last.append(n)
-                pos += 1
-            self._merged = order, last
+                add(n)
+                heapreplace(heap, (nexts[n](), pos, n))
+            # a run's k-th pop is its k-th row
+            order = np.empty(len(popped), dtype=np.intp)
+            order[np.argsort(np.frombuffer(popped, dtype=np.int64), kind="stable")] = \
+                np.arange(len(popped))
+            self._merged = order, [n for _t, _pos, n in sorted(heap)]
         return self._merged
 
 
 class TriggerLog(Sequence):
     """A run's trigger rows (t, edge, comm_healthy, diff, u, theta, eps, rate,
     dwell_floor) in event order. Rows from the event heap are stored as they
-    are; a quiescent stretch as per-edge runs, built into rows when first
-    read, so `len()` never builds them."""
+    are; a quiescent stretch as per-edge runs, whose rows are built each time
+    they are read, so `len()` never builds them."""
 
     def __init__(self, parts: list):
-        self._parts = parts                  # lists of rows and `_Stretch`es
+        self.parts = parts                   # lists of rows and `_Stretch`es
         self._ends = list(accumulate(len(p) for p in parts))
 
     def __len__(self) -> int:
         return self._ends[-1] if self._ends else 0
 
-    @staticmethod
-    def _rows(part) -> list:
-        return part if isinstance(part, list) else part.rows()
-
     def __iter__(self):
-        for part in self._parts:
-            yield from self._rows(part)
+        for part in self.parts:
+            if isinstance(part, list):
+                yield from part
+                continue
+            tails, blocks = part.table()
+            for times, codes in blocks:
+                yield from map(tuple.__add__, zip(times.tolist()),
+                               map(tails.__getitem__, codes.tolist()))
 
     def __getitem__(self, k):
         if isinstance(k, slice):
@@ -218,7 +258,8 @@ class TriggerLog(Sequence):
         if not 0 <= k < len(self):
             raise IndexError("trigger log index out of range")
         p = bisect_right(self._ends, k)
-        return self._rows(self._parts[p])[k - (self._ends[p - 1] if p else 0)]
+        part, k = self.parts[p], k - (self._ends[p - 1] if p else 0)
+        return part[k] if isinstance(part, list) else part.row(k)
 
     def __eq__(self, other):
         if not isinstance(other, Sequence) or isinstance(other, str):
@@ -232,7 +273,7 @@ class TriggerLog(Sequence):
         """Per edge, its trigger times and dwell floors in order; stretches are
         read run by run, without building their rows."""
         cols: dict = {}
-        for part in self._parts:
+        for part in self.parts:
             if isinstance(part, list):
                 groups: dict = {}
                 for row in part:
@@ -260,14 +301,21 @@ class RunMetrics:
     converged: bool
     trigger_log: TriggerLog     # (t, edge, comm_healthy, diff, u, theta, eps, rate, dwell_floor)
     closed_commands: list       # (edge, trigger_t, own_delay, nbr_delay, act_delay, eps, rate)
+    retunes: list               # (edge, trigger_t, dwell_floor) per failed-actuation re-tune
     channel_stats: dict
     directed_edges: list
     segments: list              # per node, arrays (t, x, u) of segment starts, as in run()
 
     def min_dwell_margin(self) -> float:
-        """Smallest (observed gap - guaranteed floor) over all edges."""
+        """Smallest (observed gap - guaranteed floor) over all edges. A gap's
+        floor is that of the last command set on the edge before it: its
+        trigger row's, or that of a later re-tune of the same command."""
+        cols = self.trigger_log.edge_columns()
+        for e, t, floor_ in self.retunes:
+            times, floors = cols[e]
+            floors[np.searchsorted(times, t)] = floor_
         margin = np.inf
-        for times, floors in self.trigger_log.edge_columns().values():
+        for times, floors in cols.values():
             if times.size > 1:
                 margin = min(margin, float(np.min(np.diff(times) - floors[:-1])))
         return float(margin)
@@ -489,6 +537,7 @@ class Simulation:
         log_parts: list = [[]]
         log_rows = log_parts[-1]
         closed: list = []
+        retunes: list = []
         act_ok = act_fail = comm_ok = comm_fail = 0
 
         alpha, beta = cfg.alpha, cfg.beta
@@ -513,26 +562,33 @@ class Simulation:
             jam_i, jam_j = meas_jam[e_i[e]].get, meas_jam[e_j[e]].get
             d_i, d_j = degs[e_i[e]], degs[e_j[e]]
             add_t, add_h, add_eps, add_rate = ts.append, hs.append, es.append, rs.append
+            # a stretch sees few gamma values: apply the rules once per value,
+            # giving (eps, rate, clock period), or None where eps breaks
+            rule: dict = {}
             broke = False
             while t < until:
                 if attacked(t):
-                    theta = attacked_clock_reset(eps_k, d_i, d_j)
+                    period = attacked_clock_reset(eps_k, d_i, d_j) / rate_k
                     add_h(False)
                 else:
                     k = bisect_right(grid, t) - 1
                     gamma = delay_aggregate(t - grid[jam_i(k, k)], t - grid[jam_j(k, k)],
                                             0.0, d_i, d_j)
-                    eps_n, rate_n = certified_params(gamma, alpha, beta, eps_floor)
-                    if deadzone_sign(diff, eps_n):
+                    try:
+                        got = rule[gamma]
+                    except KeyError:
+                        eps_n, rate_n = certified_params(gamma, alpha, beta, eps_floor)
+                        got = rule[gamma] = None if deadzone_sign(diff, eps_n) else \
+                            (eps_n, rate_n, clock_reset(diff, eps_n, d_i, d_j) / rate_n)
+                    if got is None:
                         broke = True
                         break
-                    eps_k, rate_k = eps_n, rate_n
-                    theta = clock_reset(diff, eps_k, d_i, d_j)
+                    eps_k, rate_k, period = got
                     add_h(True)
                 add_t(t)
                 add_eps(eps_k)
                 add_rate(rate_k)
-                t = t + theta / rate_k
+                t = t + period
             st[:3] = t, eps_k, rate_k
             return broke
 
@@ -709,6 +765,8 @@ class Simulation:
                             eps_k, rate_k = certified_params(gamma, alpha, beta, eps_floor)
                             _u, theta = set_command(e, i, e_j[e], e_diff[e], eps_k, rate_k)
                             push(max(e_trig_t[e] + theta / rate_k, t), K_EXPIRY, e, e_ver[e])
+                            retunes.append((e, e_trig_t[e], dwell_time_floor(
+                                eps_k, rate_k, degs[i], degs[e_j[e]])))
                         new_sum = 0.0
                         for oe in self.out_edges[i]:
                             new_sum += e_ueff[oe]
@@ -752,6 +810,7 @@ class Simulation:
             converged=converged,
             trigger_log=TriggerLog([p for p in log_parts if len(p)]),
             closed_commands=closed,
+            retunes=retunes,
             channel_stats=stats,
             directed_edges=self.edges,
             segments=segments,

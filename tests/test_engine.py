@@ -6,7 +6,7 @@ import pytest
 from mgconsensus.adaptive import delay_aggregate
 from mgconsensus.attacks import ChannelSet, DosParams, DosSequence
 from mgconsensus.design import certified_params
-from mgconsensus.engine import EngineConfig, Simulation, _measurement_grid
+from mgconsensus.engine import EngineConfig, Simulation, _measurement_grid, _Stretch
 from mgconsensus.scenario import load_scenario
 from mgconsensus.topology import load_topology
 from test_engine_oracle import assert_matches_oracle, heap_push_times
@@ -201,6 +201,31 @@ def test_early_freeze_waits_for_disturbances(mode, monkeypatch):
         assert m.times[-1] == scen.horizon and m.trigger_log[-1][0] > scen.horizon - 0.1
         if mode in ("nominal", "self-adaptive"):  # back in the target set after the last jump
             assert m.entry_time > 45.0, seed
+
+
+@pytest.mark.parametrize("mode", ["nominal", "self-adaptive"])
+def test_indexing_a_stretch_row_equals_iteration(mode, monkeypatch):
+    # the log keeps no stretch rows: indexing builds the one row from its run
+    # and its place in the heap order, never the whole stretch
+    scen = load_scenario(str(SCENARIO)).with_mode(mode)
+    m = Simulation(scen.engine_config("frequency", scen.build_channels())).run()
+    log = m.trigger_log
+    rows = list(log)
+    checked = 0
+    offset = 0
+    with monkeypatch.context() as mp:
+        mp.setattr(_Stretch, "table", None)
+        for part in log.parts:
+            if isinstance(part, _Stretch):
+                own = rows[offset:offset + len(part)]
+                tied = next(k for k in range(1, len(own)) if own[k][0] == own[k - 1][0])
+                for k in (0, tied, len(own) - 1):
+                    got = log[offset + k]
+                    assert got == own[k] and list(map(type, got)) == list(map(type, own[k]))
+                    assert log[offset + k - len(log)] == own[k]
+                    checked += 1
+            offset += len(part)
+    assert checked >= 6 and offset == len(log)
 
 
 @pytest.mark.parametrize("delta", [0.007, 0.01, 0.0125, 0.05, 0.1])
