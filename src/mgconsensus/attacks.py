@@ -10,6 +10,7 @@ the bound succeeds.
 from __future__ import annotations
 
 import json
+import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -43,6 +44,9 @@ class DosParams:
     delta_star: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.eta, self.kappa, self.tau_f, self.tau_d,
+                                       self.delta_star))):
+            raise ValueError("budget values must be finite")
         if self.eta < 0 or self.kappa < 0:
             raise ValueError("eta and kappa must be non-negative")
         if self.tau_f <= 0 or self.tau_d <= 0 or self.delta_star <= 0:
@@ -87,6 +91,8 @@ class DosSequence:
     ends: tuple[float, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        if not math.isfinite(self.horizon):
+            raise ValueError(f"horizon must be finite, got {self.horizon!r}")
         prev_end = 0.0
         for s, e in self.intervals:
             if not (0.0 <= s < e <= self.horizon):
@@ -241,6 +247,15 @@ class _BudgetState:
         return start + length
 
 
+def _exponentials(rng: np.random.Generator, size: int):
+    """`rng.standard_exponential` draws one at a time, drawn in blocks of
+    `size` that double after the first. `rng.exponential(scale)` is `scale`
+    times the next such draw, so scaled draws keep its stream."""
+    while True:
+        yield from rng.standard_exponential(size).tolist()
+        size *= 2
+
+
 def generate_sequence(p: DosParams, horizon: float, seed: int) -> DosSequence:
     """Pseudo-random attack sequence satisfying the budget by construction.
 
@@ -249,22 +264,25 @@ def generate_sequence(p: DosParams, horizon: float, seed: int) -> DosSequence:
     satisfied (greedy budget enforcement). Deterministic in (p, horizon, seed).
     """
     podf_bound(p)  # the one duty-ratio check: BudgetInfeasibleError when >= 1
+    empty = DosSequence((), horizon)  # ValueError for a non-finite horizon
     if p.eta < 1.0 or p.kappa <= 0.0:
         # any attack start instantly violates one of the limit inequalities
-        return DosSequence((), horizon)
+        return empty
 
-    rng = np.random.default_rng(seed)
+    # a gap (mean tau_f) and a length per window: about 2 horizon / tau_f draws
+    size = 8 + int(2.0 * max(horizon, 0.0) / p.tau_f)
+    draw = _exponentials(np.random.default_rng(seed), size).__next__
     budget = _BudgetState(p, horizon)
     mean_len = min(p.kappa, p.tau_d / 4.0)
     t_end = 0.0
     while True:
-        t_s = t_end + rng.exponential(p.tau_f)
+        t_s = t_end + p.tau_f * draw()
         if t_s >= horizon:
             break
         t_s = budget.earliest_start(t_s)
         if t_s >= horizon:
             break
-        length = min(budget.longest_length(t_s), rng.exponential(mean_len))
+        length = min(budget.longest_length(t_s), mean_len * draw())
         if length < _MIN_ATTACK_LEN:
             t_end = t_s
             continue
@@ -275,8 +293,9 @@ def generate_sequence(p: DosParams, horizon: float, seed: int) -> DosSequence:
 def worst_case_sequence(p: DosParams, horizon: float) -> DosSequence:
     """Adversarial sequence alternating maximal windows at both budget limits."""
     podf_bound(p)  # the one duty-ratio check: BudgetInfeasibleError when >= 1
+    empty = DosSequence((), horizon)  # ValueError for a non-finite horizon
     if p.eta < 1.0 or p.kappa <= 0.0:
-        return DosSequence((), horizon)
+        return empty
     budget = _BudgetState(p, horizon)
     t_s = 0.0
     while t_s < horizon:

@@ -13,6 +13,7 @@ import argparse
 import json
 import statistics
 import sys
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -23,8 +24,73 @@ from .errors import ConfigError
 from .scenario import MODES, Scenario, load_scenario
 
 
+_NUMBER = (int, float, type(None))  # bool is an int; str is never a number
+
+
+def _numbers(items) -> bool:
+    """Whether every item is a JSON number, bool or null."""
+    return all(issubclass(t, _NUMBER) for t in set(map(type, items)))
+
+
+def _key(key) -> str:
+    """A dict key as `json` writes it: a str as is, a scalar as its JSON text."""
+    if not isinstance(key, str):
+        if not (key is None or isinstance(key, (int, float))):
+            raise TypeError(f"keys must be str, int, float, bool or None, "
+                            f"not {type(key).__name__}")
+        key = json.dumps(key)
+    return json.dumps(key)
+
+
+def _encode(data, pad: str, out: list) -> None:
+    """Append to `out` the `json.dumps(..., indent=2, sort_keys=True)` text of
+    `data`, a value indented by `pad`.
+
+    A list of numbers, or of non-empty lists of numbers, goes to the C encoder
+    in one call with the line break and indent in its item separator; only its
+    brackets are re-indented. A number's text holds no bracket and no str
+    takes this path, so every bracket in that text is a list's own.
+    """
+    inner = pad + "  "
+    if isinstance(data, dict):
+        if not data:
+            out.append("{}")
+            return
+        sep = "{\n"
+        for key, value in sorted(data.items()):
+            out.append(sep + inner + _key(key) + ": ")
+            _encode(value, inner, out)
+            sep = ",\n"
+        out.append("\n" + pad + "}")
+    elif not isinstance(data, (list, tuple)):
+        out.append(json.dumps(data))
+    elif not data:
+        out.append("[]")
+    elif _numbers(data):
+        text = json.dumps(data, separators=(",\n" + inner, ": "))
+        out.append("[\n" + inner + text[1:-1] + "\n" + pad + "]")
+    elif (all(issubclass(t, (list, tuple)) for t in set(map(type, data))) and all(data)
+          and _numbers(chain.from_iterable(data))):
+        deep = inner + "  "
+        text = json.dumps(data, separators=(",\n" + deep, ": "))
+        rows = text[2:-2].replace("],\n" + deep + "[", "\n" + inner + "],\n" + inner + "[\n" + deep)
+        out.append("[\n" + inner + "[\n" + deep + rows + "\n" + inner + "]\n" + pad + "]")
+    else:
+        sep = "[\n"
+        for item in data:
+            out.append(sep + inner)
+            _encode(item, inner, out)
+            sep = ",\n"
+        out.append("\n" + pad + "]")
+
+
 def _write_json(path: Path, data) -> None:
-    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+    """Write `json.dumps(data, indent=2, sort_keys=True)` and a newline: the
+    one JSON writer of every output."""
+    out: list = []
+    _encode(data, "", out)
+    out.append("\n")
+    path.write_text("".join(out))
 
 
 def _reprs(values: np.ndarray) -> tuple[list, np.ndarray]:

@@ -29,6 +29,15 @@ def test_params_validation():
         DosParams(1.0, 1.0, 5.0, 10.0, 0.0)
 
 
+@pytest.mark.parametrize("k", range(5))
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_params_must_be_finite(k, value):
+    fields = [1.0, 1.0, 5.0, 10.0, 0.1]
+    fields[k] = value
+    with pytest.raises(ValueError, match="finite"):
+        DosParams(*fields)
+
+
 def test_duty_ratio_and_bound():
     p = DosParams(eta=1.0, kappa=1.0, tau_f=5.0, tau_d=10.0, delta_star=0.1)
     assert p.duty_ratio == pytest.approx(0.12)
@@ -54,6 +63,11 @@ def test_sequence_validation():
         DosSequence(((0.0, 2.0), (1.0, 3.0)), 10.0)
     with pytest.raises(ValueError):
         DosSequence(((5.0, 11.0),), 10.0)
+    for horizon in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            DosSequence((), horizon)
+        with pytest.raises(ValueError, match="finite"):  # before any draw
+            generate_sequence(DosParams(1.0, 1.0, 5.0, 10.0, 0.1), horizon, 0)
 
 
 def test_half_open_windows():

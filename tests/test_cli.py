@@ -276,6 +276,43 @@ def test_verify_reports_unreadable_trace(tmp_path, capsys, content):
     assert "malformed trace:" in capsys.readouterr().err
 
 
+NON_FINITE = [("params", "eta", float("nan")), ("params", "kappa", float("nan")),
+              ("params", "tau_d", float("inf")), (None, "horizon", float("inf"))]
+NON_FINITE_IDS = ["eta-nan", "kappa-nan", "tau_d-inf", "horizon-inf"]
+
+
+def _non_finite_trace(scenario, path: Path, where, key, value) -> Path:
+    """A generated trace with one value of channel act/0 made non-finite."""
+    assert main(["attacks", "generate", str(scenario), "--out", str(path)]) == 0
+    data = json.loads(path.read_text())
+    entry = data["act/0"] if where is None else data["act/0"][where]
+    entry[key] = value
+    path.write_text(json.dumps(data))  # NaN and Infinity, as json.load reads them
+    return path
+
+
+@pytest.mark.parametrize("where, key, value", NON_FINITE, ids=NON_FINITE_IDS)
+def test_verify_rejects_non_finite_budget(fast_scenario, tmp_path, capsys, where, key, value):
+    # a NaN budget compares false against every bound, so it passed the audit
+    trace = _non_finite_trace(fast_scenario, tmp_path / "trace.json", where, key, value)
+    capsys.readouterr()
+    assert main(["attacks", "verify", str(trace)]) == 1
+    captured = capsys.readouterr()
+    assert "malformed trace:" in captured.err and "nan" not in captured.out
+
+
+@pytest.mark.parametrize("where, key, value", NON_FINITE, ids=NON_FINITE_IDS)
+def test_non_finite_budget_trace_file_is_config_error(fast_scenario, tmp_path, capsys,
+                                                      where, key, value):
+    _non_finite_trace(fast_scenario, tmp_path / "trace.json", where, key, value)
+    data = yaml.safe_load(fast_scenario.read_text())
+    data["channels"]["trace_file"] = "trace.json"
+    scen = tmp_path / "scen.yaml"
+    scen.write_text(yaml.safe_dump(data))
+    assert main(["run", str(scen), "--out", str(tmp_path / "out")]) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
 def test_undecodable_trace_file_is_config_error(fast_scenario, tmp_path):
     data = yaml.safe_load(fast_scenario.read_text())
     (tmp_path / "trace.json").write_text("{not json")

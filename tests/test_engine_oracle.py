@@ -434,6 +434,35 @@ def test_stretch_from_stale_neighbour_value_breaks_at_healthy_read(monkeypatch):
     assert healed[3] == -1.125 and healed[4] == -1
 
 
+def test_self_adaptive_stretch_breaks_edge_by_edge_at_one_gamma(monkeypatch):
+    # every node's measurement is jammed on [0.125, 3): the ring's eight edges
+    # trigger together on the t = 0 stamps, gamma grows, and every diff (1 on
+    # four edges, 2 on the link 1-2) sits in the adapted dead zone, so a
+    # stretch runs from t = 0.5. At the first trigger after the jam, t1, every
+    # edge sees one gamma and eps 1.53: the link 1-2 breaks, the others do not.
+    # Edge (0, 3), with diff 1, steps first; a rule cache shared between edges
+    # would give (1, 2) and (2, 1) its "in the dead zone" for that gamma.
+    jam = DosSequence(((0.125, 3.0),), 8.0)
+    p = DosParams(1.0, 3.0, 1.0, 1e9, 0.375)
+    cs = ChannelSet({("meas", i): jam for i in range(4)}, {("meas", i): p for i in range(4)})
+    cfg = EngineConfig(
+        topology=load_topology(RING4), x0=[0.0, 0.0, 2.0, 1.0], mode="self-adaptive",
+        eps_floor=0.1, edge_eps=[0.1] * 8, edge_rate=[1.0] * 8, alpha=1.5, beta=1.1,
+        phi_act=[0.0] * 4, delta_meas=0.375, delta_act=0.0625, horizon=8.0,
+        record_period=0.25, eps_reference=0.1, channels=cs, activation_time=0.5,
+    )
+    pushes = heap_push_times(monkeypatch)
+    m, _ = assert_matches_oracle(Simulation(cfg))
+    t1 = next(row[0] for row in m.trigger_log if row[0] > 3.0)
+    assert not [p for p in pushes if 0.75 < p < t1]  # the stretch reached t1
+    at_t1 = [row for row in m.trigger_log if row[0] == t1]
+    eps = {row[6] for row in at_t1}  # one gamma, so one eps
+    assert len(eps) == 1 and 1.5 < eps.pop() < 2.0
+    u = {m.directed_edges[row[1]]: row[4] for row in at_t1}
+    assert u == {(0, 1): 0, (0, 3): 0, (1, 0): 0, (1, 2): 1, (2, 1): -1, (2, 3): 0,
+                 (3, 0): 0, (3, 2): 0}
+
+
 def quiet_prone_config(n: int, seed: int, mode: str, attacked: bool) -> EngineConfig:
     """A connected graph of n nodes, x0, DoS budgets if `attacked` and one
     jump, drawn from `seed`. The offline modes get their certified global

@@ -2,6 +2,8 @@
 
 The reference loops are the second backend the test_backends_agree_* tests
 compare with: O(n^2) pair scans against the O(n) prefix-minimum kernels.
+`_generate_oracle` is `generate_sequence` with one scalar `rng.exponential`
+call per draw, against the block draws it makes now.
 """
 
 import numpy as np
@@ -10,7 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mgconsensus.attacks import (
+    _MIN_ATTACK_LEN,
     DosParams,
+    _BudgetState,
+    _exponentials,
     duration_min_slack,
     frequency_min_slack,
     generate_sequence,
@@ -55,6 +60,30 @@ def _witness_oracle(attempts, healthy):
             j += 1
         out.append(attempts[j] - attempts[k] if j < len(attempts) else -1.0)
     return np.array(out)
+
+
+def _generate_oracle(p, horizon, seed):
+    """The windows of `generate_sequence`, drawing each gap and length with
+    its own `rng.exponential(scale)` call."""
+    if p.eta < 1.0 or p.kappa <= 0.0:
+        return ()
+    rng = np.random.default_rng(seed)
+    budget = _BudgetState(p, horizon)
+    mean_len = min(p.kappa, p.tau_d / 4.0)
+    t_end = 0.0
+    while True:
+        t_s = t_end + rng.exponential(p.tau_f)
+        if t_s >= horizon:
+            break
+        t_s = budget.earliest_start(t_s)
+        if t_s >= horizon:
+            break
+        length = min(budget.longest_length(t_s), rng.exponential(mean_len))
+        if length < _MIN_ATTACK_LEN:
+            t_end = t_s
+            continue
+        t_end = budget.push(t_s, length)
+    return tuple(budget.windows)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -147,3 +176,41 @@ def test_generated_traces_verify_and_match_oracles(seed, eta, kappa, tau_f, tau_
         assert rep.duration_slack == pytest.approx(
             _duration_oracle(starts, ends, kappa, tau_d), abs=1e-12
         )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    eta=st.floats(1.0, 4.0),
+    kappa=st.floats(0.01, 3.0),
+    tau_f=st.floats(1.0, 40.0),
+    tau_d=st.floats(1.5, 30.0),
+    horizon=st.floats(20.0, 8000.0),
+)
+def test_block_draws_match_scalar_draws(seed, eta, kappa, tau_f, tau_d, horizon):
+    p = DosParams(eta, kappa, tau_f, tau_d, delta_star=min(0.1, tau_f * 0.5))
+    assert generate_sequence(p, horizon, seed).intervals == _generate_oracle(p, horizon, seed)
+
+
+@pytest.mark.parametrize("horizon", [20.0, 8000.0])
+@pytest.mark.parametrize("p", [DosParams(1.0, 0.0304434, 10.0, 25.0, 0.01),
+                               DosParams(1.0, 0.5, 8.0, 10.0, 0.01)],
+                         ids=["bundled-node-budget", "bundled-comm-budget"])
+def test_block_draws_match_scalar_draws_on_bundled_budgets(p, horizon):
+    # at 8,000 s each channel holds some 600 windows
+    counts = []
+    for seed in range(4):
+        got = generate_sequence(p, horizon, seed).intervals
+        assert got == _generate_oracle(p, horizon, seed)
+        counts.append(len(got))
+    assert horizon < 100.0 or min(counts) > 400
+
+
+@pytest.mark.parametrize("size", [1, 2, 5])
+def test_exponential_blocks_keep_the_scalar_stream(size):
+    # the blocks double 1 -> 2 -> 4 ...: 100 draws cross several of them
+    scale = 0.75
+    draw = _exponentials(np.random.default_rng(7), size).__next__
+    blocks = [scale * draw() for _ in range(100)]
+    rng = np.random.default_rng(7)
+    assert blocks == [rng.exponential(scale) for _ in range(100)]

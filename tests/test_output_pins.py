@@ -1,22 +1,31 @@
-"""Byte pins of `mgconsensus run` on the bundled scenario.
+"""Byte pins of the bundled scenario's outputs.
 
-The sha256 of every per-instance output (trace CSV, events CSV, metrics JSON)
-in the four modes at seeds 0 and 3. An engine or writer change that claims to
-keep the outputs must keep these bytes; a deliberate output change updates the
-pins and says so.
+The sha256 of every file `mgconsensus run` writes (trace CSV, events CSV,
+metrics JSON, attack trace, summary) in the four modes at seeds 0 and 3, of
+`design` in the four modes, of `attacks generate` at the scenario's seed, at
+`--seed 3` and at an 8,000 s horizon, and of `sweep --seeds 2 --out`. An
+engine, generator or writer change that claims to keep the outputs must keep
+these bytes; a deliberate output change updates the pins and says so.
+
+The commands run from the repository root on the relative scenario path,
+which `summary.json` and `sweep.json` record.
 """
 
 import hashlib
 from pathlib import Path
 
 import pytest
+import yaml
 
 from mgconsensus.cli import main as cli_main
 
-SCENARIO = Path(__file__).resolve().parent.parent / "scenarios" / "ring4_dos.yaml"
+ROOT = Path(__file__).resolve().parent.parent
+SCENARIO = "scenarios/ring4_dos.yaml"
 
 PINS = {
     ("nominal", 0): {
+        "attack_trace.json":
+            "8f5790a18168d28bae872e0d5dc49062ab2fe6b7566ddd1551b2b1e42bbab534",
         "frequency_events.csv":
             "81aba54a4b31bb80c8f4af2a48f87d4f308cd2c2f5a6d736bfe472ea4be17d2e",
         "frequency_metrics.json":
@@ -29,8 +38,12 @@ PINS = {
             "4f66f3fdbb3e57c2904ce65eece7c5317e0ff09bc1ae9438a981a9379505156d",
         "power_trace.csv":
             "49250767ca07d2b0694f97f58fe855fa0993061c4c529c168eb899294cd4748a",
+        "summary.json":
+            "2a228c8e87b37a969bd224ae63f235255b41f6859e66a48daddde67f4dddf6c1",
     },
     ("nominal", 3): {
+        "attack_trace.json":
+            "cd17bd2965b1ee44c000b0f2a68664e6335fd7a5e0be600ccd6e33bf2044825d",
         "frequency_events.csv":
             "5aa77a375d94c02c10d099651dccecaff6a03bbc200da84a71aa10855baa779d",
         "frequency_metrics.json":
@@ -43,8 +56,12 @@ PINS = {
             "e926ab9c6da4ab99628ba6f8bc770157ca857fd8e4accc61e3756609ce4d34a7",
         "power_trace.csv":
             "49250767ca07d2b0694f97f58fe855fa0993061c4c529c168eb899294cd4748a",
+        "summary.json":
+            "723bd4f27b29269ac6ff18cf3cfed64ebfdfc3231a3798822519d01e847733f6",
     },
     ("resilient-global", 0): {
+        "attack_trace.json":
+            "ac5cb2e37a262f70ad910631f6550ad904328ec47b87dac3196bdcdb6468800b",
         "frequency_events.csv":
             "7915af5039f97f23b08d85dc3024c0ad21c0b19172ec208a0dc4c1350d137bde",
         "frequency_metrics.json":
@@ -57,8 +74,12 @@ PINS = {
             "26865df175d3287a7554619e32086f3fdb1df112844e0211c37173791a37389c",
         "power_trace.csv":
             "3d83867a32138c6090e213f382d8e659c044724f21550cbda8ed1fbcde48ed96",
+        "summary.json":
+            "d2016d2e944ab1119587eab1b9940421c167e0156980fd4df9a8f4e90ce7ac4d",
     },
     ("resilient-global", 3): {
+        "attack_trace.json":
+            "01278a852ad6c92bb9128b7f86d5b1c2a2b756d54cc04e84e886f0e1a16674a5",
         "frequency_events.csv":
             "014bad54887b82889b26a903574204b0f944982c9f4bee70c8636199e81e55b1",
         "frequency_metrics.json":
@@ -71,8 +92,12 @@ PINS = {
             "f22db8f002be8812d621122bbacd442e7c91f0dae5df94ac572ba71a9039b661",
         "power_trace.csv":
             "3d83867a32138c6090e213f382d8e659c044724f21550cbda8ed1fbcde48ed96",
+        "summary.json":
+            "86e0f0d74cd834757435fbb5ce760cc3eaf10a0052029d76baa3c720919b0a8d",
     },
     ("resilient-local", 0): {
+        "attack_trace.json":
+            "ac5cb2e37a262f70ad910631f6550ad904328ec47b87dac3196bdcdb6468800b",
         "frequency_events.csv":
             "7915af5039f97f23b08d85dc3024c0ad21c0b19172ec208a0dc4c1350d137bde",
         "frequency_metrics.json":
@@ -85,8 +110,12 @@ PINS = {
             "26865df175d3287a7554619e32086f3fdb1df112844e0211c37173791a37389c",
         "power_trace.csv":
             "3d83867a32138c6090e213f382d8e659c044724f21550cbda8ed1fbcde48ed96",
+        "summary.json":
+            "6fabe6007e8f9007095a9901b9145ba1fc89da392ae64960071fe0d63636fb80",
     },
     ("resilient-local", 3): {
+        "attack_trace.json":
+            "01278a852ad6c92bb9128b7f86d5b1c2a2b756d54cc04e84e886f0e1a16674a5",
         "frequency_events.csv":
             "014bad54887b82889b26a903574204b0f944982c9f4bee70c8636199e81e55b1",
         "frequency_metrics.json":
@@ -99,8 +128,12 @@ PINS = {
             "f22db8f002be8812d621122bbacd442e7c91f0dae5df94ac572ba71a9039b661",
         "power_trace.csv":
             "3d83867a32138c6090e213f382d8e659c044724f21550cbda8ed1fbcde48ed96",
+        "summary.json":
+            "ab88af869002c21fe250c06f3ee4b2f5ae6f8a3317822afcd5ca3fae29592e4f",
     },
     ("self-adaptive", 0): {
+        "attack_trace.json":
+            "ac5cb2e37a262f70ad910631f6550ad904328ec47b87dac3196bdcdb6468800b",
         "frequency_events.csv":
             "083f2dc7d09fe556434ab55462b061bc82b5b63aa4e145fd2522f3e6fac222d2",
         "frequency_metrics.json":
@@ -113,8 +146,12 @@ PINS = {
             "22dc8c01faa3b7180c189a1e2e4d59e9ae7afa056236a002b29ebb4dfa7afdfb",
         "power_trace.csv":
             "2b1752561d94013937bc1331d982b2dc832aa1ae8f58929f617d3d8309232d18",
+        "summary.json":
+            "4d805c6e98b37239b03123d63b7dd412283a29e74a8c1ea4e557fda57ffe24ef",
     },
     ("self-adaptive", 3): {
+        "attack_trace.json":
+            "01278a852ad6c92bb9128b7f86d5b1c2a2b756d54cc04e84e886f0e1a16674a5",
         "frequency_events.csv":
             "47f19cb84e48e670ee2d08119a2f2711e009d8e15e492ff23928905f3f8544e2",
         "frequency_metrics.json":
@@ -127,15 +164,71 @@ PINS = {
             "868dd8cdcf5a55d7dfcd09aab6d51439048db66d11053406524f8ecbcd98b2d5",
         "power_trace.csv":
             "2b1752561d94013937bc1331d982b2dc832aa1ae8f58929f617d3d8309232d18",
+        "summary.json":
+            "2bb68f5b947fefc6f038543d3be7d6ebb61332cb31d018f40d9a84d88f0b94c2",
     },
 }
 
 
+DESIGN_PINS = {
+    "nominal": "508f45fcc4a768848c3b20e82d419f1dd3c71199a847e086ffd414580437f805",
+    "resilient-global": "edb6a3c00579dcc0790363737a610d5c2bd0c5b01af12e85fd260c0debf71170",
+    "resilient-local": "d06f3258972f324da749c130f96a7a7e3bc39f76017f89cd85dee6e92c7522ea",
+    "self-adaptive": "7124217d1462b8d936c9ec45dd3cc48127b398cd11c7e8fe49c569029ad5a595",
+}
+
+GENERATE_PINS = {
+    "scenario-seed": "5b648d84b6a29ad0a69d78634aad8c029aa8636f39ec71bcb7edb16a0380d561",
+    "seed-3": "01278a852ad6c92bb9128b7f86d5b1c2a2b756d54cc04e84e886f0e1a16674a5",
+    "horizon-8000": "3b5aa89f8f6dc908a990968bd050fe90c94c47e20f9b50fbe70b8f940d3a386c",
+}
+
+SWEEP_PIN = "f0e04860ccc6ba1439ffba7ba7663ea2e11a48e83319484e7e2e83b948154a1d"
+
+
+def sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.fixture()
+def at_root(monkeypatch):
+    monkeypatch.chdir(ROOT)
+
+
 @pytest.mark.parametrize("mode, seed", sorted(PINS))
-def test_run_outputs_match_pins(tmp_path, mode, seed):
+def test_run_outputs_match_pins(at_root, tmp_path, mode, seed):
     out = tmp_path / "run"
-    assert cli_main(["run", str(SCENARIO), "--mode", mode, "--seed", str(seed),
+    assert cli_main(["run", SCENARIO, "--mode", mode, "--seed", str(seed),
                      "--out", str(out)]) == 0
-    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-           for name in PINS[(mode, seed)]}
+    got = {name: sha256(out / name) for name in PINS[(mode, seed)]}
     assert got == PINS[(mode, seed)]
+
+
+@pytest.mark.parametrize("mode", sorted(DESIGN_PINS))
+def test_design_matches_pins(at_root, tmp_path, mode):
+    out = tmp_path / "certificate.json"
+    # the nominal design is not certified against the bundled DoS budgets
+    assert cli_main(["design", SCENARIO, "--mode", mode, "--out", str(out)]) == \
+        (1 if mode == "nominal" else 0)
+    assert sha256(out) == DESIGN_PINS[mode]
+
+
+@pytest.mark.parametrize("variant", sorted(GENERATE_PINS))
+def test_attacks_generate_matches_pins(at_root, tmp_path, variant):
+    scenario, extra = SCENARIO, []
+    if variant == "seed-3":
+        extra = ["--seed", "3"]
+    elif variant == "horizon-8000":  # about 7.5k windows over the 12 channels
+        data = yaml.safe_load((ROOT / SCENARIO).read_text())
+        data.update(horizon=8000.0, seed=701)
+        scenario = tmp_path / "long.yaml"
+        scenario.write_text(yaml.safe_dump(data, sort_keys=True))
+    out = tmp_path / "trace.json"
+    assert cli_main(["attacks", "generate", str(scenario), *extra, "--out", str(out)]) == 0
+    assert sha256(out) == GENERATE_PINS[variant]
+
+
+def test_sweep_matches_pin(at_root, tmp_path):
+    out = tmp_path / "sweep.json"
+    assert cli_main(["sweep", SCENARIO, "--seeds", "2", "--out", str(out)]) == 0
+    assert sha256(out) == SWEEP_PIN

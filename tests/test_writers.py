@@ -1,20 +1,24 @@
-"""The `run` CSV writers against row-by-row references.
+"""The writers against references.
 
 `cli._write_events_csv` writes a quiescent stretch from its runs' columns and
 formats each distinct value once; `cli._write_trace_csv` formats each
 distinct float of its block once. The references below format every cell of
 every row, as the writers did before; the outputs must be byte-identical.
+`cli._write_json` must write exactly `json.dumps(data, indent=2,
+sort_keys=True)` and a newline.
 """
 
+import json
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from test_engine_oracle import _quiet_prone_runs
 
-from mgconsensus.cli import _write_events_csv, _write_trace_csv
+from mgconsensus.cli import _write_events_csv, _write_json, _write_trace_csv
 from mgconsensus.engine import RunMetrics, Simulation, TriggerLog, _Run, _Stretch
 from mgconsensus.scenario import MODES, load_scenario
 
@@ -128,3 +132,54 @@ def test_writers_leave_a_jammed_resilient_diff_empty(tmp_path):
     assert lines[1] == "0.1,1,0,0,,0,0.25,1.0,1.0,0.25"
     # heap order: e0 0.5, e1 0.75, e0 0.75, e0 1.0, e1 1.25, e0 1.25
     assert [line.split(",")[4] for line in lines[2:]] == ["0.125", "", "", "0.125", "0.125", ""]
+
+
+def assert_json_matches_stdlib(data, path: Path) -> None:
+    _write_json(path, data)
+    assert path.read_text() == json.dumps(data, indent=2, sort_keys=True) + "\n"
+
+
+_numbers = st.none() | st.booleans() | st.integers() | st.floats()  # NaN and ±inf too
+_leaves = _numbers | st.text()
+_json_trees = st.recursive(
+    _leaves,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(_numbers, max_size=6)
+                   | st.lists(st.lists(_numbers, max_size=3), max_size=4)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=4)
+                   | st.dictionaries(st.integers(-5, 5), inner, max_size=4)),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=_json_trees)
+def test_json_writer_matches_stdlib_on_random_trees(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        assert_json_matches_stdlib(data, Path(tmp) / "out.json")
+
+
+@pytest.mark.parametrize("data", [
+    {1: {2: 3.5}, 10: [1, 2], -1: "a"},  # int keys sort as ints
+    {"1.5": 0, "b": {False: [], True: {}}},
+    [-0.0, 0.0, float("nan"), float("inf"), -float("inf")],
+    {"w": [[-0.0, float("nan")], [float("inf"), -float("inf")]]},
+    {}, [], {"a": {}, "b": [], "c": [[]], "d": [[], [1.0]], "e": [[1.0], []]},
+    {"ragged": [[1.0], [2.0, 3.0, 4.0], [5]], "mixed": [[1, "x"], [2.0]], "deep": [[[1.0]]]},
+    {"n": [[1.0, None, True], [False, 2]], "row": [1, [2, 3], {"k": 4}]},
+    ((1.0, 2.0), (3.0, (4.0,))), {"t": ((0.5, 1.5), [2.5, 3.5])},
+    {"f": np.float64(0.1), "l": [np.float64(1e-300), 2], "w": [[np.float64(-0.0), 1.0]]},
+    {"é": "ünïcode ☃", "s": ["[", "]", ",\n", "],\n      [", "\u0000"], "k]": "v[,\n"},
+    [["[", "]"], ["],\n  ["]],
+], ids=["int-keys", "scalar-keys", "special-floats", "special-float-rows", "empty-dict",
+        "empty-list", "empty-containers", "ragged-rows", "null-and-bool-rows", "tuples",
+        "tuple-rows", "numpy-floats", "non-ascii-and-brackets", "string-rows"])
+def test_json_writer_matches_stdlib(data, tmp_path):
+    assert_json_matches_stdlib(data, tmp_path / "out.json")
+
+
+@pytest.mark.parametrize("data", [{(1, 2): 0}, {"a": {1, 2}}, [object()], {1: 0, "a": 1}])
+def test_json_writer_rejects_what_json_rejects(data, tmp_path):
+    with pytest.raises(TypeError):
+        json.dumps(data, indent=2, sort_keys=True)
+    with pytest.raises(TypeError):
+        _write_json(tmp_path / "out.json", data)
