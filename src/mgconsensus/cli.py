@@ -119,28 +119,12 @@ def _tail_text(tail: tuple, directed_edges: list) -> str:
 
 
 def _write_events_csv(path: Path, metrics: RunMetrics) -> None:
+    """One line per trigger row, from the log's tables: each table row after
+    its time, and each distinct time of a block, is formatted once."""
     edges = metrics.directed_edges
-    latest: dict = {}   # edge -> (row after its time, text) of heap rows
     with path.open("w") as fh:
         fh.write("time,edge_i,edge_j,comm_healthy,diff,u,theta,eps,rate,dwell_floor\n")
-        for part in metrics.trigger_log.parts:
-            if isinstance(part, list):
-                # most rows repeat their edge's previous row after the time:
-                # format that text once per change
-                lines = []
-                for row in part:
-                    tail = row[1:]
-                    prev = latest.get(row[1])
-                    if prev is None or prev[0] != tail:
-                        prev = tail, _tail_text(tail, edges)
-                        if tail[2] != 0.0:  # 0.0 == -0.0, but their reprs differ
-                            latest[row[1]] = prev
-                    lines.append(repr(float(row[0])) + prev[1])
-                fh.write("".join(lines))
-                continue
-            # a stretch, written from its columns: each distinct row after the
-            # time, and each distinct time, is formatted once
-            tails, blocks = part.table()
+        for tails, blocks in metrics.trigger_log.tables():
             text = [_tail_text(tail, edges) for tail in tails]
             for times, codes in blocks:
                 stamps, index = _reprs(times)
@@ -179,14 +163,15 @@ def cmd_run(args) -> int:
         scen = scen.with_mode(args.mode)
     if args.seed is not None:
         scen = scen.with_seed(args.seed)
+    names = list(scen.instances) if args.instance == "all" else [args.instance]
+    if names[0] not in scen.instances:  # before any output is written
+        raise ConfigError(f"scenario has no '{args.instance}' instance")
+    channels = scen.build_channels()
     outdir = Path(args.out or (Path(args.scenario).stem + ".out"))
     outdir.mkdir(parents=True, exist_ok=True)
-
-    channels = scen.build_channels()
     if channels is not None:
         _write_json(outdir / "attack_trace.json", channels.to_dict())
 
-    names = list(scen.instances) if args.instance == "all" else [args.instance]
     summary = {
         "scenario": str(args.scenario),
         "mode": scen.mode,
@@ -261,14 +246,16 @@ def cmd_sweep(args) -> int:
     if args.seeds < 1:
         raise ConfigError(f"--seeds must be >= 1, got {args.seeds}")
     scen = load_scenario(args.scenario)
+    if scen.trace_file:
+        raise ConfigError("sweep rescales generated traces; channels.trace_file fixes them")
     classes = [c.strip() for c in args.classes.split(",") if c.strip()]
     seeds = list(range(args.seeds))
     instance = args.instance
-    if scen.has_attacks and not scen.trace_file:
-        # an infeasible class budget is a configuration error before any run
-        design = scen.design()
-        for cls in classes:
-            design.scaled_budgets(cls, args.intensity)
+    # an unknown class or an infeasible class budget is a configuration error
+    # before any run
+    design = scen.design()
+    for cls in classes:
+        design.scaled_budgets(cls, args.intensity)
 
     def median_entry(scale_class, intensity) -> tuple[float | None, int]:
         """Median entry time over the converged seeds (None if none converged)

@@ -55,7 +55,6 @@ from bisect import bisect_right
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush, heapreplace
-from itertools import accumulate
 from math import nextafter
 from typing import Optional
 
@@ -167,11 +166,11 @@ class _Stretch:
     def __init__(self, runs: list, resilient: bool):
         self.runs = runs                     # each with rows
         self.resilient = resilient
-        self.starts = list(accumulate([0] + [r.times.size for r in runs]))
+        self.size = sum(r.times.size for r in runs)
         self._merged: Optional[tuple] = None
 
     def __len__(self) -> int:
-        return self.starts[-1]
+        return self.size
 
     def table(self) -> tuple[list, Iterator]:
         """The distinct rows after their time (see `_Run.tails`), and the rows in
@@ -188,18 +187,6 @@ class _Stretch:
                                                  for a in range(0, order.size, BLOCK)))
         return tails, blocks
 
-    def row(self, k: int) -> tuple:
-        """The k-th row in heap order, built from its run alone."""
-        p = int(self._merge()[0][k])
-        n = bisect_right(self.starts, p) - 1
-        r, m = self.runs[n], p - self.starts[n]
-        codes, tails = r.tails(self.resilient)
-        return (float(r.times[m]),) + tails[codes[m]]
-
-    def last_rows(self) -> list:
-        """Indices of the runs in the heap order of their last rows."""
-        return self._merge()[1]
-
     def _merge(self) -> tuple:
         """Replay the heap on the runs: pop the earliest (time, push) and push
         that run's next row with the pop's position; the first rows were pushed
@@ -215,7 +202,7 @@ class _Stretch:
             heapify(heap)
             popped = array("q")              # the run of each row, in heap order
             add = popped.append
-            for pos in range(len(self)):
+            for pos in range(self.size):
                 n = heap[0][2]
                 add(n)
                 heapreplace(heap, (nexts[n](), pos, n))
@@ -227,18 +214,18 @@ class _Stretch:
         return self._merged
 
 
-class TriggerLog(Sequence):
+class TriggerLog:
     """A run's trigger rows (t, edge, comm_healthy, diff, u, theta, eps, rate,
     dwell_floor) in event order. Rows from the event heap are stored as they
     are; a quiescent stretch as per-edge runs, whose rows are built each time
-    they are read, so `len()` never builds them."""
+    they are iterated, so `len()` never builds them."""
 
     def __init__(self, parts: list):
         self.parts = parts                   # lists of rows and `_Stretch`es
-        self._ends = list(accumulate(len(p) for p in parts))
+        self.size = sum(map(len, parts))
 
     def __len__(self) -> int:
-        return self._ends[-1] if self._ends else 0
+        return self.size
 
     def __iter__(self):
         for part in self.parts:
@@ -250,24 +237,16 @@ class TriggerLog(Sequence):
                 yield from map(tuple.__add__, zip(times.tolist()),
                                map(tails.__getitem__, codes.tolist()))
 
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return list(self)[k]
-        if k < 0:
-            k += len(self)
-        if not 0 <= k < len(self):
-            raise IndexError("trigger log index out of range")
-        p = bisect_right(self._ends, k)
-        part, k = self.parts[p], k - (self._ends[p - 1] if p else 0)
-        return part[k] if isinstance(part, list) else part.row(k)
-
-    def __eq__(self, other):
-        if not isinstance(other, Sequence) or isinstance(other, str):
-            return NotImplemented
-        return len(self) == len(other) and list(self) == list(other)
-
-    def __repr__(self) -> str:
-        return f"TriggerLog({len(self)} rows)"
+    def tables(self) -> Iterator[tuple]:
+        """Per part, rows after their time and the part's rows in event order
+        as blocks of (times, indices into those): a stretch's distinct rows and
+        blocks (see `_Stretch.table`), or a heap list's own rows in one block."""
+        for part in self.parts:
+            if isinstance(part, list):
+                times = np.array([row[0] for row in part], dtype=float)
+                yield [row[1:] for row in part], [(times, np.arange(len(part)))]
+            else:
+                yield part.table()
 
     def edge_columns(self) -> dict:
         """Per edge, its trigger times and dwell floors in order; stretches are
@@ -670,7 +649,7 @@ class Simulation:
                     e_nbr_delay[e] = t_read - e_nbr_stamp[e]
             ran = {r.edge for r in runs}
             order = sorted((e for e in range(ne) if e not in ran), key=lambda e: live[e][1])
-            order += [runs[k].edge for k in stretch.last_rows()]
+            order += [runs[k].edge for k in stretch._merge()[1]]
             hand_back([(nxt[e], e) for e in order])
             return True
 

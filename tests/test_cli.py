@@ -222,6 +222,7 @@ def test_infeasible_budget_is_config_error(fast_scenario, tmp_path, capsys,
         argv += ["--seeds", "1", "--classes", "measurement"]
     assert main(argv) == 2
     assert channel in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["run", "design"])
@@ -265,6 +266,49 @@ def test_sweep_checks_every_class_budget_before_any_run(fast_scenario, capsys, m
             "--classes", "actuation,measurement", "--intensity", "30"]
     assert main(argv) == 2
     assert "channels.actuation[0] at intensity 30" in capsys.readouterr().err
+
+
+def _no_run(cfg):
+    raise AssertionError("engine run before the configuration check")
+
+
+@pytest.mark.parametrize("classes", ["actuation", "bogus"])
+def test_sweep_on_a_trace_file_scenario_is_config_error(fast_scenario, tmp_path, capsys,
+                                                        monkeypatch, classes):
+    # a fixed trace cannot be rescaled: every class would report +0.0000
+    trace = tmp_path / "trace.json"
+    assert main(["attacks", "generate", str(fast_scenario), "--out", str(trace)]) == 0
+    data = yaml.safe_load(fast_scenario.read_text())
+    data["channels"]["trace_file"] = str(trace)
+    scen = tmp_path / "scen.yaml"
+    scen.write_text(yaml.safe_dump(data))
+    monkeypatch.setattr(cli, "Simulation", _no_run)
+    out = tmp_path / "sweep.json"
+    argv = ["sweep", str(scen), "--seeds", "2", "--classes", classes, "--out", str(out)]
+    assert main(argv) == 2
+    assert "channels.trace_file" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("attacks", [True, False], ids=["attacks", "no-attacks"])
+def test_sweep_unknown_class_is_config_error(fast_scenario, tmp_path, capsys, monkeypatch,
+                                             attacks):
+    data = yaml.safe_load(fast_scenario.read_text())
+    if not attacks:
+        del data["channels"]
+    scen = tmp_path / "scen.yaml"
+    scen.write_text(yaml.safe_dump(data))
+    monkeypatch.setattr(cli, "Simulation", _no_run)
+    argv = ["sweep", str(scen), "--seeds", "2", "--classes", "actuation,bogus"]
+    assert main(argv) == 2
+    assert "unknown channel class 'bogus'" in capsys.readouterr().err
+
+
+def test_run_unknown_instance_writes_nothing(fast_scenario, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["run", str(fast_scenario), "--instance", "bogus", "--out", str(out)]) == 2
+    assert "no 'bogus' instance" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("content", [None, "{not json", "[1, 2]", '{"meas/0": {}}'])

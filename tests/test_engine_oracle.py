@@ -318,7 +318,7 @@ def test_early_stop_matches_oracle(scen, mode, monkeypatch):
     pushes = heap_push_times(monkeypatch)
     got, _want = assert_matches_oracle(Simulation(cfg))
     assert len(pushes) < len(got.trigger_log) / 4
-    assert got.trigger_log[-1][0] > s.horizon - 0.1
+    assert list(got.trigger_log)[-1][0] > s.horizon - 0.1
 
 
 PAIR = [[0, 1], [1, 0]]
@@ -341,7 +341,7 @@ def test_disturbance_on_grid_point_reads_value_before_jump(activation):
     # grid point: either way the cache holds the pre-jump value
     m, _ = assert_matches_oracle(Simulation(_pair_cfg(
         disturbances=[(1.0, 1, 5.0)], activation_time=activation)))
-    first = m.trigger_log[0]
+    first = list(m.trigger_log)[0]
     assert first[0] == activation and m.directed_edges[first[1]] == (0, 1)
     assert first[3] == 1.0  # x1(1.0-) - x0(1.0-), not 6.0
     k = int(np.searchsorted(m.times, 1.0))

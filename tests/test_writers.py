@@ -1,9 +1,11 @@
 """The writers against references.
 
-`cli._write_events_csv` writes a quiescent stretch from its runs' columns and
-formats each distinct value once; `cli._write_trace_csv` formats each
-distinct float of its block once. The references below format every cell of
-every row, as the writers did before; the outputs must be byte-identical.
+`cli._write_events_csv` writes the trigger log from one table view per part
+(`TriggerLog.tables`): a quiescent stretch from its runs' columns, a list of
+heap rows from those rows, each table row and each distinct time formatted
+once. `cli._write_trace_csv` formats each distinct float of its block once.
+The references below format every cell of every row, by iterating the log;
+the outputs must be byte-identical.
 `cli._write_json` must write exactly `json.dumps(data, indent=2,
 sort_keys=True)` and a newline.
 """
