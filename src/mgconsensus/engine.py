@@ -101,71 +101,51 @@ class EngineConfig:
 
 @dataclass(eq=False)
 class _Run:
-    """One edge's triggers in a quiescent stretch: their times, comm health
-    and commanded (eps, rate), one pair in the offline modes and one per row
-    in self-adaptive mode. Every row has u = 0 and theta and floor from its
-    (eps, rate); its diff is `before` up to the first healthy row and `after`
-    from there on, except that a resilient edge's jammed rows hold None. `q`
-    orders the runs' first rows, as their pushes before the stretch did."""
+    """One edge's triggers in a quiescent stretch, as columns: their times,
+    comm health and command, an index into `params`, the run's distinct
+    commanded (eps, rate) (one pair in the offline modes). Every row has u = 0
+    and theta and floor from its command. Its diff is `before` up to the first
+    healthy row and `after` from there on; a resilient run has no `before`, and
+    its jammed rows hold None. `q` orders the runs' first rows, as their pushes
+    before the stretch did."""
 
     edge: int
     degs: tuple[int, int]
     times: np.ndarray
     healthy: np.ndarray
-    eps: float | np.ndarray
-    rate: float | np.ndarray
+    cmd: np.ndarray
+    params: list
     before: Optional[float]
     after: float
     q: int
 
-    def floors(self) -> np.ndarray:
-        return np.broadcast_to(dwell_time_floor(self.eps, self.rate, *self.degs),
-                               self.times.shape)
-
-    def tails(self, resilient: bool) -> tuple[np.ndarray, list]:
+    def tails(self) -> tuple[np.ndarray, list]:
         """The rows after their time, (edge, comm_healthy, diff, u, theta, eps,
         rate, dwell_floor): the distinct ones, and per row the index of its own."""
-        size = self.times.size
-        h = self.healthy
-        # 0/1 jammed/healthy, + 2 from the first healthy row of a nominal edge
-        phase = h.astype(np.int8)
-        if not resilient and h.any():
-            phase[int(np.argmax(h)):] += 2
-        eps = np.broadcast_to(self.eps, (size,))
-        rate = np.broadcast_to(self.rate, (size,))
-        keys = (phase, eps.view(np.int64), rate.view(np.int64))
-        new = np.zeros(size, dtype=bool)
-        new[0] = True
-        for col in keys:
-            new[1:] |= col[1:] != col[:-1]
-        starts = np.flatnonzero(new)
-        seen: dict = {}
-        tails: list = []
-        codes = []
-        for s, key in zip(starts.tolist(), zip(*(col[starts].tolist() for col in keys))):
-            code = seen.get(key)
-            if code is None:
-                code = seen[key] = len(tails)
-                eps_k, rate_k = float(eps[s]), float(rate[s])
-                if resilient:
-                    diff = self.after if key[0] else None
-                else:
-                    diff = self.after if key[0] >= 2 else self.before
-                # inside the dead zone clock_reset gives this theta as well
-                tails.append((self.edge, bool(key[0] & 1), diff, 0,
-                              attacked_clock_reset(eps_k, *self.degs), eps_k, rate_k,
-                              dwell_time_floor(eps_k, rate_k, *self.degs)))
-            codes.append(code)
-        return np.repeat(np.array(codes, dtype=np.intp), np.diff(starts, append=size)), tails
+        # health in bit 0, a nominal edge's rows from its first healthy one in
+        # bit 1, the command above them
+        key = self.healthy + 4 * self.cmd
+        if self.before is not None and self.healthy.any():
+            key[int(np.argmax(self.healthy)):] |= 2
+        seen = np.flatnonzero(np.bincount(key))
+        code = np.zeros(int(seen[-1]) + 1, dtype=np.intp)
+        code[seen] = np.arange(seen.size)
+        tails = []
+        for k in seen.tolist():
+            eps, rate = self.params[k >> 2]
+            # inside the dead zone clock_reset gives this theta as well
+            tails.append((self.edge, bool(k & 1), self.after if k & 3 else self.before, 0,
+                          attacked_clock_reset(eps, *self.degs), eps, rate,
+                          dwell_time_floor(eps, rate, *self.degs)))
+        return code[key], tails
 
 
 class _Stretch:
     """The rows of a quiescent stretch, kept as one `_Run` per edge and their
     heap order; no row is kept, each is built when read."""
 
-    def __init__(self, runs: list, resilient: bool):
+    def __init__(self, runs: list):
         self.runs = runs                     # each with rows
-        self.resilient = resilient
         self.size = sum(r.times.size for r in runs)
         self._merged: Optional[tuple] = None
 
@@ -177,7 +157,7 @@ class _Stretch:
         heap order as blocks of (times, indices into those), BLOCK rows each."""
         times, codes, tails = [], [], []
         for r in self.runs:
-            c, t = r.tails(self.resilient)
+            c, t = r.tails()
             codes.append(c + len(tails))
             tails += t
             times.append(r.times)
@@ -250,7 +230,7 @@ class TriggerLog:
 
     def edge_columns(self) -> dict:
         """Per edge, its trigger times and dwell floors in order; stretches are
-        read run by run, without building their rows."""
+        read run by run, from their distinct rows (`_Run.tails`)."""
         cols: dict = {}
         for part in self.parts:
             if isinstance(part, list):
@@ -261,7 +241,8 @@ class TriggerLog:
                     fs.append(row[8])
                 runs = [(e, np.array(ts), np.array(fs)) for e, (ts, fs) in groups.items()]
             else:
-                runs = [(r.edge, r.times, r.floors()) for r in part.runs]
+                runs = [(r.edge, r.times, np.array([tail[7] for tail in tails])[codes])
+                        for r in part.runs for codes, tails in [r.tails()]]
             for e, ts, fs in runs:
                 cols.setdefault(e, []).append((ts, fs))
         return {e: (np.concatenate([ts for ts, _ in c]), np.concatenate([fs for _, fs in c]))
@@ -532,61 +513,62 @@ class Simulation:
                 e_ver[e] += 1
                 push(time_, K_EXPIRY, e, e_ver[e])
 
-        def step_adaptive(e, diff, st, until):
-            """Step edge e's gamma recurrence from st = [t, eps, rate, times,
-            healths, epss, rates] while t < until; True if it stops at a
+        def step_adaptive(e, diff, t, until):
+            """Step edge e's gamma recurrence from its expiry at t while t < until.
+            Returns its run's columns (times, then the next expiry; health;
+            command), the commands' (eps, rate), and whether it stops at a
             trigger whose adapted eps does not cover the diff."""
-            t, eps_k, rate_k, ts, hs, es, rs = st
             attacked = self.comm_ch[e].is_attacked
             jam_i, jam_j = meas_jam[e_i[e]].get, meas_jam[e_j[e]].get
             d_i, d_j = degs[e_i[e]], degs[e_j[e]]
-            add_t, add_h, add_eps, add_rate = ts.append, hs.append, es.append, rs.append
+            # the distinct commands, and each one's clock period (clock_reset
+            # inside the dead zone gives it as well)
+            cmds = {(e_eps[e], e_rate[e]): 0}
+            periods = [attacked_clock_reset(e_eps[e], d_i, d_j) / e_rate[e]]
             # a stretch sees few gamma values: apply the rules once per value,
-            # giving (eps, rate, clock period), or None where eps breaks
+            # giving a command, or -1 where eps breaks
             rule: dict = {}
-            broke = False
+            ts, hs, cs = [], [], []
+            add_t, add_h, add_c = ts.append, hs.append, cs.append
+            c = 0
             while t < until:
-                if attacked(t):
-                    period = attacked_clock_reset(eps_k, d_i, d_j) / rate_k
-                    add_h(False)
-                else:
+                healthy = not attacked(t)
+                if healthy:
                     k = bisect_right(grid, t) - 1
                     gamma = delay_aggregate(t - grid[jam_i(k, k)], t - grid[jam_j(k, k)],
                                             0.0, d_i, d_j)
-                    try:
-                        got = rule[gamma]
-                    except KeyError:
+                    c = rule.get(gamma)
+                    if c is None:
                         eps_n, rate_n = certified_params(gamma, alpha, beta, eps_floor)
-                        got = rule[gamma] = None if deadzone_sign(diff, eps_n) else \
-                            (eps_n, rate_n, clock_reset(diff, eps_n, d_i, d_j) / rate_n)
-                    if got is None:
-                        broke = True
+                        c = rule[gamma] = -1 if deadzone_sign(diff, eps_n) else \
+                            cmds.setdefault((eps_n, rate_n), len(cmds))
+                        if c == len(periods):
+                            periods.append(attacked_clock_reset(eps_n, d_i, d_j) / rate_n)
+                    if c < 0:
                         break
-                    eps_k, rate_k, period = got
-                    add_h(True)
                 add_t(t)
-                add_eps(eps_k)
-                add_rate(rate_k)
-                t = t + period
-            st[:3] = t, eps_k, rate_k
-            return broke
+                add_h(healthy)
+                add_c(c)
+                t = t + periods[c]
+            add_t(t)
+            return ts, hs, cs, list(cmds), c < 0
 
         def stretch_runs(live, diffs, limit):
             """Every edge's triggers from its live expiry (time, seq) while before
             `limit`, cut before the first one that would leave the dead zone.
             Returns the runs of the edges with rows, each edge's next expiry and
             the cut."""
-            cols, breaks = [], []
+            cols, breaks = [None] * ne, []
             if adaptive:
-                st = [[t0, e_eps[e], e_rate[e], [], [], [], []] for e, (t0, _sq) in enumerate(live)]
                 # eps never falls below the floor: only an edge whose diff is
                 # outside it can break, and those step first
                 for e in sorted(range(ne), key=lambda e: not deadzone_sign(diffs[e], eps_floor)):
-                    if step_adaptive(e, diffs[e], st[e], min(breaks, default=limit)):
-                        breaks.append(st[e][0])
-                for t, _eps, _rate, ts, hs, es, rs in st:
-                    cols.append((np.array(ts + [t]), np.array(hs, dtype=bool),
-                                 np.array(es), np.array(rs)))
+                    ts, hs, cs, params, broke = step_adaptive(e, diffs[e], live[e][0],
+                                                              min(breaks, default=limit))
+                    if broke:
+                        breaks.append(ts[-1])
+                    cols[e] = (np.array(ts), np.array(hs, dtype=bool),
+                               np.array(cs, dtype=np.intp), params)
             else:
                 for e, (t0, _sq) in enumerate(live):
                     eps_k, rate_k = e_eps[e], e_rate[e]
@@ -596,18 +578,18 @@ class Simulation:
                     healthy = ~self.comm_ch[e].attacked(times[:-1])
                     if deadzone_sign(diffs[e], eps_k) and healthy.any():
                         breaks.append(times[int(np.argmax(healthy))])
-                    cols.append((times, healthy, eps_k, rate_k))
+                    cols[e] = (times, healthy, np.zeros(healthy.size, dtype=np.intp),
+                               [(eps_k, rate_k)])
             cut = min(breaks, default=limit)
             q = np.argsort(np.argsort([sq for _t, sq in live]))
             runs, nxt = [], []
-            for e, (times, healthy, eps_k, rate_k) in enumerate(cols):
+            for e, (times, healthy, cmd, params) in enumerate(cols):
                 k = int(np.searchsorted(times[:-1], cut, side="left"))
                 nxt.append(float(times[k]))
                 if k:
-                    if adaptive:
-                        eps_k, rate_k = eps_k[:k], rate_k[:k]
                     runs.append(_Run(e, (degs[e_i[e]], degs[e_j[e]]), times[:k], healthy[:k],
-                                     eps_k, rate_k, e_diff[e], diffs[e], int(q[e])))
+                                     cmd[:k], params, None if resilient else e_diff[e],
+                                     diffs[e], int(q[e])))
             return runs, nxt, cut
 
         def fast_forward(t_now):
@@ -625,7 +607,7 @@ class Simulation:
             x_now = [measured(i, t_now)[1] for i in range(n)]
             diffs = [x_now[j] - x_now[i] for i, j in edges]
             runs, nxt, cut = stretch_runs(live, diffs, limit)
-            stretch = _Stretch(runs, resilient)
+            stretch = _Stretch(runs)
             if runs:
                 log_parts.extend((stretch, []))
             if cut == limit and not disturb:
@@ -634,8 +616,7 @@ class Simulation:
             for r in runs:
                 e, i, j = r.edge, e_i[r.edge], e_j[r.edge]
                 e_trig_t[e] = float(r.times[-1])
-                if adaptive:
-                    e_eps[e], e_rate[e] = float(r.eps[-1]), float(r.rate[-1])
+                e_eps[e], e_rate[e] = r.params[r.cmd[-1]]
                 read = np.flatnonzero(r.healthy)
                 t_read = e_trig_t[e]
                 if read.size:

@@ -13,6 +13,8 @@ import os
 from dataclasses import dataclass, replace
 from typing import Any, Optional
 
+import yaml
+
 from .attacks import (
     ChannelSet, DosParams, generate_channel_set, load_yaml, podf_bound, read_channel_set,
 )
@@ -30,13 +32,15 @@ from .topology import Topology, load_topology
 
 MODES = ("nominal", "resilient-global", "resilient-local", "self-adaptive")
 
+# a mapping where the schema has one; a list, bool or str where it names that
+# type; any value where it has None. A null value is a missing key.
 _SCHEMA: dict[str, Any] = {
     "version": None,
     "seed": None,
     "horizon": None,
     "activation_time": None,
     "record_period": None,
-    "topology": {"adjacency": None},
+    "topology": {"adjacency": list},
     "controller": {
         "mode": None, "eps": None, "rate": None, "eps_margin": None,
         "rate_margin": None, "alpha": None, "beta": None,
@@ -44,17 +48,17 @@ _SCHEMA: dict[str, Any] = {
     "channels": {
         "delta_star_measurement": None,
         "delta_star_actuation": None,
-        "per_direction_comm": None,
-        "measurement": {"default": None, "overrides": None},
-        "actuation": {"default": None, "overrides": None},
-        "communication": {"default": None, "overrides": None},
-        "trace_file": None,
+        "per_direction_comm": bool,
+        "measurement": {"default": None, "overrides": dict},
+        "actuation": {"default": None, "overrides": dict},
+        "communication": {"default": None, "overrides": dict},
+        "trace_file": str,
     },
     "instances": {
-        "frequency": {"initial": None, "reference": None, "disturbances": None},
-        "power": {"initial": None, "initial_power_kw": None, "disturbances": None},
+        "frequency": {"initial": list, "reference": None, "disturbances": list},
+        "power": {"initial": list, "initial_power_kw": list, "disturbances": list},
     },
-    "mgs": None,
+    "mgs": list,
     "droop_constant": None,
 }
 
@@ -62,12 +66,23 @@ _SCHEMA: dict[str, Any] = {
 _BUDGET_KEYS = {"eta": ">=", "kappa": ">=", "tau_f": ">", "tau_d": ">"}
 
 
-def _check_keys(data: dict, schema: dict, path: str = "") -> None:
+_TYPE_NAMES = {dict: "mapping", list: "list", bool: "boolean", str: "string"}
+
+
+def _check_keys(data: Any, schema: dict, path: str = "") -> None:
+    """`data` has only keys of `schema`, each of the type the schema gives it."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path[:-1] or 'scenario'} must be a mapping, got {data!r}")
     for key, sub in data.items():
         if key not in schema:
             raise ConfigError(f"unknown key '{path}{key}' in scenario file")
-        if isinstance(sub, dict) and isinstance(schema[key], dict):
-            _check_keys(sub, schema[key], f"{path}{key}.")
+        want = schema[key]
+        if sub is None or want is None:
+            continue
+        if isinstance(want, dict):
+            _check_keys(sub, want, f"{path}{key}.")
+        elif not isinstance(sub, want):
+            raise ConfigError(f"{path}{key} must be a {_TYPE_NAMES[want]}, got {sub!r}")
 
 
 def _number(value: Any, key: str) -> float:
@@ -96,7 +111,9 @@ def _checked(value: Any, key: str, op: str, low: float) -> float:
     return v
 
 
-def _budget(entry: dict, where: str) -> dict:
+def _budget(entry: Any, where: str) -> dict:
+    if not isinstance(entry, dict):
+        raise ConfigError(f"{where} must be a mapping, got {entry!r}")
     extra = set(entry) - _BUDGET_KEYS.keys()
     if extra:
         raise ConfigError(f"unknown budget keys {sorted(extra)} in {where}")
@@ -352,12 +369,12 @@ def _disturbance(ev: Any, n: int, where: str) -> tuple[float, int, float]:
 def _instances(data: dict, n: int, mg_ratings, droop_constant) -> dict[str, dict]:
     out: dict[str, dict] = {}
     for name in ("frequency", "power"):
-        if name not in data:
+        if data.get(name) is None:
             continue
         inst = dict(data[name])
         where = f"instances.{name}"
-        if name == "power" and "initial" not in inst:
-            if "initial_power_kw" not in inst or mg_ratings is None:
+        if name == "power" and inst.get("initial") is None:
+            if inst.get("initial_power_kw") is None or mg_ratings is None:
                 raise ConfigError(
                     "power instance needs 'initial' or 'initial_power_kw' plus mgs"
                 )
@@ -369,8 +386,8 @@ def _instances(data: dict, n: int, mg_ratings, droop_constant) -> dict[str, dict
                 droop_constant * _number(p, f"{where}.initial_power_kw") / sum(r)
                 for p, r in zip(powers, mg_ratings)
             ]
-        if "initial" not in inst or len(inst["initial"]) != n:
-            raise ConfigError(f"instance '{name}' needs one initial state per node")
+        if inst.get("initial") is None or len(inst["initial"]) != n:
+            raise ConfigError(f"{where}.initial needs one state per node")
         inst["initial"] = [_number(v, f"{where}.initial") for v in inst["initial"]]
         inst["disturbances"] = [
             _disturbance(ev, n, f"{where}.disturbances[{k}]")
@@ -382,16 +399,20 @@ def _instances(data: dict, n: int, mg_ratings, droop_constant) -> dict[str, dict
     return out
 
 
-def parse_scenario(data: dict) -> Scenario:
-    if not isinstance(data, dict):
-        raise ConfigError("scenario must be a mapping")
+def parse_scenario(data: Any) -> Scenario:
     _check_keys(data, _SCHEMA)
     if data.get("version") != 1:
         raise ConfigError(f"unsupported scenario version {data.get('version')!r}")
+    for key in ("topology.adjacency", "instances"):  # the keys no scenario does without
+        node = data
+        for part in key.split("."):
+            node = (node or {}).get(part)
+        if node is None:
+            raise ConfigError(f"missing key '{key}' in scenario file")
 
     topo = load_topology(data["topology"]["adjacency"])
     n = topo.node_count
-    ctrl = data.get("controller", {})
+    ctrl = data.get("controller") or {}
     mode = ctrl.get("mode", "nominal")
     if mode not in MODES:
         raise ConfigError(f"unknown controller mode '{mode}'")
@@ -422,8 +443,8 @@ def parse_scenario(data: dict) -> Scenario:
             raise ConfigError("mgs must list one generator table per node")
         mg_ratings = []
         for k, mg in enumerate(mgs):
-            if set(mg) - {"ratings_kw", "name"}:
-                raise ConfigError(f"unknown keys in mgs[{k}]")
+            if not isinstance(mg, dict) or set(mg) - {"ratings_kw", "name"}:
+                raise ConfigError(f"mgs[{k}] must be a mapping of ratings_kw and name")
             ratings = mg.get("ratings_kw") or []
             if not isinstance(ratings, list) or not ratings:
                 raise ConfigError(f"mgs[{k}].ratings_kw must list at least one rating")
@@ -460,11 +481,11 @@ def parse_scenario(data: dict) -> Scenario:
 
 
 def load_scenario(path: str) -> Scenario:
-    with open(path) as fh:
-        data = load_yaml(fh)
     try:
+        with open(path) as fh:
+            data = load_yaml(fh)
         scen = parse_scenario(data)
-    except ConfigError as exc:
+    except (OSError, yaml.YAMLError, ConfigError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
     if scen.trace_file:  # relative to the scenario file, not the working directory
         scen.trace_file = os.path.join(os.path.dirname(path), scen.trace_file)

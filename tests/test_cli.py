@@ -100,6 +100,67 @@ def test_bad_scenario_value_exits_2_naming_its_key(fast_scenario, tmp_path, caps
     assert key in capsys.readouterr().err
 
 
+_DROP = object()
+
+
+def _with(key, value):
+    """A writer of the fast scenario with the dotted `key` set to `value`, or
+    dropped."""
+    def write(path: Path, data: dict) -> Path:
+        *parents, last = key.split(".")
+        node = data
+        for k in parents:
+            node = node[k]
+        if value is _DROP:
+            del node[last]
+        else:
+            node[last] = value
+        path.write_text(yaml.safe_dump(data))
+        return path
+    return write
+
+
+def _unparsable(path: Path, data: dict) -> Path:
+    path.write_text("version: 1\ntopology: {adjacency: [[0]\n")
+    return path
+
+
+@pytest.mark.parametrize("named,write", [
+    ("scen.yaml", lambda path, data: path),  # no file written
+    ("scen.yaml", _unparsable),
+    ("'topology.adjacency'", _with("topology", _DROP)),
+    ("'topology.adjacency'", _with("topology.adjacency", _DROP)),
+    ("'instances'", _with("instances", _DROP)),
+    ("topology must be a mapping", _with("topology", [1])),
+    ("'topology.adjacency'", _with("topology.adjacency", None)),
+    ("channels must be a mapping", _with("channels", [1])),
+    ("controller must be a mapping", _with("controller", ["self-adaptive"])),
+    ("channels.measurement must be a mapping", _with("channels.measurement", [{"eta": 1.0}])),
+    ("channels.measurement.overrides must be a mapping",
+     _with("channels.measurement.overrides", [{"eta": 1.0}])),
+    ("instances.frequency must be a mapping", _with("instances.frequency", [49.8])),
+    ("instances.frequency.initial", _with("instances.frequency.initial", None)),
+    ("instances.frequency.disturbances must be a list",
+     _with("instances.frequency.disturbances", 5)),
+    ("mgs must be a list", _with("mgs", 5)),
+    # a quoted 'no' is a true string, and would give each link direction a channel
+    ("channels.per_direction_comm must be a boolean", _with("channels.per_direction_comm", "no")),
+    ("channels.trace_file must be a string", _with("channels.trace_file", 5)),
+], ids=["missing-file", "yaml-syntax", "no-topology", "no-adjacency", "no-instances",
+        "topology-list", "adjacency-null", "channels-list", "controller-list",
+        "measurement-list", "overrides-list", "frequency-list", "initial-null",
+        "disturbances-number", "mgs-number", "per-direction-string", "trace-file-number"])
+def test_malformed_scenario_exits_2_naming_its_key(fast_scenario, tmp_path, capsys, named,
+                                                   write):
+    scen = write(tmp_path / "scen.yaml", yaml.safe_load(fast_scenario.read_text()))
+    for argv in (["run", str(scen), "--out", str(tmp_path / "out")],
+                 ["attacks", "generate", str(scen)]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "variant", ["bundled", "no-comm-budget", "empty-override", "per-direction"]
 )

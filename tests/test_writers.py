@@ -1,9 +1,11 @@
 """The writers against references.
 
 `cli._write_events_csv` writes the trigger log from one table view per part
-(`TriggerLog.tables`): a quiescent stretch from its runs' columns, a list of
-heap rows from those rows, each table row and each distinct time formatted
-once. `cli._write_trace_csv` formats each distinct float of its block once.
+(`TriggerLog.tables`): a quiescent stretch from its runs' distinct rows
+(`_Run.tails`), a list of heap rows from those rows, each table row and each
+distinct time formatted once. `_stretch` builds runs by hand: per row a time,
+a comm health and an index into the run's (eps, rate) commands.
+`cli._write_trace_csv` formats each distinct float of its block once.
 The references below format every cell of every row, by iterating the log;
 the outputs must be byte-identical.
 `cli._write_json` must write exactly `json.dumps(data, indent=2,
@@ -95,9 +97,12 @@ def _metrics(parts, states, inputs, edges=((0, 1), (1, 0))) -> RunMetrics:
         retunes=[], channel_stats={}, directed_edges=list(edges), segments=[])
 
 
-def _stretch(runs, resilient):
-    return _Stretch([_Run(e, (1, 1), np.array(ts), np.array(hs), eps, rate, before, after, q)
-                     for e, ts, hs, eps, rate, before, after, q in runs], resilient)
+def _stretch(runs):
+    """A stretch of hand-built runs (edge, times, health, commands, their
+    (eps, rate), before, after, q); a resilient run has no `before`."""
+    return _Stretch([_Run(e, (1, 1), np.array(ts), np.array(hs), np.array(cmd, dtype=np.intp),
+                          params, before, after, q)
+                     for e, ts, hs, cmd, params, before, after, q in runs])
 
 
 def test_writers_keep_negative_zero(tmp_path):
@@ -107,9 +112,10 @@ def test_writers_keep_negative_zero(tmp_path):
             (0.2, 0, True, -0.0, 0, 0.25, 1.0, 1.0, 0.25),
             (0.3, 0, True, 0.0, 0, 0.25, 1.0, 1.0, 0.25),
             (0.3, 1, False, -0.0, 0, 0.25, 1.0, 1.0, 0.25)]
-    stretch = _stretch([(0, [0.5, 0.75, 1.0], [False, True, True], 1.0, 1.0, -0.0, 0.0, 1),
-                        (1, [0.5, 1.0, 1.5], [False, False, True], 1.0, 1.0, -0.0, -0.0, 0)],
-                       resilient=False)
+    stretch = _stretch([(0, [0.5, 0.75, 1.0], [False, True, True], [0, 0, 0], [(1.0, 1.0)],
+                         -0.0, 0.0, 1),
+                        (1, [0.5, 1.0, 1.5], [False, False, True], [0, 0, 0], [(1.0, 1.0)],
+                         -0.0, -0.0, 0)])
     m = _metrics([heap, stretch, list(heap)], [[0.0, -0.0], [-0.0, 0.0], [0.0, 0.0]],
                  [[-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0]])
     assert_writers_match(m, 2, tmp_path)
@@ -122,12 +128,10 @@ def test_writers_keep_negative_zero(tmp_path):
 
 def test_writers_leave_a_jammed_resilient_diff_empty(tmp_path):
     heap = [(0.1, 1, False, None, 0, 0.25, 1.0, 1.0, 0.25)]
-    eps = np.array([1.0, 1.0, 0.5, 0.5])
-    rate = np.array([1.0, 1.0, 0.75, 0.75])
-    stretch = _stretch([(0, [0.5, 0.75, 1.0, 1.25], [True, False, True, False], eps, rate,
-                         None, 0.125, 0),
-                        (1, [0.75, 1.25], [False, True], 1.0, 1.0, None, 0.125, 1)],
-                       resilient=True)
+    # edge 0 is re-tuned from (1.0, 1.0) to (0.5, 0.75) at its third row
+    stretch = _stretch([(0, [0.5, 0.75, 1.0, 1.25], [True, False, True, False], [0, 0, 1, 1],
+                         [(1.0, 1.0), (0.5, 0.75)], None, 0.125, 0),
+                        (1, [0.75, 1.25], [False, True], [0, 0], [(1.0, 1.0)], None, 0.125, 1)])
     m = _metrics([heap, stretch], [[0.0, 1.0]], [[0.0, 0.0]])
     assert_writers_match(m, 2, tmp_path)
     lines = (tmp_path / "events.csv").read_text().splitlines()
