@@ -41,20 +41,24 @@ horizon) without the heap:
 A trigger that would leave the dead zone (a nominal edge's first healthy read
 after a jammed link, or an adapted eps that no longer covers the diff) hands
 every edge back to the event heap at that instant. `trigger_log` keeps each
-stretch as per-edge runs plus their heap order, found once by replaying the
-heap on the runs' times alone, and builds its rows only when they are read.
-Rows at equal times thus keep the heap's order, that of each edge's previous
-trigger, and so do the expiries handed back, which take the order of the runs'
-last rows from the same replay.
+stretch as per-edge runs plus their heap order, and builds its rows only when
+they are read. The heap pops a stretch's rows by (time, key): a run's first row
+is keyed by its q, ahead of every later row, keyed by the position of its run's
+previous row. One sort by (time, previous row's time, q) gives that order but
+within a tie, rows at one time whose previous rows share a time. A tie whose
+previous rows are exactly one tie keeps that tie's order: a row takes the rank
+of its run's latest row outside such ties. The few other ties are sorted in time
+order by their previous rows' positions. Expiries go back in their runs' order.
 """
 
 from __future__ import annotations
 
 from array import array
 from bisect import bisect_right
+from collections import deque
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from heapq import heapify, heappop, heappush, heapreplace
+from heapq import heapify, heappop, heappush
 from math import nextafter
 from typing import Optional
 
@@ -168,29 +172,40 @@ class _Stretch:
         return tails, blocks
 
     def _merge(self) -> tuple:
-        """Replay the heap on the runs: pop the earliest (time, push) and push
-        that run's next row with the pop's position; the first rows were pushed
-        before the stretch, in the order of q. Gives the rows' positions in the
-        runs' concatenation, in heap order, and the runs in the order their last
-        rows pop: after its last row a run pushes an infinite time, so those
-        entries end in that order."""
+        """The rows' positions in the runs' concatenation, in heap order, and
+        the runs in the order of their last rows (see the module docstring)."""
         if self._merged is None:
-            runs = self.runs
-            nexts = [iter(r.times.tolist() + [np.inf]).__next__ for r in runs]
-            low = max((r.q for r in runs), default=0) + 1
-            heap = [(nxt(), r.q - low, n) for n, (r, nxt) in enumerate(zip(runs, nexts))]
-            heapify(heap)
-            popped = array("q")              # the run of each row, in heap order
-            add = popped.append
-            for pos in range(self.size):
-                n = heap[0][2]
-                add(n)
-                heapreplace(heap, (nexts[n](), pos, n))
-            # a run's k-th pop is its k-th row
-            order = np.empty(len(popped), dtype=np.intp)
-            order[np.argsort(np.frombuffer(popped, dtype=np.int64), kind="stable")] = \
-                np.arange(len(popped))
-            self._merged = order, [n for _t, _pos, n in sorted(heap)]
+            sizes = [r.times.size for r in self.runs]
+            times = np.concatenate([r.times for r in self.runs])
+            row = np.arange(times.size)
+            prev = row - 1
+            prev[np.cumsum(sizes) - sizes] = -1
+            q = np.repeat([r.q for r in self.runs], sizes)
+            t_prev = np.where(prev < 0, -np.inf, times[prev])
+            order = np.lexsort((q, t_prev, times))
+            # ties: rows at one time whose previous rows share a time, or first rows
+            ts, tp = times[order], t_prev[order]
+            start = np.flatnonzero(np.r_[True, (ts[1:] != ts[:-1]) | (tp[1:] != tp[:-1])])
+            size = np.diff(np.r_[start, row.size])
+            tie, rank = np.empty_like(row), np.empty_like(row)
+            tie[order] = np.repeat(np.arange(start.size), size)
+            rank[order] = row - start[tie[order]]
+            # a tie inherits the order of its previous rows where they are one tie
+            prev_tie = np.where(prev < 0, -1, tie[prev])[order]
+            low = np.minimum.reduceat(prev_tie, start)
+            inherits = (low == np.maximum.reduceat(prev_tie, start)) & (low >= 0) & \
+                (size[low] == size)
+            anc = np.maximum.accumulate(np.where(inherits[tie], 0, row))
+            # the other ties of later rows, in time order, by their previous rows' positions
+            loose = ~inherits & (size > 1) & (tp[start] > -np.inf)
+            rows = order[np.repeat(loose, size)]
+            base, ancs = start[tie[prev[rows]]], anc[prev[rows]]
+            ends = np.cumsum(size[loose]).tolist()
+            for a, b in zip([0] + ends, ends):
+                rank[rows[a:b][np.argsort(base[a:b] + rank[ancs[a:b]])]] = np.arange(b - a)
+            pos = start[tie] + rank[anc]
+            order[pos] = row
+            self._merged = order, np.argsort(pos[np.cumsum(sizes) - 1]).tolist()
         return self._merged
 
 
@@ -481,6 +496,7 @@ class Simulation:
             return u, theta
 
         heap: list = []
+        due: deque = deque()  # actuation attempts due at their push: keys only rise
         seq = 0
 
         def push(time_, kind, a=0, b=0):
@@ -509,6 +525,7 @@ class Simulation:
             `expiries`, (time, edge) in the order the heap pushed them."""
             heap[:] = [ev for ev in heap if ev[1] == K_DISTURB]
             heapify(heap)
+            due.clear()
             for time_, e in expiries:
                 e_ver[e] += 1
                 push(time_, K_EXPIRY, e, e_ver[e])
@@ -630,12 +647,12 @@ class Simulation:
                     e_nbr_delay[e] = t_read - e_nbr_stamp[e]
             ran = {r.edge for r in runs}
             order = sorted((e for e in range(ne) if e not in ran), key=lambda e: live[e][1])
-            order += [runs[k].edge for k in stretch._merge()[1]]
+            order += [runs[k].edge for k in (stretch._merge()[1] if runs else ())]
             hand_back([(nxt[e], e) for e in order])
             return True
 
         while heap:
-            t, kind, _sq, a, b = heappop(heap)
+            t, kind, _sq, a, b = due.popleft() if due and due[0] < heap[0] else heappop(heap)
             if t > horizon + 1e-12:
                 break
 
@@ -685,7 +702,8 @@ class Simulation:
                     if e not in pend_edges[i]:
                         pend_edges[i].append(e)
                     act_ver[i] += 1
-                    push(t, K_ACT, i, act_ver[i])
+                    due.append((t, K_ACT, seq, i, act_ver[i]))
+                    seq += 1
 
                 if not busy:
                     # a jammed resilient trigger reads nothing

@@ -7,6 +7,7 @@ sets from here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 from typing import Sequence
 
 from .errors import DisconnectedError, NotSymmetricError, SelfLoopError
@@ -47,16 +48,16 @@ def load_topology(spec: Sequence[Sequence[float]]) -> Topology:
     collapsed to 1 (the ternary quantiser discards magnitudes).
     """
     n = len(spec)
-    if n < 1 or any(len(row) != n for row in spec):
-        raise NotSymmetricError(f"adjacency must be square, got {n} rows")
+    if n < 1 or any(not isinstance(row, list) or len(row) != n for row in spec):
+        raise NotSymmetricError(f"topology.adjacency must be a square list of lists, got {n} rows")
+    if not all(type(w) in (int, float) and 0 <= w < inf for row in spec for w in row):
+        raise NotSymmetricError("topology.adjacency entries must be finite numbers >= 0")
     for i in range(n):
         if spec[i][i] != 0:
             raise SelfLoopError(f"nonzero diagonal at node {i}")
         for j in range(i + 1, n):
             if (spec[i][j] != 0) != (spec[j][i] != 0):
                 raise NotSymmetricError(f"asymmetric entry at ({i}, {j})")
-            if spec[i][j] < 0 or spec[j][i] < 0:
-                raise NotSymmetricError(f"negative weight at ({i}, {j})")
 
     edges = tuple(
         (i, j) for i in range(n) for j in range(i + 1, n) if spec[i][j] != 0

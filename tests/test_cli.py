@@ -146,10 +146,17 @@ def _unparsable(path: Path, data: dict) -> Path:
     # a quoted 'no' is a true string, and would give each link direction a channel
     ("channels.per_direction_comm must be a boolean", _with("channels.per_direction_comm", "no")),
     ("channels.trace_file must be a string", _with("channels.trace_file", 5)),
+    ("topology.adjacency", _with("topology.adjacency", [1])),
+    ("topology.adjacency", _with("topology.adjacency", [[0, "a"], ["a", 0]])),
+    ("topology.adjacency", _with("topology.adjacency", [[0, float("nan")], [float("nan"), 0]])),
+    ("topology.adjacency", _with("topology.adjacency", [[0, float("inf")], [float("inf"), 0]])),
+    ("topology.adjacency", _with("topology.adjacency", [[0, True], [True, 0]])),
 ], ids=["missing-file", "yaml-syntax", "no-topology", "no-adjacency", "no-instances",
         "topology-list", "adjacency-null", "channels-list", "controller-list",
         "measurement-list", "overrides-list", "frequency-list", "initial-null",
-        "disturbances-number", "mgs-number", "per-direction-string", "trace-file-number"])
+        "disturbances-number", "mgs-number", "per-direction-string", "trace-file-number",
+        "adjacency-row-number", "adjacency-entry-string", "adjacency-entry-nan",
+        "adjacency-entry-inf", "adjacency-entry-bool"])
 def test_malformed_scenario_exits_2_naming_its_key(fast_scenario, tmp_path, capsys, named,
                                                    write):
     scen = write(tmp_path / "scen.yaml", yaml.safe_load(fast_scenario.read_text()))

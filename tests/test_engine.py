@@ -1,12 +1,14 @@
+from heapq import heappush
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from mgconsensus import engine
 from mgconsensus.adaptive import delay_aggregate
 from mgconsensus.attacks import ChannelSet, DosParams, DosSequence
 from mgconsensus.design import certified_params
-from mgconsensus.engine import EngineConfig, Simulation, _measurement_grid
+from mgconsensus.engine import K_ACT, EngineConfig, Simulation, _measurement_grid
 from mgconsensus.scenario import load_scenario
 from mgconsensus.topology import load_topology
 from test_engine_oracle import assert_matches_oracle, heap_push_times
@@ -122,6 +124,26 @@ def test_actuation_jam_delays_commands():
     np.testing.assert_array_equal(m.states[m.times < 0.5, 0], 0.0)
     assert m.states[-1][0] > 0.1
     assert m.converged
+
+
+@pytest.mark.parametrize("mode", ["nominal", "self-adaptive"])
+def test_actuation_attempts_due_now_skip_the_heap(mode, monkeypatch):
+    # an attempt due at its push waits in a FIFO; only a retry, delta_act after
+    # a jammed attempt, is pushed on the heap. The order of events is the
+    # heap's, as the oracle checks.
+    pushed = []
+
+    def recording(heap, item):
+        pushed.append(item)
+        heappush(heap, item)
+
+    monkeypatch.setattr(engine, "heappush", recording)
+    cs = _jam(("act", 0), 0.0, 0.5, 5.0)
+    m, _ = assert_matches_oracle(Simulation(_cfg(
+        RING4, [0.0, 2.0, 4.0, 1.0], channels=cs, mode=mode, horizon=5.0, eps_floor=0.125,
+        edge_eps=[0.125] * 8, delta_meas=0.015625, delta_act=0.015625)))
+    assert m.channel_stats["act_ok"] > 0 and m.channel_stats["act_fail"] > 10
+    assert sum(item[1] == K_ACT for item in pushed) == m.channel_stats["act_fail"]
 
 
 def test_retune_uses_delay_aggregate():
