@@ -241,8 +241,8 @@ def _fmt(value, spec: str) -> str:
 
 
 def cmd_sweep(args) -> int:
-    if not args.intensity > 0:
-        raise ConfigError(f"--intensity must be > 0, got {args.intensity!r}")
+    if not 0 < args.intensity < np.inf:
+        raise ConfigError(f"--intensity must be > 0 and finite, got {args.intensity!r}")
     if args.seeds < 1:
         raise ConfigError(f"--seeds must be >= 1, got {args.seeds}")
     scen = load_scenario(args.scenario)

@@ -33,10 +33,20 @@ horizon) without the heap:
 - offline modes: an edge's clock period eps / (2 (d_i + d_j) R) is constant,
   so its trigger times are a cumsum run and its comm health one `attacked`
   query;
-- self-adaptive mode: each edge steps its gamma recurrence alone, with no
-  node-input sum and no actuation push. Only an edge whose diff lies outside
-  the eps floor can leave the dead zone; those step first, so that the others
-  step only up to the earliest such trigger.
+- self-adaptive mode: each edge steps its gamma recurrence alone
+  (`step_adaptive`), with no node-input sum and no actuation push. Only an
+  edge whose diff lies outside the eps floor can leave the dead zone; those
+  step first, so that the others step only up to the earliest such trigger.
+  An edge steps a row at a time while its adapted command changes. Once two
+  healthy rows in a row keep command c, it steps a block of rows in numpy:
+  their times are one cumsum of c's period, their health one `attacked`
+  query and their gammas one `delay_aggregate` on arrays. A block ends at
+  the next grid point jammed for either node (before it, both stamps are the
+  grid point below t), at the stretch's end or after BLOCK rows, and is cut
+  at its first healthy row whose command is not c; that row goes back to the
+  row-at-a-time loop. Gammas are looked up once per run of equal values, in
+  time order and only up to the cut, so a new gamma is certified when the
+  row-at-a-time loop would certify it.
 
 A trigger that would leave the dead zone (a nominal edge's first healthy read
 after a jammed link, or an adapted eps that no longer covers the diff) hands
@@ -54,7 +64,7 @@ order by their previous rows' positions. Expiries go back in their runs' order.
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import deque
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
@@ -75,7 +85,7 @@ K_EXPIRY = 0
 K_ACT = 1
 K_DISTURB = 2
 
-# a stretch's rows are built, or written, this many at a time
+# a stretch's rows are built, written or stepped this many at a time
 BLOCK = 4096
 
 
@@ -352,6 +362,133 @@ def _evaluate(seg_t: np.ndarray, seg_x: np.ndarray, seg_u: np.ndarray,
     return x, slope
 
 
+class _Stamps:
+    """The measurement grid and each node's cache stamp on it: a read at t
+    sees the latest grid point <= t that is healthy for its node, or 0, which
+    reads x0 as the initial cache does."""
+
+    def __init__(self, delta: float, horizon: float, channels: Sequence[DosSequence]):
+        self.grid_np = _measurement_grid(delta, horizon)
+        self.grid = self.grid_np.tolist()
+        # per node, its jammed grid points, and each one's latest healthy one before it
+        self.bad, self.jam = [], []
+        for ch in channels:
+            attacked = ch.attacked(self.grid_np)
+            bad = np.flatnonzero(attacked)
+            before = np.maximum.accumulate(np.where(attacked, 0, np.arange(attacked.size))) \
+                if bad.size else bad
+            self.bad.append(bad)
+            self.jam.append(dict(zip(bad.tolist(), before[bad].tolist())))
+
+    def __call__(self, i: int, t: float) -> float:
+        """The stamp of node i's cache at t."""
+        k = bisect_right(self.grid, t) - 1
+        return self.grid[self.jam[i].get(k, k)]
+
+
+def step_adaptive(stamps: _Stamps, i: int, j: int, degs: tuple[int, int], link: DosSequence,
+                  cmd: tuple[float, float], diff: float, t: float, until: float,
+                  certify) -> tuple[np.ndarray, np.ndarray, np.ndarray, list, bool]:
+    """Step the gamma recurrence of edge (i, j) in a quiescent stretch, from its
+    expiry at t while t < until, under command `cmd` = (eps, rate); `certify`
+    maps a gamma to its (eps, rate). Returns its run's columns (times, then the
+    next expiry; health; command), the commands' (eps, rate), and whether it
+    stops at a trigger whose adapted eps does not cover the diff.
+
+    Rows are stepped one by one while the command changes. Once two healthy
+    rows in a row keep it, they are stepped in blocks (see the module
+    docstring); a block's rows are the floats of the one-by-one loop."""
+    attacked = link.is_attacked
+    grid, grid_np = stamps.grid, stamps.grid_np
+    jam_i, jam_j = stamps.jam[i].get, stamps.jam[j].get
+    jammed = np.sort(np.concatenate((stamps.bad[i], stamps.bad[j]))).tolist()
+    d_i, d_j = degs
+    # the distinct commands, and each one's clock period (clock_reset inside
+    # the dead zone gives it as well)
+    cmds = {cmd: 0}
+    periods = [attacked_clock_reset(cmd[0], d_i, d_j) / cmd[1]]
+    # a stretch sees few gamma values: apply the rules once per value, giving a
+    # command, or -1 where eps breaks
+    rule: dict = {}
+
+    def command(gamma):
+        c = rule.get(gamma)
+        if c is None:
+            eps_n, rate_n = certify(gamma)
+            c = rule[gamma] = -1 if deadzone_sign(diff, eps_n) else \
+                cmds.setdefault((eps_n, rate_n), len(cmds))
+            if c == len(periods):
+                periods.append(attacked_clock_reset(eps_n, d_i, d_j) / rate_n)
+        return c
+
+    def block(t, c):
+        """The rows from t under command c up to the first healthy one whose
+        command is not c, the next grid point jammed for i or j, `until`, or
+        BLOCK rows: their times and health, the next row's time, and whether
+        the command changes there. None at a grid point jammed for i or j."""
+        k = bisect_right(grid, t) - 1
+        b = bisect_left(jammed, k)
+        if b < len(jammed) and jammed[b] == k:
+            return None
+        # up to the next jammed grid point both stamps are the grid point below t
+        end = min(until, grid[jammed[b]]) if b < len(jammed) else until
+        steps = np.full(min(int((end - t) / periods[c]) + 2, BLOCK), periods[c])
+        steps[0] = t
+        times = np.cumsum(steps)
+        m = min(int(np.searchsorted(times, end)), steps.size - 1)
+        healthy = ~link.attacked(times[:m])
+        at = np.flatnonzero(healthy)
+        lag = times[at]
+        lag -= grid_np[np.searchsorted(grid_np, lag, side="right") - 1]
+        gamma = delay_aggregate(lag, lag, 0.0, d_i, d_j)
+        # a row of the gamma of the row before it has that row's command: look
+        # up the others in time order, up to the first of another command
+        stop = at.size
+        if at.size:
+            firsts = np.flatnonzero(np.concatenate(([True], gamma[1:] != gamma[:-1])))
+            for r, g in zip(firsts.tolist(), gamma[firsts].tolist()):
+                if command(g) != c:
+                    stop = r
+                    break
+        if stop < at.size:
+            m = int(at[stop])
+        return times[:m], healthy[:m], float(times[m]), stop < at.size
+
+    cols: list = []
+    ts, hs, cs = [], [], []                  # rows stepped one by one since a block
+    c = kept = 0
+    broke = False
+    while t < until:
+        if kept >= 2:
+            rows = block(t, c)
+            if rows is not None:
+                cols.append((ts, hs, cs))
+                ts, hs, cs = [], [], []
+                times, healthy, t, changes = rows
+                cols.append((times, healthy, np.full(times.size, c)))
+                if changes:
+                    kept = 0
+                continue
+        healthy = not attacked(t)
+        if healthy:
+            k = bisect_right(grid, t) - 1
+            c_new = command(delay_aggregate(t - grid[jam_i(k, k)], t - grid[jam_j(k, k)],
+                                            0.0, d_i, d_j))
+            if c_new < 0:
+                broke = True
+                break
+            kept = kept + 1 if c_new == c else 0
+            c = c_new
+        ts.append(t)
+        hs.append(healthy)
+        cs.append(c)
+        t = t + periods[c]
+    ts.append(t)
+    cols.append((ts, hs, cs))
+    return (*(np.concatenate([np.asarray(col[k], dtype=dt) for col in cols])
+              for k, dt in enumerate((float, bool, np.intp))), list(cmds), broke)
+
+
 class Simulation:
     """Single-threaded deterministic engine for one scenario instance."""
 
@@ -416,18 +553,8 @@ class Simulation:
             last_start = t
             fresh.clear()
 
-        # the measurement grid; a node's jammed grid point maps to its latest
-        # healthy one before it, or to 0, which reads x0 as the initial cache does
-        grid_np = _measurement_grid(cfg.delta_meas, horizon)
-        grid = grid_np.tolist()
-        meas_jam, meas_bad = [], []
-        for i in range(n):
-            attacked = self.meas_ch[i].attacked(grid_np)
-            bad = np.flatnonzero(attacked)
-            before = np.maximum.accumulate(np.where(attacked, 0, np.arange(grid_np.size))) \
-                if bad.size else bad
-            meas_jam.append(dict(zip(bad.tolist(), before[bad].tolist())))
-            meas_bad.append(bad)
+        stamps = _Stamps(cfg.delta_meas, horizon, self.meas_ch)
+        grid, meas_jam = stamps.grid, stamps.jam
 
         # the last read of each node holds until its next grid point: a new
         # segment starts at or after the read, so the value at its stamp is final
@@ -448,11 +575,6 @@ class Simulation:
             meas_until[i] = grid[k + 1] if k + 1 < len(grid) else np.inf
             meas_last[i] = s, seg_x[i][m] + seg_u[i][m] * (s - ts[m])
             return meas_last[i]
-
-        def stamp(i, t):
-            """The stamp of node i's cache at t, at any t."""
-            k = bisect_right(grid, t) - 1
-            return grid[meas_jam[i].get(k, k)]
 
         # per-node controller side
         pending: list[Optional[float]] = [None] * n
@@ -520,6 +642,9 @@ class Simulation:
         eps_floor = cfg.eps_floor
         resilient = self.resilient
 
+        def certify(gamma):
+            return certified_params(gamma, alpha, beta, eps_floor)
+
         def hand_back(expiries):
             """Replace the heap's expiries and stale actuation attempts by
             `expiries`, (time, edge) in the order the heap pushed them."""
@@ -529,46 +654,6 @@ class Simulation:
             for time_, e in expiries:
                 e_ver[e] += 1
                 push(time_, K_EXPIRY, e, e_ver[e])
-
-        def step_adaptive(e, diff, t, until):
-            """Step edge e's gamma recurrence from its expiry at t while t < until.
-            Returns its run's columns (times, then the next expiry; health;
-            command), the commands' (eps, rate), and whether it stops at a
-            trigger whose adapted eps does not cover the diff."""
-            attacked = self.comm_ch[e].is_attacked
-            jam_i, jam_j = meas_jam[e_i[e]].get, meas_jam[e_j[e]].get
-            d_i, d_j = degs[e_i[e]], degs[e_j[e]]
-            # the distinct commands, and each one's clock period (clock_reset
-            # inside the dead zone gives it as well)
-            cmds = {(e_eps[e], e_rate[e]): 0}
-            periods = [attacked_clock_reset(e_eps[e], d_i, d_j) / e_rate[e]]
-            # a stretch sees few gamma values: apply the rules once per value,
-            # giving a command, or -1 where eps breaks
-            rule: dict = {}
-            ts, hs, cs = [], [], []
-            add_t, add_h, add_c = ts.append, hs.append, cs.append
-            c = 0
-            while t < until:
-                healthy = not attacked(t)
-                if healthy:
-                    k = bisect_right(grid, t) - 1
-                    gamma = delay_aggregate(t - grid[jam_i(k, k)], t - grid[jam_j(k, k)],
-                                            0.0, d_i, d_j)
-                    c = rule.get(gamma)
-                    if c is None:
-                        eps_n, rate_n = certified_params(gamma, alpha, beta, eps_floor)
-                        c = rule[gamma] = -1 if deadzone_sign(diff, eps_n) else \
-                            cmds.setdefault((eps_n, rate_n), len(cmds))
-                        if c == len(periods):
-                            periods.append(attacked_clock_reset(eps_n, d_i, d_j) / rate_n)
-                    if c < 0:
-                        break
-                add_t(t)
-                add_h(healthy)
-                add_c(c)
-                t = t + periods[c]
-            add_t(t)
-            return ts, hs, cs, list(cmds), c < 0
 
         def stretch_runs(live, diffs, limit):
             """Every edge's triggers from its live expiry (time, seq) while before
@@ -580,12 +665,12 @@ class Simulation:
                 # eps never falls below the floor: only an edge whose diff is
                 # outside it can break, and those step first
                 for e in sorted(range(ne), key=lambda e: not deadzone_sign(diffs[e], eps_floor)):
-                    ts, hs, cs, params, broke = step_adaptive(e, diffs[e], live[e][0],
-                                                              min(breaks, default=limit))
+                    i, j = edges[e]
+                    *cols[e], broke = step_adaptive(
+                        stamps, i, j, (degs[i], degs[j]), self.comm_ch[e], (e_eps[e], e_rate[e]),
+                        diffs[e], live[e][0], min(breaks, default=limit), certify)
                     if broke:
-                        breaks.append(ts[-1])
-                    cols[e] = (np.array(ts), np.array(hs, dtype=bool),
-                               np.array(cs, dtype=np.intp), params)
+                        breaks.append(float(cols[e][0][-1]))
             else:
                 for e, (t0, _sq) in enumerate(live):
                     eps_k, rate_k = e_eps[e], e_rate[e]
@@ -638,12 +723,12 @@ class Simulation:
                 t_read = e_trig_t[e]
                 if read.size:
                     t_read = float(r.times[read[-1]])
-                    e_nbr_stamp[e], e_nbr_val[e] = stamp(j, t_read), x_now[j]
+                    e_nbr_stamp[e], e_nbr_val[e] = stamps(j, t_read), x_now[j]
                     e_diff[e] = r.after
                 if resilient and not r.healthy[-1]:
                     e_diff[e] = None  # the own cache is read with the link only
                 if read.size or not resilient:
-                    e_own_delay[e] = t_read - stamp(i, t_read)
+                    e_own_delay[e] = t_read - stamps(i, t_read)
                     e_nbr_delay[e] = t_read - e_nbr_stamp[e]
             ran = {r.edge for r in runs}
             order = sorted((e for e in range(ne) if e not in ran), key=lambda e: live[e][1])
@@ -761,7 +846,7 @@ class Simulation:
                     comm_ok += ok
                     comm_fail += r.healthy.size - ok
         times = _record_times(cfg.record_period, horizon)
-        n_fail = sum(bad.size for bad in meas_bad)
+        n_fail = sum(bad.size for bad in stamps.bad)
         stats = {"meas_ok": n * len(grid) - n_fail, "meas_fail": n_fail,
                  "act_ok": act_ok, "act_fail": act_fail,
                  "comm_ok": comm_ok, "comm_fail": comm_fail}

@@ -312,6 +312,7 @@ def test_out_of_range_budget_is_config_error(fast_scenario, tmp_path, capsys,
 
 @pytest.mark.parametrize("intensity,message", [
     ("0", "--intensity must be > 0"),
+    ("inf", "--intensity must be > 0 and finite"),
     # duty ratio 30/25 + 30 * 0.01/10 = 1.23 admits no persistency bound
     ("30", "channels.measurement[0] at intensity 30"),
 ])
