@@ -8,8 +8,10 @@ or droop-scaled power); both instances of a scenario are two runs sharing
 topology and attack traces.
 
 The event heap holds clock expiries, actuation attempts and disturbances; at
-equal times they resolve in that order, FIFO within a kind. Measurements and
-record samples are not events:
+equal times they resolve in that order, FIFO within a kind. An attempt due at
+the instant it is queued waits in a FIFO beside the heap (`due`), which spares
+a large graph's busiest path a heap push and pop. Measurements and record
+samples are not events:
 
 - node i measures itself on its grid 0, delta*_meas, 2 delta*_meas, ...; a
   trigger at t reads i's cache lazily as x_i at the latest healthy grid point
@@ -27,38 +29,41 @@ start, with its diff inside the dead zone (`fresh` holds those edges). Both
 change in O(1) per event: an edge joins `fresh` at a reading trigger after
 which nothing is busy, and every segment start empties it. When nothing is
 busy and every edge is fresh after a trigger, the states stay constant until
-the next disturbance, and every edge is simulated up to it (or to the
-horizon) without the heap:
+the next disturbance, and one loop (`stretch_runs`) steps every edge up to it
+(or to the horizon) without the heap. Only an edge whose diff lies outside
+the eps floor, which no eps falls below, can leave the dead zone; those step
+first, and each edge steps up to the earliest such trigger so far:
 
 - offline modes: an edge's clock period eps / (2 (d_i + d_j) R) is constant,
   so its trigger times are a cumsum run and its comm health one `attacked`
-  query;
-- self-adaptive mode: each edge steps its gamma recurrence alone
-  (`step_adaptive`), with no node-input sum and no actuation push. Only an
-  edge whose diff lies outside the eps floor can leave the dead zone; those
-  step first, so that the others step only up to the earliest such trigger.
-  An edge steps a row at a time while its adapted command changes. Once two
-  healthy rows in a row keep command c, it steps a block of rows in numpy:
-  their times are one cumsum of c's period, their health one `attacked`
-  query and their gammas one `delay_aggregate` on arrays. A block ends at
-  the next grid point jammed for either node (before it, both stamps are the
-  grid point below t), at the stretch's end or after BLOCK rows, and is cut
-  at its first healthy row whose command is not c; that row goes back to the
-  row-at-a-time loop. Gammas are looked up once per run of equal values, in
-  time order and only up to the cut, so a new gamma is certified when the
+  query, several times faster than `step_adaptive` would step them;
+- self-adaptive mode: `step_adaptive` steps an edge's gamma recurrence, with
+  no node-input sum and no actuation push, a row at a time while its adapted
+  command changes. Once two healthy rows in a row keep command c, it steps a
+  block of rows in numpy: their times are one cumsum of c's period, their
+  health one `attacked` query and their gammas one `delay_aggregate` on
+  arrays. A block ends at the next grid point jammed for either node (up to
+  it, both stamps are the grid point below t, and the stop bounds the gammas
+  computed past the cut), at the stretch's end or after BLOCK rows, and is
+  cut at its first healthy row whose command is not c; that row goes back to
+  the row-at-a-time loop. Gammas are looked up once per run of equal values,
+  in time order and only up to the cut, so a new gamma is certified when the
   row-at-a-time loop would certify it.
 
 A trigger that would leave the dead zone (a nominal edge's first healthy read
 after a jammed link, or an adapted eps that no longer covers the diff) hands
 every edge back to the event heap at that instant. `trigger_log` keeps each
 stretch as per-edge runs plus their heap order, and builds its rows only when
-they are read. The heap pops a stretch's rows by (time, key): a run's first row
-is keyed by its q, ahead of every later row, keyed by the position of its run's
-previous row. One sort by (time, previous row's time, q) gives that order but
-within a tie, rows at one time whose previous rows share a time. A tie whose
-previous rows are exactly one tie keeps that tie's order: a row takes the rank
-of its run's latest row outside such ties. The few other ties are sorted in time
-order by their previous rows' positions. Expiries go back in their runs' order.
+they are read. That order, ties included, decides which edges join a node's
+pending commands, so what `closed_commands` records and what a failed
+actuation re-tunes. The heap pops a stretch's rows by (time, key): a run's
+first row is keyed by its q, ahead of every later row, keyed by the position
+of its run's previous row. One sort by (time, previous row's time, q) gives
+that order but within a tie, rows at one time whose previous rows share a
+time. A tie whose previous rows are exactly one tie keeps that tie's order: a
+row takes the rank of its run's latest row outside such ties. The few other
+ties are sorted in time order by their previous rows' positions. Expiries go
+back in their runs' order.
 """
 
 from __future__ import annotations
@@ -253,26 +258,6 @@ class TriggerLog:
             else:
                 yield part.table()
 
-    def edge_columns(self) -> dict:
-        """Per edge, its trigger times and dwell floors in order; stretches are
-        read run by run, from their distinct rows (`_Run.tails`)."""
-        cols: dict = {}
-        for part in self.parts:
-            if isinstance(part, list):
-                groups: dict = {}
-                for row in part:
-                    ts, fs = groups.setdefault(row[1], ([], []))
-                    ts.append(row[0])
-                    fs.append(row[8])
-                runs = [(e, np.array(ts), np.array(fs)) for e, (ts, fs) in groups.items()]
-            else:
-                runs = [(r.edge, r.times, np.array([tail[7] for tail in tails])[codes])
-                        for r in part.runs for codes, tails in [r.tails()]]
-            for e, ts, fs in runs:
-                cols.setdefault(e, []).append((ts, fs))
-        return {e: (np.concatenate([ts for ts, _ in c]), np.concatenate([fs for _, fs in c]))
-                for e, c in cols.items()}
-
 
 @dataclass
 class RunMetrics:
@@ -295,15 +280,21 @@ class RunMetrics:
         """Smallest (observed gap - guaranteed floor) over all edges. A gap's
         floor is that of the last command set on the edge before it: its
         trigger row's, or that of a later re-tune of the same command."""
-        cols = self.trigger_log.edge_columns()
+        edges, times, floors = [np.zeros(0, np.intp)], [np.zeros(0)], [np.zeros(0)]
+        for tails, blocks in self.trigger_log.tables():
+            edge, floor_ = np.array([r[0] for r in tails]), np.array([r[7] for r in tails])
+            for ts, codes in blocks:
+                edges.append(edge[codes])
+                times.append(ts)
+                floors.append(floor_[codes])
+        # the log is in time order, and a stable sort by edge keeps each edge's rows in it
+        order = np.argsort(np.concatenate(edges), kind="stable")
+        edge, times, floors = (np.concatenate(c)[order] for c in (edges, times, floors))
         for e, t, floor_ in self.retunes:
-            times, floors = cols[e]
-            floors[np.searchsorted(times, t)] = floor_
-        margin = np.inf
-        for times, floors in cols.values():
-            if times.size > 1:
-                margin = min(margin, float(np.min(np.diff(times) - floors[:-1])))
-        return float(margin)
+            a, b = np.searchsorted(edge, [e, e + 1])
+            floors[a + np.searchsorted(times[a:b], t)] = floor_
+        gaps = (np.diff(times) - floors[:-1])[edge[1:] == edge[:-1]]
+        return float(np.min(gaps, initial=np.inf))
 
 
 def _entry_time(times: np.ndarray, spread: np.ndarray,
@@ -319,17 +310,19 @@ def _entry_time(times: np.ndarray, spread: np.ndarray,
     return float(times[above[-1] + 1]), True
 
 
-def _cumsum_run(t0: float, step: float, limit: float) -> np.ndarray:
-    """t0, t0 + step, ... while before `limit`, then the first point past it.
-    Each point is the previous one plus step: np.cumsum adds in order, so
-    these are the floats of a loop that repeats t += step."""
+def _cumsum_run(t0: float, step: float, limit: float, cap: float = np.inf) -> np.ndarray:
+    """t0, t0 + step, ... while before `limit`, then the first point past it,
+    or the first `cap` points if that is fewer. Each point is the previous one
+    plus step: np.cumsum adds in order, so these are the floats of a loop that
+    repeats t += step."""
     count = max(int((limit - t0) / step), 0) + 2
     while True:
+        count = min(count, cap)
         steps = np.full(count, step)
         steps[0] = t0
         run = np.cumsum(steps)
         k = int(np.searchsorted(run, limit, side="left"))
-        if k < count:
+        if k < count or count == cap:
             return run[: k + 1]
         count *= 2
 
@@ -370,14 +363,13 @@ class _Stamps:
     def __init__(self, delta: float, horizon: float, channels: Sequence[DosSequence]):
         self.grid_np = _measurement_grid(delta, horizon)
         self.grid = self.grid_np.tolist()
-        # per node, its jammed grid points, and each one's latest healthy one before it
-        self.bad, self.jam = [], []
+        # per node, its jammed grid points, each mapped to its latest healthy one before it
+        self.jam = []
         for ch in channels:
             attacked = ch.attacked(self.grid_np)
             bad = np.flatnonzero(attacked)
             before = np.maximum.accumulate(np.where(attacked, 0, np.arange(attacked.size))) \
                 if bad.size else bad
-            self.bad.append(bad)
             self.jam.append(dict(zip(bad.tolist(), before[bad].tolist())))
 
     def __call__(self, i: int, t: float) -> float:
@@ -401,7 +393,7 @@ def step_adaptive(stamps: _Stamps, i: int, j: int, degs: tuple[int, int], link: 
     attacked = link.is_attacked
     grid, grid_np = stamps.grid, stamps.grid_np
     jam_i, jam_j = stamps.jam[i].get, stamps.jam[j].get
-    jammed = np.sort(np.concatenate((stamps.bad[i], stamps.bad[j]))).tolist()
+    jammed = sorted(stamps.jam[i].keys() | stamps.jam[j].keys())
     d_i, d_j = degs
     # the distinct commands, and each one's clock period (clock_reset inside
     # the dead zone gives it as well)
@@ -432,10 +424,8 @@ def step_adaptive(stamps: _Stamps, i: int, j: int, degs: tuple[int, int], link: 
             return None
         # up to the next jammed grid point both stamps are the grid point below t
         end = min(until, grid[jammed[b]]) if b < len(jammed) else until
-        steps = np.full(min(int((end - t) / periods[c]) + 2, BLOCK), periods[c])
-        steps[0] = t
-        times = np.cumsum(steps)
-        m = min(int(np.searchsorted(times, end)), steps.size - 1)
+        times = _cumsum_run(t, periods[c], end, BLOCK)
+        m = times.size - 1
         healthy = ~link.attacked(times[:m])
         at = np.flatnonzero(healthy)
         lag = times[at]
@@ -660,28 +650,26 @@ class Simulation:
             `limit`, cut before the first one that would leave the dead zone.
             Returns the runs of the edges with rows, each edge's next expiry and
             the cut."""
-            cols, breaks = [None] * ne, []
-            if adaptive:
-                # eps never falls below the floor: only an edge whose diff is
-                # outside it can break, and those step first
-                for e in sorted(range(ne), key=lambda e: not deadzone_sign(diffs[e], eps_floor)):
-                    i, j = edges[e]
-                    *cols[e], broke = step_adaptive(
-                        stamps, i, j, (degs[i], degs[j]), self.comm_ch[e], (e_eps[e], e_rate[e]),
-                        diffs[e], live[e][0], min(breaks, default=limit), certify)
-                    if broke:
-                        breaks.append(float(cols[e][0][-1]))
-            else:
-                for e, (t0, _sq) in enumerate(live):
-                    eps_k, rate_k = e_eps[e], e_rate[e]
-                    # clock_reset inside the dead zone gives this float as well
-                    theta = attacked_clock_reset(eps_k, degs[e_i[e]], degs[e_j[e]])
-                    times = _cumsum_run(t0, theta / rate_k, limit)
-                    healthy = ~self.comm_ch[e].attacked(times[:-1])
-                    if deadzone_sign(diffs[e], eps_k) and healthy.any():
-                        breaks.append(times[int(np.argmax(healthy))])
-                    cols[e] = (times, healthy, np.zeros(healthy.size, dtype=np.intp),
-                               [(eps_k, rate_k)])
+            cols, breaks, comm = [None] * ne, [], self.comm_ch
+            # the edges that can break step first, each up to the earliest break so far
+            for e in sorted(range(ne), key=lambda e: not deadzone_sign(diffs[e], eps_floor)):
+                i, j = edges[e]
+                cmd, until = (e_eps[e], e_rate[e]), min(breaks, default=limit)
+                if adaptive:
+                    *cols[e], broke = step_adaptive(stamps, i, j, (degs[i], degs[j]), comm[e], cmd,
+                                                    diffs[e], live[e][0], until, certify)
+                else:
+                    # clock_reset inside the dead zone gives this period as well
+                    period = attacked_clock_reset(cmd[0], degs[i], degs[j]) / cmd[1]
+                    times = _cumsum_run(live[e][0], period, until)
+                    healthy = ~comm[e].attacked(times[:-1])
+                    # an edge whose diff is outside its dead zone breaks at its first healthy read
+                    broke = deadzone_sign(diffs[e], cmd[0]) != 0 and healthy.any()
+                    k = int(np.argmax(healthy)) if broke else healthy.size
+                    times, healthy = times[:k + 1], healthy[:k]
+                    cols[e] = times, healthy, np.zeros(healthy.size, dtype=np.intp), [cmd]
+                if broke:
+                    breaks.append(float(cols[e][0][-1]))
             cut = min(breaks, default=limit)
             q = np.argsort(np.argsort([sq for _t, sq in live]))
             runs, nxt = [], []
@@ -697,6 +685,7 @@ class Simulation:
         def fast_forward(t_now):
             """Run a quiescent stretch from a trigger at t_now and log it, with a
             new list for the heap's rows after it; False at the horizon."""
+            nonlocal comm_ok, comm_fail
             live = [None] * ne
             disturb = []
             for time_, kind, sq, a, b in heap:
@@ -710,6 +699,8 @@ class Simulation:
             diffs = [x_now[j] - x_now[i] for i, j in edges]
             runs, nxt, cut = stretch_runs(live, diffs, limit)
             stretch = _Stretch(runs)
+            ok = sum(int(np.count_nonzero(r.healthy)) for r in runs)
+            comm_ok, comm_fail = comm_ok + ok, comm_fail + stretch.size - ok
             if runs:
                 log_parts.extend((stretch, []))
             if cut == limit and not disturb:
@@ -839,14 +830,8 @@ class Simulation:
             else:  # K_DISTURB
                 new_segment(a, t, seg_u[a][-1], b)
 
-        for part in log_parts:  # the stretches' comm attempts
-            if isinstance(part, _Stretch):
-                for r in part.runs:
-                    ok = int(np.count_nonzero(r.healthy))
-                    comm_ok += ok
-                    comm_fail += r.healthy.size - ok
         times = _record_times(cfg.record_period, horizon)
-        n_fail = sum(bad.size for bad in stamps.bad)
+        n_fail = sum(map(len, meas_jam))
         stats = {"meas_ok": n * len(grid) - n_fail, "meas_fail": n_fail,
                  "act_ok": act_ok, "act_fail": act_fail,
                  "comm_ok": comm_ok, "comm_fail": comm_fail}

@@ -443,6 +443,33 @@ def test_stretch_from_stale_neighbour_value_breaks_at_healthy_read(monkeypatch):
     assert healed[3] == -1.125 and healed[4] == -1
 
 
+@pytest.mark.parametrize("ends", [(4.0, 5.0), (5.0, 4.0)],
+                         ids=["pair-01-heals-first", "pair-23-heals-first"])
+def test_offline_stretch_is_cut_at_the_earlier_of_two_breaks(ends, monkeypatch):
+    # two copies of the pair above, nodes 0-1 and 2-3, joined by the link 0-2,
+    # whose diff stays 0: both pairs go quiet on stale values together, and
+    # one stretch holds both pairs' first healthy reads, which break at
+    # different instants. The edges of both pairs step before the link's, in
+    # index order, so in one case the later break is found first
+    topo = load_topology([[0, 1, 1, 0], [1, 0, 0, 0], [1, 0, 0, 1], [0, 0, 1, 0]])
+    keys = [("comm", 0, 1), ("comm", 2, 3)]
+    cs = ChannelSet({k: DosSequence(((0.5, end),), 8.0) for k, end in zip(keys, ends)},
+                    {k: DosParams(1.0, 4.5, 1.0, 1e9, 0.0625) for k in keys})
+    cfg = _pair_cfg(topology=topo, x0=[0.0, 3.0, 0.0, 3.0], eps_floor=1.0, edge_eps=[1.0] * 6,
+                    edge_rate=[1.0] * 6, phi_act=[0.0] * 4, delta_meas=0.0625,
+                    delta_act=0.0625, horizon=8.0, record_period=0.25, eps_reference=1.0,
+                    channels=cs)
+    pushes = heap_push_times(monkeypatch)
+    m, _ = assert_matches_oracle(Simulation(cfg))
+    first, last = sorted(ends)
+    assert not [p for p in pushes if 2.6 < p < first]
+    acting = [(row[0], m.directed_edges[row[1]]) for row in m.trigger_log
+              if row[0] > 3.0 and row[4]]
+    healed = [sorted(e for t, e in acting if end < t < end + 0.0625) for end in ends]
+    assert healed == [[(0, 1), (1, 0)], [(2, 3), (3, 2)]]
+    assert first < acting[0][0] < first + 0.0625
+
+
 def test_self_adaptive_stretch_breaks_edge_by_edge_at_one_gamma(monkeypatch):
     # every node's measurement is jammed on [0.125, 3): the ring's eight edges
     # trigger together on the t = 0 stamps, gamma grows, and every diff (1 on

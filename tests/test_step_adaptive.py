@@ -4,7 +4,8 @@
 its adapted command changes, and in numpy blocks once two healthy rows in a
 row keep it. `_step_rows`, the loop that stepped every row, is the reference:
 both must give the same columns, commands and break, and call `certify` on
-the same gammas in the same order.
+the same gammas in the same order. The reference walks each cache stamp back
+from the measurement channels, so a wrong jam map in `_Stamps` shows.
 
 The synthetic edges run on a dyadic grid with dyadic periods, so gammas
 recur exactly and a known gamma can map to another command inside a block.
@@ -33,11 +34,27 @@ HORIZON = 32.0
 DELTA = 0.125
 
 
+class _ChannelStamps(_Stamps):
+    """`_Stamps` that keeps its nodes' measurement channels, so that the
+    reference derives each stamp from them, not from the engine's jam maps."""
+
+    def __init__(self, delta, horizon, channels):
+        super().__init__(delta, horizon, channels)
+        self.channels = list(channels)
+
+
 def _step_rows(stamps, i, j, degs, link, cmd, diff, t, until, certify):
     """`step_adaptive` one row at a time."""
     attacked = link.is_attacked
-    grid, jam_i, jam_j = stamps.grid, stamps.jam[i].get, stamps.jam[j].get
+    grid = stamps.grid
     d_i, d_j = degs
+
+    def stamp(node, k):
+        """The latest grid point <= grid[k] healthy for node, or 0."""
+        while k and stamps.channels[node].is_attacked(grid[k]):
+            k -= 1
+        return grid[k]
+
     cmds = {cmd: 0}
     periods = [attacked_clock_reset(cmd[0], d_i, d_j) / cmd[1]]
     rule: dict = {}
@@ -47,8 +64,7 @@ def _step_rows(stamps, i, j, degs, link, cmd, diff, t, until, certify):
         healthy = not attacked(t)
         if healthy:
             k = bisect_right(grid, t) - 1
-            gamma = delay_aggregate(t - grid[jam_i(k, k)], t - grid[jam_j(k, k)],
-                                    0.0, d_i, d_j)
+            gamma = delay_aggregate(t - stamp(i, k), t - stamp(j, k), 0.0, d_i, d_j)
             c = rule.get(gamma)
             if c is None:
                 eps_n, rate_n = certify(gamma)
@@ -131,7 +147,7 @@ def _edges(draw):
     meas_i = draw(_windows(DELTA / 2, 4, 12))
     meas_j = draw(_windows(DELTA / 4, 4, 12))
     link = draw(_windows(1 / 64, 6, 160))
-    stamps = _Stamps(DELTA, HORIZON, [_seq(meas_i), _seq(meas_j)])
+    stamps = _ChannelStamps(DELTA, HORIZON, [_seq(meas_i), _seq(meas_j)])
     cmds = draw(st.permutations(DYADIC))
     if draw(st.booleans()):
         cmds = [c for c in cmds if c != (0.25, 1.0)]  # no command breaks
@@ -161,7 +177,7 @@ def test_capped_blocks_match_the_rows(edge):
 
 def _edge(meas_i=(), meas_j=(), link=(), cmds=((0.5, 1.0),), diff=0.3, t0=0.0,
           until=HORIZON, certify=None):
-    stamps = _Stamps(DELTA, HORIZON, [_seq(meas_i), _seq(meas_j)])
+    stamps = _ChannelStamps(DELTA, HORIZON, [_seq(meas_i), _seq(meas_j)])
     return (stamps, 0, 1, (1, 1), _seq(link), cmds[0], diff, t0, until,
             certify or (lambda gamma: cmds[0]))
 
@@ -234,6 +250,7 @@ def test_bundled_stretches_match_the_rows(seed, name, monkeypatch):
         calls.append(args)
         return step_adaptive(*args)
     monkeypatch.setattr(engine, "step_adaptive", step)
+    monkeypatch.setattr(engine, "_Stamps", _ChannelStamps)
     Simulation(s.engine_config(name, s.build_channels())).run()
     assert sum(_step_rows(*args)[1].size for args in calls) > 10_000
     for args in calls:
