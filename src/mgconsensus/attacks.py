@@ -103,12 +103,16 @@ class DosSequence:
         object.__setattr__(self, "starts", tuple(s for s, _ in self.intervals))
         object.__setattr__(self, "ends", tuple(e for _, e in self.intervals))
 
-    def is_attacked(self, t: float) -> bool:
+    def health(self, t: float) -> tuple[bool, float]:
+        """Whether t lies outside every window, and the next window boundary
+        after t (inf after the last one): the answer holds up to it."""
         idx = bisect_right(self.starts, t) - 1
-        return idx >= 0 and t < self.ends[idx]
+        if idx >= 0 and t < self.ends[idx]:
+            return False, self.ends[idx]
+        return True, self.starts[idx + 1] if idx + 1 < len(self.starts) else math.inf
 
     def attacked(self, times) -> np.ndarray:
-        """`is_attacked` at every point of `times`, in one searchsorted."""
+        """Whether each point of `times` is attacked (see `health`), in one searchsorted."""
         times = np.asarray(times, dtype=np.float64)
         if not self.intervals:
             return np.zeros(times.shape, dtype=bool)

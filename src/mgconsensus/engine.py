@@ -64,6 +64,15 @@ time. A tie whose previous rows are exactly one tie keeps that tie's order: a
 row takes the rank of its run's latest row outside such ties. The few other
 ties are sorted in time order by their previous rows' positions. Expiries go
 back in their runs' order.
+
+Link pairs. When an expiry pops and its reverse edge's live expiry is next at
+the same t, one pass fires both. No segment starts between them, so the second
+reuses the first's reads, its health on one comm channel, and when both are
+healthy gamma = d_i (t - s_i) + d_j (t - s_j) (one sum either way), its (eps,
+R), and as |-diff| = |diff| its theta and dwell floor. Equal next expiries go
+back as one link entry under the first's seq: nothing else is pushed between
+them, so pops keep their order. A jammed direction, per-edge eps or a re-tune
+(a stale version in the entry) splits a pair; none straddles a stretch's start.
 """
 
 from __future__ import annotations
@@ -171,9 +180,9 @@ class _Stretch:
     def __len__(self) -> int:
         return self.size
 
-    def table(self) -> tuple[list, Iterator]:
+    def table(self, ordered: bool = True) -> tuple[list, Iterator]:
         """The distinct rows after their time (see `_Run.tails`), and the rows in
-        heap order as blocks of (times, indices into those), BLOCK rows each."""
+        heap order, or run by run, as blocks of (times, indices into those)."""
         times, codes, tails = [], [], []
         for r in self.runs:
             c, t = r.tails()
@@ -181,7 +190,7 @@ class _Stretch:
             tails += t
             times.append(r.times)
         times, codes = np.concatenate(times), np.concatenate(codes)
-        order = self._merge()[0]
+        order = self._merge()[0] if ordered else np.arange(times.size)
         blocks = ((times[k], codes[k]) for k in (order[a:a + BLOCK]
                                                  for a in range(0, order.size, BLOCK)))
         return tails, blocks
@@ -247,16 +256,16 @@ class TriggerLog:
                 yield from map(tuple.__add__, zip(times.tolist()),
                                map(tails.__getitem__, codes.tolist()))
 
-    def tables(self) -> Iterator[tuple]:
-        """Per part, rows after their time and the part's rows in event order
-        as blocks of (times, indices into those): a stretch's distinct rows and
-        blocks (see `_Stretch.table`), or a heap list's own rows in one block."""
+    def tables(self, ordered: bool = True) -> Iterator[tuple]:
+        """Per part, rows after their time and the part's rows in event order (a
+        stretch's run by run unless `ordered`) as blocks of (times, indices into
+        those): see `_Stretch.table`, or a heap list's own rows in one block."""
         for part in self.parts:
             if isinstance(part, list):
                 times = np.array([row[0] for row in part], dtype=float)
                 yield [row[1:] for row in part], [(times, np.arange(len(part)))]
             else:
-                yield part.table()
+                yield part.table(ordered)
 
 
 @dataclass
@@ -280,20 +289,18 @@ class RunMetrics:
         """Smallest (observed gap - guaranteed floor) over all edges. A gap's
         floor is that of the last command set on the edge before it: its
         trigger row's, or that of a later re-tune of the same command."""
-        edges, times, floors = [np.zeros(0, np.intp)], [np.zeros(0)], [np.zeros(0)]
-        for tails, blocks in self.trigger_log.tables():
+        parts = [np.zeros((0, 3))]
+        for tails, blocks in self.trigger_log.tables(ordered=False):
             edge, floor_ = np.array([r[0] for r in tails]), np.array([r[7] for r in tails])
-            for ts, codes in blocks:
-                edges.append(edge[codes])
-                times.append(ts)
-                floors.append(floor_[codes])
-        # the log is in time order, and a stable sort by edge keeps each edge's rows in it
-        order = np.argsort(np.concatenate(edges), kind="stable")
-        edge, times, floors = (np.concatenate(c)[order] for c in (edges, times, floors))
-        for e, t, floor_ in self.retunes:
-            a, b = np.searchsorted(edge, [e, e + 1])
-            floors[a + np.searchsorted(times[a:b], t)] = floor_
-        gaps = (np.diff(times) - floors[:-1])[edge[1:] == edge[:-1]]
+            parts += [np.column_stack((edge[k], ts, floor_[k])) for ts, k in blocks]
+        # the re-tunes go last, so a stable sort by (edge, time) puts each one
+        # after its trigger row and the earlier re-tunes of that row
+        parts.append(np.array(self.retunes).reshape(-1, 3))
+        edge, times, floors = np.concatenate(parts).T
+        order = np.argsort(edge + 1j * times, kind="stable")
+        retune = order >= edge.size - len(self.retunes)
+        edge, times, floors = edge[order], times[order], floors[order]
+        gaps = (np.diff(times) - floors[:-1])[(edge[1:] == edge[:-1]) & ~retune[1:]]
         return float(np.min(gaps, initial=np.inf))
 
 
@@ -390,7 +397,7 @@ def step_adaptive(stamps: _Stamps, i: int, j: int, degs: tuple[int, int], link: 
     Rows are stepped one by one while the command changes. Once two healthy
     rows in a row keep it, they are stepped in blocks (see the module
     docstring); a block's rows are the floats of the one-by-one loop."""
-    attacked = link.is_attacked
+    health = link.health
     grid, grid_np = stamps.grid, stamps.grid_np
     jam_i, jam_j = stamps.jam[i].get, stamps.jam[j].get
     jammed = sorted(stamps.jam[i].keys() | stamps.jam[j].keys())
@@ -459,7 +466,7 @@ def step_adaptive(stamps: _Stamps, i: int, j: int, degs: tuple[int, int], link: 
                 if changes:
                     kept = 0
                 continue
-        healthy = not attacked(t)
+        healthy = health(t)[0]
         if healthy:
             k = bisect_right(grid, t) - 1
             c_new = command(delay_aggregate(t - grid[jam_i(k, k)], t - grid[jam_j(k, k)],
@@ -584,28 +591,25 @@ class Simulation:
         e_nbr_val = [seg_x[b][0] for b in e_j]
         e_nbr_stamp = [0.0] * ne
         e_ver = [0] * ne
+        rev = [self.edge_index[(j, i)] for i, j in edges]
+        one_comm = [self.comm_ch[e] is self.comm_ch[rev[e]] for e in range(ne)]
+        # (healthy, until when) of each edge's comm channel, then each node's actuation one
+        health = [(True, -1.0)] * (ne + n)
         phi_act = cfg.phi_act
         delta_act = cfg.delta_act
         adaptive = self.adaptive
         # edges with a nonzero input + nodes with a nonzero input + pending nodes
         busy = 0
 
-        def set_command(e, i, j, diff, eps_k, rate_k):
-            """Apply the ternary rule to edge e; diff None means the link is jammed."""
+        def set_command(e, i, u, theta, eps_k, rate_k):
+            """Give edge e, out of node i, the ternary input u and clock theta."""
             nonlocal busy
-            if diff is None:
-                u = 0
-                theta = attacked_clock_reset(eps_k, degs[i], degs[j])
-            else:
-                u = deadzone_sign(diff, eps_k)
-                theta = clock_reset(diff, eps_k, degs[i], degs[j])
             e_eps[e] = eps_k
             e_rate[e] = rate_k
-            ueff = scaled_input(u, theta, rate_k, phi_act[i]) if adaptive else float(u)
+            ueff = scaled_input(u, theta, rate_k, phi_act[i]) if adaptive and u else float(u)
             busy += (ueff != 0.0) - (e_ueff[e] != 0.0)
             e_ueff[e] = ueff
             e_ver[e] += 1
-            return u, theta
 
         heap: list = []
         due: deque = deque()  # actuation attempts due at their push: keys only rise
@@ -626,7 +630,7 @@ class Simulation:
         log_rows = log_parts[-1]
         closed: list = []
         retunes: list = []
-        act_ok = act_fail = comm_ok = comm_fail = 0
+        act_ok = act_fail = comm_ok = 0  # a trigger row is one comm attempt
 
         alpha, beta = cfg.alpha, cfg.beta
         eps_floor = cfg.eps_floor
@@ -634,16 +638,6 @@ class Simulation:
 
         def certify(gamma):
             return certified_params(gamma, alpha, beta, eps_floor)
-
-        def hand_back(expiries):
-            """Replace the heap's expiries and stale actuation attempts by
-            `expiries`, (time, edge) in the order the heap pushed them."""
-            heap[:] = [ev for ev in heap if ev[1] == K_DISTURB]
-            heapify(heap)
-            due.clear()
-            for time_, e in expiries:
-                e_ver[e] += 1
-                push(time_, K_EXPIRY, e, e_ver[e])
 
         def stretch_runs(live, diffs, limit):
             """Every edge's triggers from its live expiry (time, seq) while before
@@ -685,12 +679,14 @@ class Simulation:
         def fast_forward(t_now):
             """Run a quiescent stretch from a trigger at t_now and log it, with a
             new list for the heap's rows after it; False at the horizon."""
-            nonlocal comm_ok, comm_fail
+            nonlocal comm_ok
             live = [None] * ne
             disturb = []
             for time_, kind, sq, a, b in heap:
-                if kind == K_EXPIRY and b == e_ver[a]:
-                    live[a] = (time_, sq)
+                if kind == K_EXPIRY:  # a link entry: its second direction right after its first
+                    for k, (e, v) in enumerate(zip((a, rev[a]), b if type(b) is tuple else [b])):
+                        if v == e_ver[e]:
+                            live[e] = (time_, sq + 0.5 * k)
                 elif kind == K_DISTURB:
                     disturb.append(time_)
             limit = min(disturb) if disturb else nextafter(horizon + 1e-12, np.inf)
@@ -699,8 +695,7 @@ class Simulation:
             diffs = [x_now[j] - x_now[i] for i, j in edges]
             runs, nxt, cut = stretch_runs(live, diffs, limit)
             stretch = _Stretch(runs)
-            ok = sum(int(np.count_nonzero(r.healthy)) for r in runs)
-            comm_ok, comm_fail = comm_ok + ok, comm_fail + stretch.size - ok
+            comm_ok += sum(int(np.count_nonzero(r.healthy)) for r in runs)
             if runs:
                 log_parts.extend((stretch, []))
             if cut == limit and not disturb:
@@ -724,78 +719,127 @@ class Simulation:
             ran = {r.edge for r in runs}
             order = sorted((e for e in range(ne) if e not in ran), key=lambda e: live[e][1])
             order += [runs[k].edge for k in (stretch._merge()[1] if runs else ())]
-            hand_back([(nxt[e], e) for e in order])
+            # the heap keeps its disturbances and takes the expiries in that order
+            heap[:] = [ev for ev in heap if ev[1] == K_DISTURB]
+            heapify(heap)
+            due.clear()
+            for e in order:
+                e_ver[e] += 1
+                push(nxt[e], K_EXPIRY, e, e_ver[e])
             return True
 
         while heap:
-            t, kind, _sq, a, b = due.popleft() if due and due[0] < heap[0] else heappop(heap)
+            t, kind, sq, a, b = due.popleft() if due and due[0] < heap[0] else heappop(heap)
             if t > horizon + 1e-12:
                 break
 
             if kind == K_EXPIRY:
-                e, ver = a, b
-                if ver != e_ver[e]:
+                # a link entry fires both directions, and a lone expiry takes its
+                # reverse along when that is next on the heap at t
+                e, r, pair = a, rev[a], False
+                if b.__class__ is tuple:
+                    b, ver_r = b
+                    pair = ver_r == e_ver[r]
+                    if b != e_ver[e]:
+                        e, b, pair = r, ver_r, False
+                elif b == e_ver[e]:
+                    top = heap[0]
+                    pair = top[0] == t and top[1] == K_EXPIRY and top[3] == r and \
+                        top[4] == e_ver[r]
+                    if pair:
+                        heappop(heap)
+                if b != e_ver[e]:
                     continue
-                i, j = e_i[e], e_j[e]
-                comm_h = not self.comm_ch[e].is_attacked(t)
-                if comm_h:
-                    comm_ok += 1
-                else:
-                    comm_fail += 1
-                e_trig_t[e] = t
-                if comm_h or not resilient:
-                    own_stamp, own_val = measured(i, t)
-                    if comm_h:
-                        e_nbr_stamp[e], e_nbr_val[e] = measured(j, t)
-                    diff = e_nbr_val[e] - own_val
-                    own_delay = t - own_stamp
-                    nbr_delay = t - e_nbr_stamp[e]
-                    if adaptive and comm_h:
-                        gamma = delay_aggregate(own_delay, nbr_delay, 0.0, degs[i], degs[j])
-                        eps_k, rate_k = certified_params(gamma, alpha, beta, eps_floor)
+                nxt = ended = None
+                for e in (e, r) if pair else (e,):
+                    i, j = e_i[e], e_j[e]
+                    # a pair's second reuses the first's health on a shared channel, and
+                    # its reads, gamma and command where both are healthy
+                    reuse = nxt is not None and comm_h
+                    if nxt is None or not one_comm[e]:
+                        comm_h, until = health[e]
+                        if t >= until:
+                            comm_h, until = health[e] = self.comm_ch[e].health(t)
+                        reuse = reuse and comm_h
+                    comm_ok += comm_h
+                    e_trig_t[e] = t
+                    if comm_h or not resilient:
+                        if reuse:
+                            own_stamp, own_val, nbr_stamp, nbr_val = \
+                                nbr_stamp, nbr_val, own_stamp, own_val
+                        else:
+                            own_stamp, own_val = measured(i, t)
+                            nbr_stamp, nbr_val = measured(j, t) if comm_h else \
+                                (e_nbr_stamp[e], e_nbr_val[e])
+                        e_nbr_stamp[e], e_nbr_val[e] = nbr_stamp, nbr_val
+                        diff = nbr_val - own_val
+                        e_own_delay[e] = own_delay = t - own_stamp
+                        e_nbr_delay[e] = nbr_delay = t - nbr_stamp
+                        if not (reuse and adaptive):  # else one gamma, command and |diff|
+                            if adaptive and comm_h:
+                                gamma = delay_aggregate(own_delay, nbr_delay, 0.0, degs[i], degs[j])
+                                eps_k, rate_k = certified_params(gamma, alpha, beta, eps_floor)
+                            else:
+                                eps_k, rate_k = cfg.edge_eps[e], cfg.edge_rate[e]
+                            theta = clock_reset(diff, eps_k, degs[i], degs[j])
+                            floor = dwell_time_floor(eps_k, rate_k, degs[i], degs[j])
+                        u = deadzone_sign(diff, eps_k)
                     else:
-                        eps_k, rate_k = cfg.edge_eps[e], cfg.edge_rate[e]
-                    e_own_delay[e] = own_delay
-                    e_nbr_delay[e] = nbr_delay
-                else:
-                    diff = None
-                    eps_k, rate_k = e_eps[e], e_rate[e]
-                e_diff[e] = diff
-                u, theta = set_command(e, i, j, diff, eps_k, rate_k)
-                push(t + theta / rate_k, K_EXPIRY, e, e_ver[e])
-                log_rows.append(
-                    (t, e, comm_h, diff, u, theta, eps_k, rate_k,
-                     dwell_time_floor(eps_k, rate_k, degs[i], degs[j]))
-                )
+                        diff, u = None, 0
+                        eps_k, rate_k = e_eps[e], e_rate[e]
+                        theta = attacked_clock_reset(eps_k, degs[i], degs[j])
+                        floor = dwell_time_floor(eps_k, rate_k, degs[i], degs[j])
+                    e_diff[e] = diff
+                    set_command(e, i, u, theta, eps_k, rate_k)
+                    # a pair's first push waits for the second's: one link entry if they agree
+                    t_next = t + theta / rate_k
+                    if nxt is None:
+                        nxt, first = t_next, (seq, e, e_ver[e])
+                        seq += 1
+                    elif t_next == nxt:
+                        first = (*first[:2], (first[2], e_ver[e]))
+                    else:
+                        push(t_next, K_EXPIRY, e, e_ver[e])
+                    if not pair or e == r:
+                        heappush(heap, (nxt, K_EXPIRY, *first))
+                    log_rows.append((t, e, comm_h, diff, u, theta, eps_k, rate_k, floor))
 
-                new_sum = 0.0
-                for oe in self.out_edges[i]:
-                    new_sum += e_ueff[oe]
-                if pending[i] is not None or new_sum != seg_u[i][-1]:
-                    if pending[i] is None:
-                        busy += 1
-                    pending[i] = new_sum
-                    if e not in pend_edges[i]:
-                        pend_edges[i].append(e)
-                    act_ver[i] += 1
-                    due.append((t, K_ACT, seq, i, act_ver[i]))
-                    seq += 1
+                    new_sum = 0.0
+                    for oe in self.out_edges[i]:
+                        new_sum += e_ueff[oe]
+                    if pending[i] is not None or new_sum != seg_u[i][-1]:
+                        if pending[i] is None:
+                            busy += 1
+                        pending[i] = new_sum
+                        if e not in pend_edges[i]:
+                            pend_edges[i].append(e)
+                        act_ver[i] += 1
+                        due.append((t, K_ACT, seq, i, act_ver[i]))
+                        seq += 1
 
-                if not busy:
-                    # a jammed resilient trigger reads nothing
-                    if diff is not None and own_stamp > last_start and \
-                            (not comm_h or e_nbr_stamp[e] > last_start):
-                        fresh.add(e)
-                    if len(fresh) == ne:
-                        if not fast_forward(t):
+                    if not busy:
+                        # a jammed resilient trigger reads nothing
+                        if diff is not None and own_stamp > last_start and \
+                                (not comm_h or nbr_stamp > last_start):
+                            fresh.add(e)
+                        if len(fresh) == ne:
+                            if pair and e != r:  # a pair never straddles a stretch's start
+                                heappush(heap, (nxt, K_EXPIRY, *first))
+                                heappush(heap, (t, K_EXPIRY, sq, r, e_ver[r]))
+                            ended = not fast_forward(t)
+                            log_rows = log_parts[-1]
                             break
-                        log_rows = log_parts[-1]
+                if ended:
+                    break
 
             elif kind == K_ACT:
                 i, ver = a, b
                 if ver != act_ver[i] or pending[i] is None:
                     continue
-                if not self.act_ch[i].is_attacked(t):
+                ok, until = health[ne + i]
+                if t >= until:
+                    ok, until = health[ne + i] = self.act_ch[i].health(t)
+                if ok:
                     act_ok += 1
                     busy += (pending[i] != 0.0) - (seg_u[i][-1] != 0.0) - 1
                     new_segment(i, t, pending[i])
@@ -817,7 +861,8 @@ class Simulation:
                             gamma = delay_aggregate(e_own_delay[e], e_nbr_delay[e], t_hat,
                                                     degs[i], degs[e_j[e]])
                             eps_k, rate_k = certified_params(gamma, alpha, beta, eps_floor)
-                            _u, theta = set_command(e, i, e_j[e], e_diff[e], eps_k, rate_k)
+                            theta = clock_reset(e_diff[e], eps_k, degs[i], degs[e_j[e]])
+                            set_command(e, i, deadzone_sign(e_diff[e], eps_k), theta, eps_k, rate_k)
                             push(max(e_trig_t[e] + theta / rate_k, t), K_EXPIRY, e, e_ver[e])
                             retunes.append((e, e_trig_t[e], dwell_time_floor(
                                 eps_k, rate_k, degs[i], degs[e_j[e]])))
@@ -831,10 +876,11 @@ class Simulation:
                 new_segment(a, t, seg_u[a][-1], b)
 
         times = _record_times(cfg.record_period, horizon)
+        log = TriggerLog([p for p in log_parts if len(p)])
         n_fail = sum(map(len, meas_jam))
         stats = {"meas_ok": n * len(grid) - n_fail, "meas_fail": n_fail,
                  "act_ok": act_ok, "act_fail": act_fail,
-                 "comm_ok": comm_ok, "comm_fail": comm_fail}
+                 "comm_ok": comm_ok, "comm_fail": len(log) - comm_ok}
 
         segments = [(np.frombuffer(seg_t[i]), np.frombuffer(seg_x[i]), np.frombuffer(seg_u[i]))
                     for i in range(n)]
@@ -856,7 +902,7 @@ class Simulation:
             delta=self.delta,
             entry_time=entry,
             converged=converged,
-            trigger_log=TriggerLog([p for p in log_parts if len(p)]),
+            trigger_log=log,
             closed_commands=closed,
             retunes=retunes,
             channel_stats=stats,

@@ -340,9 +340,10 @@ ACT_CASE = {"measurement": DosParams(1.0, 0.05, 10.0, 25.0, 0.01),
 FULL = {"measurement": 1.0, "actuation": 1.0, "communication": 1.0}
 
 
-def _actuation_case(topo, scale) -> list:
+def _actuation_case(topo, scale, reference=True) -> list:
     """(entry time or the horizon, min dwell margin) of 50 seeded self-adaptive
-    runs under a harsh actuation budget, each class's budget scaled by `scale`."""
+    runs under a harsh actuation budget, each class's budget scaled by `scale`;
+    with `reference`, each margin is checked against the loop over re-tunes."""
     horizon = 60.0
     ne = len(topo.directed_edges())
     rng = np.random.default_rng(9)
@@ -363,14 +364,21 @@ def _actuation_case(topo, scale) -> list:
             channels=channels, horizon=horizon, record_period=0.1, eps_reference=0.1,
         )
         m = Simulation(cfg).run()
-        out.append((m.entry_time if m.entry_time is not None else horizon,
-                    m.min_dwell_margin()))
+        margin = m.min_dwell_margin()
+        assert not reference or margin == conftest.min_dwell_margin_reference(m)
+        out.append((m.entry_time if m.entry_time is not None else horizon, margin))
     return out
 
 
 @pytest.fixture(scope="module")
 def actuation_runs(topo):
-    return _actuation_case(topo, FULL)
+    return _actuation_case(topo, FULL, reference=False)
+
+
+def test_dwell_margin_matches_the_retune_loop_on_actuation_runs(topo, actuation_runs):
+    # the fixture's runs, again with each margin checked against the reference
+    # (criterion 9 checks its halved-budget runs)
+    assert _actuation_case(topo, FULL) == actuation_runs
 
 
 def test_criterion_9_actuation_hardening_pays_most(topo, actuation_runs):

@@ -71,11 +71,12 @@ def test_sequence_validation():
 
 
 def test_half_open_windows():
-    s = DosSequence(((1.0, 2.0),), 10.0)
-    assert s.is_attacked(1.0)
-    assert s.is_attacked(1.999)
-    assert not s.is_attacked(2.0)  # attempt exactly at the end succeeds
-    assert not s.is_attacked(0.5)
+    s = DosSequence(((1.0, 2.0), (4.0, 5.0)), 10.0)
+    assert s.health(1.0) == (False, 2.0)
+    assert s.health(1.999) == (False, 2.0)
+    assert s.health(2.0) == (True, 4.0)  # attempt exactly at the end succeeds
+    assert s.health(0.5) == (True, 1.0)
+    assert s.health(5.0) == (True, float("inf"))
 
 
 @st.composite
@@ -93,11 +94,15 @@ def _sequences_and_points(draw):
 
 @given(_sequences_and_points())
 @settings(max_examples=200, deadline=None)
-def test_vectorised_query_matches_is_attacked(case):
+def test_vectorised_query_matches_health(case):
+    # health holds from the query up to the next window boundary
     s, points = case
     got = s.attacked(points)
     assert got.dtype == bool and got.shape == (len(points),)
-    assert got.tolist() == [s.is_attacked(float(t)) for t in points]
+    bounds = [b for w in s.intervals for b in w]
+    for t, attacked in zip(points, got.tolist()):
+        assert s.health(float(t)) == (not attacked, min((b for b in bounds if b > t),
+                                                           default=float("inf")))
 
 
 def test_verify_accepts_within_budget():

@@ -14,7 +14,6 @@ from pathlib import Path
 import conftest
 import numpy as np
 import pytest
-import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -139,7 +138,7 @@ def oracle_run(sim: Simulation) -> dict:
 
         if kind == K_MEAS:
             i = a
-            if not sim.meas_ch[i].is_attacked(t):
+            if sim.meas_ch[i].health(t)[0]:
                 cache_val[i] = x(i, t)
                 cache_stamp[i] = t
                 stats["meas_ok"] += 1
@@ -154,7 +153,7 @@ def oracle_run(sim: Simulation) -> dict:
             if ver != e_ver[e]:
                 continue
             i, j = e_i[e], e_j[e]
-            comm_h = not sim.comm_ch[e].is_attacked(t)
+            comm_h = sim.comm_ch[e].health(t)[0]
             stats["comm_ok" if comm_h else "comm_fail"] += 1
             e_trig_t[e] = t
             if comm_h or not resilient:
@@ -198,7 +197,7 @@ def oracle_run(sim: Simulation) -> dict:
             i, ver = a, b
             if ver != act_ver[i] or pending[i] is None:
                 continue
-            if not sim.act_ch[i].is_attacked(t):
+            if sim.act_ch[i].health(t)[0]:
                 stats["act_ok"] += 1
                 restart(i, t, pending[i])
                 pending[i] = None
@@ -285,6 +284,7 @@ def assert_matches_oracle(sim: Simulation):
     for (t, v), (tw, xw) in zip(va, want["v_active"]):
         assert abs(t - tw) <= TOL
         assert abs(v - lyapunov(xw)) <= TOL
+    assert got.min_dwell_margin() == conftest.min_dwell_margin_reference(got)
     return got, want
 
 
@@ -299,6 +299,20 @@ def heap_push_times(monkeypatch) -> list:
 
     monkeypatch.setattr(engine, "heappush", counting)
     return times
+
+
+def expiry_pushes(monkeypatch) -> dict:
+    """Counts of the expiries the engine pushes on its heap from here on: one
+    entry for both directions of a link ("link") or for one ("lone")."""
+    counts = {"link": 0, "lone": 0}
+
+    def counting(heap, item):
+        if item[1] == engine.K_EXPIRY:
+            counts["link" if isinstance(item[4], tuple) else "lone"] += 1
+        heappush(heap, item)
+
+    monkeypatch.setattr(engine, "heappush", counting)
+    return counts
 
 
 @pytest.fixture(scope="module")
@@ -580,17 +594,39 @@ def test_self_adaptive_ring64_matches_oracle():
     # self-adaptive, x0 spread over 2.5 delta. Over the 7 s after activation
     # about half of the ~20k triggers are active and no stretch starts, so a
     # plant moved by u dt at every pop would flip a tie here by round-off
-    n = 64
-    data = yaml.safe_load(SCENARIO.read_text())
-    del data["mgs"]
-    data["horizon"] = 12.0
-    data["topology"]["adjacency"] = [[int((j - i) % n in (1, n - 1)) for j in range(n)]
-                                     for i in range(n)]
-    u = np.random.default_rng(0).uniform(size=n)
-    x0 = 50.0 + 2.5 * 0.1 * (n - 1) * ((u - u.min()) / (u.max() - u.min()) - 0.5)
-    data["instances"] = {"frequency": {"initial": x0.tolist()}}
+    data = conftest.ring64_data()
     s = parse_scenario(data)
     m, _ = assert_matches_oracle(Simulation(s.engine_config("frequency", s.build_channels())))
     active = sum(row[4] != 0 for row in m.trigger_log)
     assert len(m.trigger_log) > 15000 and active > len(m.trigger_log) / 3
     assert m.channel_stats["act_fail"] > 0 and m.retunes
+
+
+@pytest.mark.parametrize("mode", ["self-adaptive", "nominal"])
+def test_lockstep_links_split_and_rejoin(mode, monkeypatch):
+    # degrees 3, 2, 2, 2, 1, a comm channel per direction and the harsh
+    # actuation budget of acceptance criterion 9: a link's two directions fire
+    # in one pass and share one heap entry while they agree, and split where
+    # one direction's link is jammed (a nominal edge then steers on its stale
+    # neighbour value, not on the reverse direction's fresh read) or a failed
+    # actuation re-tunes one of them
+    adj = np.zeros((5, 5), dtype=int)
+    for a, b in [(0, 1), (0, 2), (0, 3), (1, 2), (3, 4)]:
+        adj[a, b] = adj[b, a] = 1
+    topo = load_topology(adj.tolist())
+    act = DosParams(1.0, 1.5, 4.0, 5.0, 0.01)
+    channels = generate_channel_set(
+        topo, [DosParams(1.0, 0.05, 10.0, 25.0, 0.01)] * 5, [act] * 5,
+        {e: DosParams(1.0, 0.1, 10.0, 20.0, 0.05) for e in topo.edges}, 6.0, 4,
+        per_direction=True)
+    ne = len(topo.directed_edges())
+    cfg = EngineConfig(
+        topology=topo, x0=[0.0, 1.0, 2.5, 4.0, 6.0], mode=mode, eps_floor=0.1,
+        edge_eps=[0.1] * ne, edge_rate=[1.0] * ne, alpha=1.5, beta=1.1,
+        phi_act=[podf_bound(act)] * 5, delta_meas=0.01, delta_act=0.01, channels=channels,
+        per_direction_comm=True, horizon=6.0, record_period=0.1, eps_reference=0.1,
+    )
+    pushes = expiry_pushes(monkeypatch)
+    m, _ = assert_matches_oracle(Simulation(cfg))
+    assert pushes["link"] > 50 and pushes["lone"] > 50
+    assert bool(m.retunes) == (mode == "self-adaptive") and m.channel_stats["comm_fail"] > 0

@@ -3,7 +3,10 @@
 The sha256 of every file `mgconsensus run` writes (trace CSV, events CSV,
 metrics JSON, attack trace, summary) in the four modes at seeds 0 and 3, of
 `design` in the four modes, of `attacks generate` at the scenario's seed, at
-`--seed 3` and at an 8,000 s horizon, and of `sweep --seeds 2 --out`. An
+`--seed 3` and at an 8,000 s horizon, and of `sweep --seeds 2 --out`. The
+bundled runs log only a few hundred triggers from the event heap; the 12 s
+self-adaptive ring-64 run of the oracle tests (`conftest.ring64_data`), whose
+~20k triggers come from the heap, pins the active loop's events and trace. An
 engine, generator or writer change that claims to keep the outputs must keep
 these bytes; a deliberate output change updates the pins and says so.
 
@@ -14,6 +17,7 @@ which `summary.json` and `sweep.json` record.
 import hashlib
 from pathlib import Path
 
+import conftest
 import pytest
 import yaml
 
@@ -185,6 +189,13 @@ GENERATE_PINS = {
 
 SWEEP_PIN = "f0e04860ccc6ba1439ffba7ba7663ea2e11a48e83319484e7e2e83b948154a1d"
 
+RING64_PINS = {
+    "frequency_events.csv":
+        "6a990e4d48e8d57fb0f4133bed1366ee3a96f46418578cf9d0f52a6b2b55b2cf",
+    "frequency_trace.csv":
+        "3cb4b4bbc34b5cece42da14a6c3d3cd6ff8913b4ebfcf5bb79d67cae04bb1f6f",
+}
+
 
 def sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -232,3 +243,10 @@ def test_sweep_matches_pin(at_root, tmp_path):
     out = tmp_path / "sweep.json"
     assert cli_main(["sweep", SCENARIO, "--seeds", "2", "--out", str(out)]) == 0
     assert sha256(out) == SWEEP_PIN
+
+
+def test_ring64_active_run_matches_pins(tmp_path):
+    scenario, out = tmp_path / "ring64.yaml", tmp_path / "run"
+    scenario.write_text(yaml.safe_dump(conftest.ring64_data(), sort_keys=True))
+    assert cli_main(["run", str(scenario), "--out", str(out)]) == 0
+    assert {name: sha256(out / name) for name in RING64_PINS} == RING64_PINS

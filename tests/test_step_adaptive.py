@@ -45,13 +45,13 @@ class _ChannelStamps(_Stamps):
 
 def _step_rows(stamps, i, j, degs, link, cmd, diff, t, until, certify):
     """`step_adaptive` one row at a time."""
-    attacked = link.is_attacked
+    health = link.health
     grid = stamps.grid
     d_i, d_j = degs
 
     def stamp(node, k):
         """The latest grid point <= grid[k] healthy for node, or 0."""
-        while k and stamps.channels[node].is_attacked(grid[k]):
+        while k and not stamps.channels[node].health(grid[k])[0]:
             k -= 1
         return grid[k]
 
@@ -61,7 +61,7 @@ def _step_rows(stamps, i, j, degs, link, cmd, diff, t, until, certify):
     ts, hs, cs = [], [], []
     c = 0
     while t < until:
-        healthy = not attacked(t)
+        healthy = health(t)[0]
         if healthy:
             k = bisect_right(grid, t) - 1
             gamma = delay_aggregate(t - stamp(i, k), t - stamp(j, k), 0.0, d_i, d_j)
