@@ -27,6 +27,25 @@ ChannelId = tuple
 
 _MIN_ATTACK_LEN = 1e-6
 
+# each budget value and its admissible range, compared against 0: the
+# frequency/duration budget of De Persis & Tesi (IEEE TAC 2015) and the
+# channel's attempt interval
+BUDGET_RANGES = {"eta": ">=", "kappa": ">=", "tau_f": ">", "tau_d": ">", "delta_star": ">"}
+
+
+def checked(value, key: str, op: str | None = None, low: float = 0.0) -> float:
+    """`value` as a finite float, with `value op low` when `op` (">" or ">=") is
+    given; else a ConfigError naming `key`."""
+    try:
+        v = float(value)
+    except (TypeError, ValueError):
+        v = math.nan
+    if not math.isfinite(v):  # an infinite horizon never ends attack generation
+        raise ConfigError(f"{key} must be a finite number, got {value!r}")
+    if op and not (v > low if op == ">" else v >= low):
+        raise ConfigError(f"{key} must be {op} {low:g}, got {value!r}")
+    return v
+
 
 @dataclass(frozen=True)
 class DosParams:
@@ -44,13 +63,8 @@ class DosParams:
     delta_star: float
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.eta, self.kappa, self.tau_f, self.tau_d,
-                                       self.delta_star))):
-            raise ValueError("budget values must be finite")
-        if self.eta < 0 or self.kappa < 0:
-            raise ValueError("eta and kappa must be non-negative")
-        if self.tau_f <= 0 or self.tau_d <= 0 or self.delta_star <= 0:
-            raise ValueError("tau_f, tau_d and delta_star must be positive")
+        for key, op in BUDGET_RANGES.items():
+            object.__setattr__(self, key, checked(getattr(self, key), key, op))
 
     @property
     def duty_ratio(self) -> float:

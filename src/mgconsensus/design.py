@@ -98,7 +98,7 @@ class DesignCertificate:
 
     def to_dict(self) -> dict:
         def _k(d):
-            return {("-".join(map(str, k)) if isinstance(k, tuple) else k): v
+            return {("-".join(map(str, k)) if isinstance(k, tuple) else str(k)): v
                     for k, v in sorted(d.items())}
 
         return {

@@ -3,12 +3,14 @@
 A scenario is one YAML document (schema version 1) describing topology,
 controller mode and margins, per-channel attack budgets, the simulated
 instances, and optional per-MG generator tables. Unknown keys are errors;
-scenario files are the reproducibility contract.
+scenario files are the reproducibility contract. `_SCHEMA` is the one table
+of keys: each key's type, and for each plain number its `Scenario` field,
+default and range. The rules a table cannot state are code in
+`parse_scenario`.
 """
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass, replace
 from typing import Any, Optional
@@ -16,7 +18,8 @@ from typing import Any, Optional
 import yaml
 
 from .attacks import (
-    ChannelSet, DosParams, generate_channel_set, load_yaml, podf_bound, read_channel_set,
+    BUDGET_RANGES, ChannelSet, DosParams, checked, generate_channel_set, load_yaml, podf_bound,
+    read_channel_set,
 )
 from .design import (
     DesignCertificate,
@@ -32,22 +35,30 @@ from .topology import Topology, load_topology
 
 MODES = ("nominal", "resilient-global", "resilient-local", "self-adaptive")
 
-# a mapping where the schema has one; a list, bool or str where it names that
-# type; any value where it has None. A null value is a missing key.
+# a mapping where the schema has one (a null section is a missing one); a
+# list, bool or str where it names that type, and a finite number where it
+# names float (null is a missing key for these); any value where it has None.
+# A (field, default, op, low) leaf is a number, `Scenario.field`, with
+# `value op low`: a missing key takes the default, a null one is an error.
 _SCHEMA: dict[str, Any] = {
     "version": None,
     "seed": None,
-    "horizon": None,
-    "activation_time": None,
-    "record_period": None,
+    "horizon": ("horizon", 60.0, ">", 0.0),  # and > activation_time
+    "activation_time": ("activation_time", 0.0, ">=", 0.0),
+    "record_period": ("record_period", 0.05, ">", 0.0),
     "topology": {"adjacency": list},
     "controller": {
-        "mode": None, "eps": None, "rate": None, "eps_margin": None,
-        "rate_margin": None, "alpha": None, "beta": None,
+        "mode": None,
+        "eps": ("eps", 0.1, ">", 0.0),
+        "rate": ("rate", 1.0, ">", 0.0),
+        "eps_margin": ("eps_margin", 2.0, ">", 1.0),
+        "rate_margin": ("rate_margin", 1.01, ">", 1.0),
+        "alpha": ("alpha", 1.5, ">", 1.0),
+        "beta": ("beta", 1.1, ">", 1.0),
     },
     "channels": {
-        "delta_star_measurement": None,
-        "delta_star_actuation": None,
+        "delta_star_measurement": ("delta_meas", 0.01, ">", 0.0),
+        "delta_star_actuation": ("delta_act", 0.01, ">", 0.0),
         "per_direction_comm": bool,
         "measurement": {"default": None, "overrides": dict},
         "actuation": {"default": None, "overrides": dict},
@@ -55,45 +66,48 @@ _SCHEMA: dict[str, Any] = {
         "trace_file": str,
     },
     "instances": {
-        "frequency": {"initial": list, "reference": None, "disturbances": list},
+        "frequency": {"initial": list, "reference": float, "disturbances": list},
         "power": {"initial": list, "initial_power_kw": list, "disturbances": list},
     },
     "mgs": list,
-    "droop_constant": None,
+    "droop_constant": ("droop_constant", 1.0, ">", 0.0),
 }
 
-# each budget key and its admissible range (compared against 0)
-_BUDGET_KEYS = {"eta": ">=", "kappa": ">=", "tau_f": ">", "tau_d": ">"}
-
+# a scenario budget's keys: delta_star is set per channel class
+_BUDGET_KEYS = {k: op for k, op in BUDGET_RANGES.items() if k != "delta_star"}
 
 _TYPE_NAMES = {dict: "mapping", list: "list", bool: "boolean", str: "string"}
 
 
-def _check_keys(data: Any, schema: dict, path: str = "") -> None:
-    """`data` has only keys of `schema`, each of the type the schema gives it."""
+def _check_keys(data: Any, schema: dict, numbers: dict, path: str = "") -> dict:
+    """`data` has only keys of `schema`, each of the type the schema gives it;
+    every number leaf's checked value (or default) goes into `numbers` by field."""
     if not isinstance(data, dict):
         raise ConfigError(f"{path[:-1] or 'scenario'} must be a mapping, got {data!r}")
-    for key, sub in data.items():
+    for key in data:
         if key not in schema:
             raise ConfigError(f"unknown key '{path}{key}' in scenario file")
-        want = schema[key]
-        if sub is None or want is None:
+    for key, want in schema.items():
+        sub = data.get(key)
+        if isinstance(want, tuple):
+            field, default, op, low = want
+            numbers[field] = checked(data.get(key, default), path + key, op, low)
+        elif isinstance(want, dict):
+            _check_keys({} if sub is None else sub, want, numbers, f"{path}{key}.")
+        elif sub is None or want is None:
             continue
-        if isinstance(want, dict):
-            _check_keys(sub, want, f"{path}{key}.")
+        elif want is float:
+            checked(sub, path + key)
         elif not isinstance(sub, want):
             raise ConfigError(f"{path}{key} must be a {_TYPE_NAMES[want]}, got {sub!r}")
+    return numbers
 
 
-def _number(value: Any, key: str) -> float:
-    """`value` as a finite float; else a ConfigError naming `key`."""
-    try:
-        v = float(value)
-    except (TypeError, ValueError):
-        v = math.nan
-    if not math.isfinite(v):  # an infinite horizon never ends attack generation
-        raise ConfigError(f"{key} must be a finite number, got {value!r}")
-    return v
+def _mode(mode: Any) -> str:
+    """`mode` if it is one of MODES; else a ConfigError."""
+    if mode not in MODES:
+        raise ConfigError(f"unknown controller mode '{mode}'")
+    return mode
 
 
 def _seed(value: Any) -> int:
@@ -101,14 +115,6 @@ def _seed(value: Any) -> int:
     if isinstance(value, bool) or not isinstance(value, int) or value < 0:
         raise ConfigError(f"seed must be an integer >= 0, got {value!r}")
     return value
-
-
-def _checked(value: Any, key: str, op: str, low: float) -> float:
-    """`value` as a float with `value op low` (op ">" or ">="); else a ConfigError naming `key`."""
-    v = _number(value, key)
-    if not (v > low if op == ">" else v >= low):
-        raise ConfigError(f"{key} must be {op} {low:g}, got {value!r}")
-    return v
 
 
 def _budget(entry: Any, where: str) -> dict:
@@ -120,7 +126,7 @@ def _budget(entry: Any, where: str) -> dict:
     missing = _BUDGET_KEYS.keys() - set(entry)
     if missing:
         raise ConfigError(f"missing budget keys {sorted(missing)} in {where}")
-    return {k: _checked(entry[k], f"{where}.{k}", op, 0.0) for k, op in _BUDGET_KEYS.items()}
+    return {k: checked(entry[k], f"{where}.{k}", op) for k, op in _BUDGET_KEYS.items()}
 
 
 def _bound(p: Optional[DosParams], where: str) -> float:
@@ -347,9 +353,7 @@ class Scenario:
         )
 
     def with_mode(self, mode: str) -> "Scenario":
-        if mode not in MODES:
-            raise ConfigError(f"unknown controller mode '{mode}'")
-        return replace(self, mode=mode)
+        return replace(self, mode=_mode(mode))
 
     def with_seed(self, seed: int) -> "Scenario":
         return replace(self, seed=_seed(seed))
@@ -362,8 +366,8 @@ def _disturbance(ev: Any, n: int, where: str) -> tuple[float, int, float]:
     node = ev["node"]
     if isinstance(node, bool) or not isinstance(node, int) or not 0 <= node < n:
         raise ConfigError(f"{where}.node must be a node id in 0..{n - 1}, got {node!r}")
-    return (_checked(ev["time"], f"{where}.time", ">=", 0.0), node,
-            _number(ev["jump"], f"{where}.jump"))
+    return (checked(ev["time"], f"{where}.time", ">=", 0.0), node,
+            checked(ev["jump"], f"{where}.jump"))
 
 
 def _instances(data: dict, n: int, mg_ratings, droop_constant) -> dict[str, dict]:
@@ -383,12 +387,12 @@ def _instances(data: dict, n: int, mg_ratings, droop_constant) -> dict[str, dict
                 raise ConfigError("initial_power_kw and mgs must have one entry per node")
             # the MG-equivalent state: the harmonic droop c / sum(R) times the MG total
             inst["initial"] = [
-                droop_constant * _number(p, f"{where}.initial_power_kw") / sum(r)
+                droop_constant * checked(p, f"{where}.initial_power_kw") / sum(r)
                 for p, r in zip(powers, mg_ratings)
             ]
         if inst.get("initial") is None or len(inst["initial"]) != n:
             raise ConfigError(f"{where}.initial needs one state per node")
-        inst["initial"] = [_number(v, f"{where}.initial") for v in inst["initial"]]
+        inst["initial"] = [checked(v, f"{where}.initial") for v in inst["initial"]]
         inst["disturbances"] = [
             _disturbance(ev, n, f"{where}.disturbances[{k}]")
             for k, ev in enumerate(inst.get("disturbances") or [])
@@ -400,7 +404,7 @@ def _instances(data: dict, n: int, mg_ratings, droop_constant) -> dict[str, dict
 
 
 def parse_scenario(data: Any) -> Scenario:
-    _check_keys(data, _SCHEMA)
+    numbers = _check_keys(data, _SCHEMA, {})
     if data.get("version") != 1:
         raise ConfigError(f"unsupported scenario version {data.get('version')!r}")
     for key in ("topology.adjacency", "instances"):  # the keys no scenario does without
@@ -412,14 +416,6 @@ def parse_scenario(data: Any) -> Scenario:
 
     topo = load_topology(data["topology"]["adjacency"])
     n = topo.node_count
-    ctrl = data.get("controller") or {}
-    mode = ctrl.get("mode", "nominal")
-    if mode not in MODES:
-        raise ConfigError(f"unknown controller mode '{mode}'")
-
-    def ctrl_number(key: str, default: float, low: float) -> float:
-        return _checked(ctrl.get(key, default), f"controller.{key}", ">", low)
-
     ch = data.get("channels") or {}
 
     def _budgets(section: str, keys) -> list[Optional[dict]]:
@@ -433,8 +429,9 @@ def parse_scenario(data: Any) -> Scenario:
             out.append(_budget(entry, f"channels.{section}[{label}]") if entry else None)
         return out
 
-    activation = _checked(data.get("activation_time", 0.0), "activation_time", ">=", 0.0)
-    horizon = _checked(data.get("horizon", 60.0), "horizon", ">", activation)
+    horizon, activation = numbers["horizon"], numbers["activation_time"]
+    if horizon <= activation:
+        raise ConfigError(f"horizon must be > activation_time {activation:g}, got {horizon:g}")
 
     mgs = data.get("mgs")
     mg_ratings = None
@@ -448,35 +445,21 @@ def parse_scenario(data: Any) -> Scenario:
             ratings = mg.get("ratings_kw") or []
             if not isinstance(ratings, list) or not ratings:
                 raise ConfigError(f"mgs[{k}].ratings_kw must list at least one rating")
-            mg_ratings.append([_checked(r, f"mgs[{k}].ratings_kw", ">", 0.0) for r in ratings])
-    droop_constant = _checked(data.get("droop_constant", 1.0), "droop_constant", ">", 0.0)
+            mg_ratings.append([checked(r, f"mgs[{k}].ratings_kw", ">", 0.0) for r in ratings])
 
     return Scenario(
         topology=topo,
         seed=_seed(data.get("seed", 0)),
-        horizon=horizon,
-        activation_time=activation,
-        record_period=_checked(data.get("record_period", 0.05), "record_period", ">", 0.0),
-        mode=mode,
-        eps=ctrl_number("eps", 0.1, 0.0),
-        rate=ctrl_number("rate", 1.0, 0.0),
-        eps_margin=ctrl_number("eps_margin", 2.0, 1.0),
-        rate_margin=ctrl_number("rate_margin", 1.01, 1.0),
-        alpha=ctrl_number("alpha", 1.5, 1.0),
-        beta=ctrl_number("beta", 1.1, 1.0),
+        mode=_mode((data.get("controller") or {}).get("mode", "nominal")),
         has_attacks=bool(ch),
-        delta_meas=_checked(ch.get("delta_star_measurement", 0.01),
-                            "channels.delta_star_measurement", ">", 0.0),
-        delta_act=_checked(ch.get("delta_star_actuation", 0.01),
-                           "channels.delta_star_actuation", ">", 0.0),
         per_direction_comm=bool(ch.get("per_direction_comm", False)),
         meas_budgets=_budgets("measurement", range(n)),
         act_budgets=_budgets("actuation", range(n)),
         comm_budgets=dict(zip(topo.edges, _budgets("communication", topo.edges))),
         trace_file=ch.get("trace_file"),
-        instances=_instances(data["instances"], n, mg_ratings, droop_constant),
+        instances=_instances(data["instances"], n, mg_ratings, numbers["droop_constant"]),
         mg_ratings=mg_ratings,
-        droop_constant=droop_constant,
+        **numbers,
     )
 
 

@@ -21,11 +21,11 @@ from mgconsensus.topology import load_topology
 
 
 def test_params_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="eta must be >= 0"):
         DosParams(-1.0, 1.0, 5.0, 10.0, 0.1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="tau_f must be > 0"):
         DosParams(1.0, 1.0, 0.0, 10.0, 0.1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="delta_star must be > 0"):
         DosParams(1.0, 1.0, 5.0, 10.0, 0.0)
 
 

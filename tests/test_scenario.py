@@ -10,9 +10,10 @@ from mgconsensus.errors import ConfigError
 from mgconsensus.attacks import podf_bound
 from mgconsensus.design import lyapunov
 from mgconsensus.engine import Simulation
-from mgconsensus.scenario import MODES, load_scenario, mg_power_shares, parse_scenario
+from mgconsensus.scenario import _SCHEMA, MODES, load_scenario, mg_power_shares, parse_scenario
 
 SCENARIO = Path(__file__).resolve().parent.parent / "scenarios" / "ring4_dos.yaml"
+README = SCENARIO.parent.parent / "README.md"
 
 
 @pytest.fixture(scope="module")
@@ -117,6 +118,7 @@ def test_disturbance_after_horizon_is_ignored(data):
 
 @pytest.mark.parametrize("path,value", [
     ("controller.eps", 0.0),
+    ("controller.eps", None),
     ("controller.rate", -1.0),
     ("controller.rate", "fast"),
     ("controller.eps_margin", 1.0),
@@ -136,6 +138,8 @@ def test_disturbance_after_horizon_is_ignored(data):
     ("seed", "abc"),
     ("seed", -1),
     ("droop_constant", 0.0),
+    ("droop_constant", None),
+    ("instances.frequency.reference", "hot"),
 ])
 def test_out_of_range_number_rejected(data, path, value):
     bad = copy.deepcopy(data)
@@ -148,6 +152,33 @@ def test_out_of_range_number_rejected(data, path, value):
     name = path.replace(".default.", "[0-1]." if "communication" in path else "[0].")
     with pytest.raises(ConfigError, match=re.escape(name)):
         parse_scenario(bad)
+
+
+def test_null_controller_takes_every_default(data):
+    bare = copy.deepcopy(data)
+    bare["controller"] = None
+    scen = parse_scenario(bare)
+    assert (scen.mode, scen.eps, scen.rate, scen.eps_margin, scen.rate_margin, scen.alpha,
+            scen.beta) == ("nominal", 0.1, 1.0, 2.0, 1.01, 1.5, 1.1)
+    del bare["controller"]
+    assert parse_scenario(bare) == scen
+
+
+def _number_rows(schema: dict, path: str = ""):
+    """(key, default, range) of each number leaf of `schema`, as README writes them."""
+    for key, want in schema.items():
+        if isinstance(want, dict):
+            yield from _number_rows(want, f"{path}{key}.")
+        elif isinstance(want, tuple):
+            _, default, op, low = want
+            yield path + key, f"{default:g}", f"{'≥' if op == '>=' else '>'} {low:g}"
+
+
+def test_readme_range_table_matches_schema():
+    # both ways: every number of the table has its README row, and every README
+    # row of one key and a plain "op bound" range is a number of the table
+    rows = re.findall(r"^\| `([\w.]+)` \| (\S+) \| ([>≥] [\d.]+)", README.read_text(), re.M)
+    assert sorted(rows) == sorted(_number_rows(_SCHEMA))
 
 
 def test_power_initial_derived_from_ratings(scen):

@@ -18,13 +18,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from test_engine_oracle import _quiet_prone_runs
 
 from mgconsensus.cli import _write_events_csv, _write_json, _write_trace_csv
 from mgconsensus.engine import RunMetrics, Simulation, TriggerLog, _Run, _Stretch
-from mgconsensus.scenario import MODES, load_scenario
+from mgconsensus.scenario import MODES, load_scenario, parse_scenario
 
 SCENARIO = Path(__file__).resolve().parent.parent / "scenarios" / "ring4_dos.yaml"
 
@@ -181,6 +182,23 @@ def test_json_writer_matches_stdlib_on_random_trees(data):
         "tuple-rows", "numpy-floats", "non-ascii-and-brackets", "string-rows"])
 def test_json_writer_matches_stdlib(data, tmp_path):
     assert_json_matches_stdlib(data, tmp_path / "out.json")
+
+
+@pytest.mark.parametrize("mode", ["resilient-global", "resilient-local"])
+def test_certificate_json_is_stdlib_text_on_12_nodes(mode, tmp_path):
+    # node ids 10 and 11 key the per-node maps: as text they sort before 2, as a
+    # parse and re-dump of the file sorts them
+    n = 12
+    data = yaml.safe_load(SCENARIO.read_text())
+    del data["mgs"]
+    data["topology"]["adjacency"] = [[int((j - i) % n in (1, n - 1)) for j in range(n)]
+                                     for i in range(n)]
+    data["instances"] = {"frequency": {"initial": [50.0 + 0.01 * i for i in range(n)]}}
+    path = tmp_path / "certificate.json"
+    _write_json(path, parse_scenario(data).with_mode(mode).certificate().to_dict())
+    text = path.read_text()
+    assert '"11": ' in text
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
 
 
 @pytest.mark.parametrize("data", [{(1, 2): 0}, {"a": {1, 2}}, [object()], {1: 0, "a": 1}])
