@@ -13,6 +13,8 @@ import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import chain, count, cycle, repeat
+from operator import mul
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -218,115 +220,108 @@ def verify_sequence(s: DosSequence, p: DosParams) -> VerifyReport:
     return VerifyReport(not violations, f_slack, d_slack, violations)
 
 
-class _BudgetState:
-    """Both budgets' running state over the windows generated so far.
+def _exponentials(rng: np.random.Generator, scales: Sequence[float], size: int):
+    """Exponential draws whose means take the values of `scales` in turn.
+
+    The k-th is scales[k % m] times the k-th `rng.standard_exponential` draw
+    (m = len(scales)), which is what `rng.exponential(scales[k % m])` would
+    return there, so the stream is that of one scalar call per draw. The
+    draws come in blocks of `size` that double after the first.
+    """
+    draws = chain.from_iterable(rng.standard_exponential(size << k).tolist() for k in count())
+    return map(mul, cycle(scales), draws)
+
+
+def _place_windows(p: DosParams, horizon: float, gap, cap, wait: float) -> DosSequence:
+    """Greedy windows within both budgets, the one placer of both generators.
+
+    Each candidate start lies `gap()` after the last window's end, or `wait`
+    + `gap()` after the start of a dropped one. It moves later as far as the
+    frequency budget needs, and the window is as long as the duration budget
+    and the horizon allow, capped at `cap()`. A window shorter than
+    `_MIN_ATTACK_LEN` is dropped.
 
     A new window [t, t + L) must keep every pair (p, new) within budget:
     t >= s_p + tau_f (n - p + 1 - eta) and L <= (kappa + (t - s_p) / tau_d
     - acc_p) / (1 - 1/tau_d), acc_p being the attacked time since s_p. The
     binding p (argmax of s_p - tau_f p, argmin of cum_p - s_p / tau_d) does
     not depend on t or later windows, so each budget keeps that one anchor
-    and evaluates its pair's expression there: O(1) per window.
+    and evaluates its pair's expression there: O(1) per window. Before the
+    first window both anchors sit at -inf, where neither bound binds.
     """
-
-    def __init__(self, p: DosParams, horizon: float):
-        self.p, self.horizon = p, horizon
-        self.windows: list[tuple[float, float]] = []
-        self.f_idx = self.f_start = None  # frequency anchor: index and start
-        self.d_start = self.d_acc = None  # duration anchor: start, attacked time since
-
-    def earliest_start(self, t: float) -> float:
-        """Earliest start >= t keeping the frequency budget intact."""
-        n = len(self.windows)
-        if n:
-            t = max(t, self.f_start + self.p.tau_f * (n - self.f_idx + 1 - self.p.eta))
-        return t
-
-    def longest_length(self, t: float) -> float:
-        """Longest window starting at t that keeps the duration budget intact."""
-        p = self.p
-        denom = 1.0 - 1.0 / p.tau_d
-        lmax = p.kappa / denom  # pair (new, new)
-        if self.windows:
-            lmax = min(lmax, (p.kappa + (t - self.d_start) / p.tau_d - self.d_acc) / denom)
-        return min(lmax, self.horizon - t)
-
-    def push(self, start: float, length: float) -> float:
-        """Append the window [start, start + length) and return its end."""
-        p, n = self.p, len(self.windows)
-        if not n or start - p.tau_f * n > self.f_start - p.tau_f * self.f_idx:
-            self.f_idx, self.f_start = n, start
-        # the new key cum_n - start / tau_d is lower by (start - d_start) / tau_d - d_acc
-        if not n or (start - self.d_start) / p.tau_d > self.d_acc:
-            self.d_start, self.d_acc = start, length
-        else:
-            self.d_acc += length
-        self.windows.append((start, start + length))
-        return start + length
-
-
-def _exponentials(rng: np.random.Generator, size: int):
-    """`rng.standard_exponential` draws one at a time, drawn in blocks of
-    `size` that double after the first. `rng.exponential(scale)` is `scale`
-    times the next such draw, so scaled draws keep its stream."""
+    podf_bound(p)  # the one duty-ratio check: BudgetInfeasibleError when >= 1
+    empty = DosSequence((), horizon)  # ValueError for a non-finite horizon
+    eta, kappa, tau_f, tau_d = p.eta, p.kappa, p.tau_f, p.tau_d
+    denom = 1.0 - 1.0 / tau_d
+    l_max = kappa / denom  # the pair (new, new)
+    if eta < 1.0 or kappa <= 0.0 or l_max < _MIN_ATTACK_LEN:
+        # any attack start instantly violates one of the limit inequalities,
+        # or no window is long enough to keep
+        return empty
+    windows = []
+    n = 0  # windows placed so far
+    f_idx, f_start, f_key = 0, -math.inf, -math.inf  # frequency anchor, key s_p - tau_f p
+    d_start, d_acc = -math.inf, 0.0  # duration anchor, attacked time since
+    t = 0.0
     while True:
-        yield from rng.standard_exponential(size).tolist()
-        size *= 2
+        t_s = t + gap()
+        if t_s >= horizon:
+            break
+        need = f_start + tau_f * (n - f_idx + 1 - eta)
+        if need > t_s:
+            if need >= horizon:
+                break
+            t_s = need
+        # min(l_max, the anchor's pair, horizon - t_s, cap()) without the call
+        length = (kappa + (t_s - d_start) / tau_d - d_acc) / denom
+        if length > l_max:
+            length = l_max
+        if length > horizon - t_s:
+            length = horizon - t_s
+        c = cap()
+        if length > c:
+            length = c
+        if length < _MIN_ATTACK_LEN:
+            t = t_s + wait
+            continue
+        key = t_s - tau_f * n
+        if key > f_key:
+            f_idx, f_start, f_key = n, t_s, key
+        # the new key cum_n - t_s / tau_d is lower by (t_s - d_start) / tau_d - d_acc
+        if (t_s - d_start) / tau_d > d_acc:
+            d_start, d_acc = t_s, length
+        else:
+            d_acc += length
+        t = t_s + length
+        windows.append((t_s, t))
+        n += 1
+    return DosSequence(tuple(windows), horizon)
 
 
 def generate_sequence(p: DosParams, horizon: float, seed: int) -> DosSequence:
     """Pseudo-random attack sequence satisfying the budget by construction.
 
-    Candidate windows are sampled from exponential inter-arrivals, then each
-    is shifted and shortened so that every boundary-anchored inequality stays
-    satisfied (greedy budget enforcement). Deterministic in (p, horizon, seed).
+    Candidate windows are sampled from exponential inter-arrivals and
+    lengths, then each is shifted and shortened so that every
+    boundary-anchored inequality stays satisfied (greedy budget enforcement).
+    Deterministic in (p, horizon, seed).
     """
-    podf_bound(p)  # the one duty-ratio check: BudgetInfeasibleError when >= 1
-    empty = DosSequence((), horizon)  # ValueError for a non-finite horizon
-    if p.eta < 1.0 or p.kappa <= 0.0:
-        # any attack start instantly violates one of the limit inequalities
-        return empty
-
-    # a gap (mean tau_f) and a length per window: about 2 horizon / tau_f draws
-    size = 8 + int(2.0 * max(horizon, 0.0) / p.tau_f)
-    draw = _exponentials(np.random.default_rng(seed), size).__next__
-    budget = _BudgetState(p, horizon)
-    mean_len = min(p.kappa, p.tau_d / 4.0)
-    t_end = 0.0
-    while True:
-        t_s = t_end + p.tau_f * draw()
-        if t_s >= horizon:
-            break
-        t_s = budget.earliest_start(t_s)
-        if t_s >= horizon:
-            break
-        length = min(budget.longest_length(t_s), mean_len * draw())
-        if length < _MIN_ATTACK_LEN:
-            t_end = t_s
-            continue
-        t_end = budget.push(t_s, length)
-    return DosSequence(tuple(budget.windows), horizon)
+    # a gap (mean tau_f), then a length cap, per candidate window: about
+    # 2 horizon / tau_f draws. The placer rejects a non-finite horizon first
+    size = 8 + int(2.0 * horizon / p.tau_f) if 0.0 < horizon < math.inf else 8
+    draw = _exponentials(np.random.default_rng(seed),
+                         (p.tau_f, min(p.kappa, p.tau_d / 4.0)), size).__next__
+    return _place_windows(p, horizon, draw, draw, 0.0)
 
 
 def worst_case_sequence(p: DosParams, horizon: float) -> DosSequence:
-    """Adversarial sequence alternating maximal windows at both budget limits."""
-    podf_bound(p)  # the one duty-ratio check: BudgetInfeasibleError when >= 1
-    empty = DosSequence((), horizon)  # ValueError for a non-finite horizon
-    if p.eta < 1.0 or p.kappa <= 0.0:
-        return empty
-    budget = _BudgetState(p, horizon)
-    t_s = 0.0
-    while t_s < horizon:
-        t_s = budget.earliest_start(t_s)
-        if t_s >= horizon:
-            break
-        length = budget.longest_length(t_s)
-        if length < _MIN_ATTACK_LEN:
-            # duration budget exhausted at this anchor; wait for it to refill
-            t_s += max(p.tau_d * _MIN_ATTACK_LEN, 1e-3)
-            continue
-        t_s = budget.push(t_s, length)
-    return DosSequence(tuple(budget.windows), horizon)
+    """Adversarial sequence alternating maximal windows at both budget limits.
+
+    Each window starts as early and lasts as long as the budgets allow; when
+    the duration budget is exhausted, the start waits until it refills.
+    """
+    return _place_windows(p, horizon, repeat(0.0).__next__, repeat(math.inf).__next__,
+                          max(p.tau_d * _MIN_ATTACK_LEN, 1e-3))
 
 
 @dataclass

@@ -333,7 +333,11 @@ def build_parser() -> argparse.ArgumentParser:
     ps = sub.add_parser("sweep", help="attack-reduction sweep over seeds")
     ps.add_argument("scenario")
     ps.add_argument("--classes", default="measurement,actuation,communication")
-    ps.add_argument("--intensity", type=float, default=0.5)
+    ps.add_argument("--intensity", type=float, default=0.5,
+                    help="multiply each swept class's eta and kappa by this and divide "
+                         "its tau_f and tau_d by it; below 1/eta the class's traces hold "
+                         "no windows, so on eta = 1 budgets any value below 1 removes it "
+                         "(default 0.5)")
     ps.add_argument("--seeds", type=int, default=20)
     ps.add_argument("--instance", default="frequency")
     ps.add_argument("--out")

@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import SCENARIO
+from mgconsensus import load_scenario
 from mgconsensus.attacks import (
     _MIN_ATTACK_LEN,
     ChannelSet,
@@ -152,6 +154,32 @@ def test_generation_is_deterministic():
 def test_no_attacks_possible_below_unit_offsets():
     assert generate_sequence(DosParams(0.5, 1.0, 5.0, 10.0, 0.1), 50.0, 1).intervals == ()
     assert generate_sequence(DosParams(1.0, 0.0, 5.0, 10.0, 0.1), 50.0, 1).intervals == ()
+
+
+@pytest.mark.parametrize("p", [DosParams(1.0, 0.0304434, 10.0, 25.0, 0.01),
+                               DosParams(1.0, 0.5, 8.0, 10.0, 0.01)],
+                         ids=["bundled-node-budget", "bundled-comm-budget"])
+def test_intensity_below_one_over_eta_removes_the_class(p):
+    # `scaled` multiplies eta and kappa by the intensity and divides tau_f and
+    # tau_d by it: at 0.5 the bundled eta = 1 falls to 0.5, and no window fits
+    q = p.scaled(0.5)
+    assert q == DosParams(p.eta * 0.5, p.kappa * 0.5, p.tau_f / 0.5, p.tau_d / 0.5,
+                          p.delta_star)
+    assert all(generate_sequence(q, 8000.0, seed).intervals == () for seed in range(3))
+    assert worst_case_sequence(q, 8000.0).intervals == ()
+    # an eta = 2 budget keeps eta = 1 at that intensity, and still attacks
+    q2 = DosParams(2.0, p.kappa, p.tau_f, p.tau_d, p.delta_star).scaled(0.5)
+    assert q2.eta == 1.0
+    assert generate_sequence(q2, 8000.0, 0).intervals
+    assert worst_case_sequence(q2, 8000.0).intervals
+
+
+def test_sweep_intensity_below_one_removes_the_bundled_class():
+    scen = load_scenario(SCENARIO)
+    for cls, kind in (("measurement", "meas"), ("actuation", "act"), ("communication", "comm")):
+        ch = scen.build_channels(cls, 0.5)
+        assert all(not seq.intervals for key, seq in ch.sequences.items() if key[0] == kind)
+        assert any(seq.intervals for key, seq in ch.sequences.items() if key[0] != kind)
 
 
 def test_generation_infeasible_duty():
