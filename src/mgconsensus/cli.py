@@ -119,12 +119,12 @@ def _tail_text(tail: tuple, directed_edges: list) -> str:
 
 
 def _write_events_csv(path: Path, metrics: RunMetrics) -> None:
-    """One line per trigger row, from the log's tables: each table row after
-    its time, and each distinct time of a block, is formatted once."""
+    """One line per trigger row, from each log part's table: each table row
+    after its time, and each distinct time of a block, is formatted once."""
     edges = metrics.directed_edges
     with path.open("w") as fh:
         fh.write("time,edge_i,edge_j,comm_healthy,diff,u,theta,eps,rate,dwell_floor\n")
-        for tails, blocks in metrics.trigger_log.tables():
+        for tails, blocks in (part.table() for part in metrics.trigger_log.parts):
             text = [_tail_text(tail, edges) for tail in tails]
             for times, codes in blocks:
                 stamps, index = _reprs(times)

@@ -52,18 +52,18 @@ first, and each edge steps up to the earliest such trigger so far:
 
 A trigger that would leave the dead zone (a nominal edge's first healthy read
 after a jammed link, or an adapted eps that no longer covers the diff) hands
-every edge back to the event heap at that instant. `trigger_log` keeps each
-stretch as per-edge runs plus their heap order, and builds its rows only when
-they are read. That order, ties included, decides which edges join a node's
-pending commands, so what `closed_commands` records and what a failed
-actuation re-tunes. The heap pops a stretch's rows by (time, key): a run's
-first row is keyed by its q, ahead of every later row, keyed by the position
-of its run's previous row. One sort by (time, previous row's time, q) gives
-that order but within a tie, rows at one time whose previous rows share a
-time. A tie whose previous rows are exactly one tie keeps that tie's order: a
-row takes the rank of its run's latest row outside such ties. The few other
-ties are sorted in time order by their previous rows' positions. Expiries go
-back in their runs' order.
+every edge back to the event heap at that instant. `trigger_log` keeps the
+heap's rows as a table (`_Rows`) and builds a stretch's rows only when read,
+from its per-edge runs and their heap order. That order, ties included,
+decides which edges join a node's pending commands, so what `closed_commands`
+records and what a failed actuation re-tunes. The heap pops a stretch's rows
+by (time, key): a run's first row is keyed by its q, ahead of every later row,
+keyed by the position of its run's previous row. One sort by (time, previous
+row's time, q) gives that order but within a tie, rows at one time whose
+previous rows share a time. A tie whose previous rows are exactly one tie
+keeps that tie's order: a row takes the rank of its run's latest row outside
+such ties. The few other ties are sorted in time order by their previous rows'
+positions. Expiries go back in their runs' order.
 
 Link pairs. When an expiry pops and its reverse edge's live expiry is next at
 the same t, one pass fires both. No segment starts between them, so the second
@@ -82,6 +82,7 @@ from bisect import bisect_left, bisect_right
 from collections import deque
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from heapq import heapify, heappop, heappush
 from math import nextafter
 from typing import Optional
@@ -99,7 +100,7 @@ K_EXPIRY = 0
 K_ACT = 1
 K_DISTURB = 2
 
-# a stretch's rows are built, written or stepped this many at a time
+# a log part's rows are read and written, and a stretch's stepped, this many at a time
 BLOCK = 4096
 
 
@@ -174,11 +175,9 @@ class _Stretch:
 
     def __init__(self, runs: list):
         self.runs = runs                     # each with rows
-        self.size = sum(r.times.size for r in runs)
-        self._merged: Optional[tuple] = None
 
     def __len__(self) -> int:
-        return self.size
+        return sum(r.times.size for r in self.runs)
 
     def table(self, ordered: bool = True) -> tuple[list, Iterator]:
         """The distinct rows after their time (see `_Run.tails`), and the rows in
@@ -189,83 +188,82 @@ class _Stretch:
             codes.append(c + len(tails))
             tails += t
             times.append(r.times)
-        times, codes = np.concatenate(times), np.concatenate(codes)
-        order = self._merge()[0] if ordered else np.arange(times.size)
-        blocks = ((times[k], codes[k]) for k in (order[a:a + BLOCK]
-                                                 for a in range(0, order.size, BLOCK)))
-        return tails, blocks
+        return tails, _blocks(np.concatenate(times), np.concatenate(codes),
+                              self._merged[0] if ordered else None)
 
-    def _merge(self) -> tuple:
+    @cached_property
+    def _merged(self) -> tuple:
         """The rows' positions in the runs' concatenation, in heap order, and
         the runs in the order of their last rows (see the module docstring)."""
-        if self._merged is None:
-            sizes = [r.times.size for r in self.runs]
-            times = np.concatenate([r.times for r in self.runs])
-            row = np.arange(times.size)
-            prev = row - 1
-            prev[np.cumsum(sizes) - sizes] = -1
-            q = np.repeat([r.q for r in self.runs], sizes)
-            t_prev = np.where(prev < 0, -np.inf, times[prev])
-            order = np.lexsort((q, t_prev, times))
-            # ties: rows at one time whose previous rows share a time, or first rows
-            ts, tp = times[order], t_prev[order]
-            start = np.flatnonzero(np.r_[True, (ts[1:] != ts[:-1]) | (tp[1:] != tp[:-1])])
-            size = np.diff(np.r_[start, row.size])
-            tie, rank = np.empty_like(row), np.empty_like(row)
-            tie[order] = np.repeat(np.arange(start.size), size)
-            rank[order] = row - start[tie[order]]
-            # a tie inherits the order of its previous rows where they are one tie
-            prev_tie = np.where(prev < 0, -1, tie[prev])[order]
-            low = np.minimum.reduceat(prev_tie, start)
-            inherits = (low == np.maximum.reduceat(prev_tie, start)) & (low >= 0) & \
-                (size[low] == size)
-            anc = np.maximum.accumulate(np.where(inherits[tie], 0, row))
-            # the other ties of later rows, in time order, by their previous rows' positions
-            loose = ~inherits & (size > 1) & (tp[start] > -np.inf)
-            rows = order[np.repeat(loose, size)]
-            base, ancs = start[tie[prev[rows]]], anc[prev[rows]]
-            ends = np.cumsum(size[loose]).tolist()
-            for a, b in zip([0] + ends, ends):
-                rank[rows[a:b][np.argsort(base[a:b] + rank[ancs[a:b]])]] = np.arange(b - a)
-            pos = start[tie] + rank[anc]
-            order[pos] = row
-            self._merged = order, np.argsort(pos[np.cumsum(sizes) - 1]).tolist()
-        return self._merged
+        sizes = [r.times.size for r in self.runs]
+        times = np.concatenate([r.times for r in self.runs])
+        row = np.arange(times.size)
+        prev = row - 1
+        prev[np.cumsum(sizes) - sizes] = -1
+        q = np.repeat([r.q for r in self.runs], sizes)
+        t_prev = np.where(prev < 0, -np.inf, times[prev])
+        order = np.lexsort((q, t_prev, times))
+        # ties: rows at one time whose previous rows share a time, or first rows
+        ts, tp = times[order], t_prev[order]
+        start = np.flatnonzero(np.r_[True, (ts[1:] != ts[:-1]) | (tp[1:] != tp[:-1])])
+        size = np.diff(np.r_[start, row.size])
+        tie, rank = np.empty_like(row), np.empty_like(row)
+        tie[order] = np.repeat(np.arange(start.size), size)
+        rank[order] = row - start[tie[order]]
+        # a tie inherits the order of its previous rows where they are one tie
+        prev_tie = np.where(prev < 0, -1, tie[prev])[order]
+        low = np.minimum.reduceat(prev_tie, start)
+        inherits = (low == np.maximum.reduceat(prev_tie, start)) & (low >= 0) & (size[low] == size)
+        anc = np.maximum.accumulate(np.where(inherits[tie], 0, row))
+        # the other ties of later rows, in time order, by their previous rows' positions
+        loose = ~inherits & (size > 1) & (tp[start] > -np.inf)
+        rows = order[np.repeat(loose, size)]
+        base, ancs = start[tie[prev[rows]]], anc[prev[rows]]
+        ends = np.cumsum(size[loose]).tolist()
+        for a, b in zip([0] + ends, ends):
+            rank[rows[a:b][np.argsort(base[a:b] + rank[ancs[a:b]])]] = np.arange(b - a)
+        pos = start[tie] + rank[anc]
+        order[pos] = row
+        return order, np.argsort(pos[np.cumsum(sizes) - 1]).tolist()
+
+
+class _Rows:
+    """The event heap's rows: their times in one float array, each row after its time."""
+
+    def __init__(self):
+        self.times, self.rows = array("d"), []
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def table(self, ordered: bool = True) -> tuple[list, Iterator]:
+        """The rows after their time, and blocks of (times, indices), in log order either way."""
+        return self.rows, _blocks(np.frombuffer(self.times), np.arange(len(self.rows)))
+
+
+def _blocks(times: np.ndarray, codes: np.ndarray, order: Optional[np.ndarray] = None) -> Iterator:
+    """(times, codes) in blocks of at most BLOCK rows, in `order` or as stored."""
+    for a in range(0, times.size, BLOCK):
+        k = slice(a, a + BLOCK) if order is None else order[a:a + BLOCK]
+        yield times[k], codes[k]
 
 
 class TriggerLog:
     """A run's trigger rows (t, edge, comm_healthy, diff, u, theta, eps, rate,
-    dwell_floor) in event order. Rows from the event heap are stored as they
-    are; a quiescent stretch as per-edge runs, whose rows are built each time
-    they are iterated, so `len()` never builds them."""
+    dwell_floor) in event order, in parts (`_Rows`, `_Stretch`) read by `table()`."""
 
     def __init__(self, parts: list):
-        self.parts = parts                   # lists of rows and `_Stretch`es
-        self.size = sum(map(len, parts))
+        self.parts = parts
 
     def __len__(self) -> int:
-        return self.size
+        return sum(map(len, self.parts))
 
     def __iter__(self):
         for part in self.parts:
-            if isinstance(part, list):
-                yield from part
-                continue
             tails, blocks = part.table()
             for times, codes in blocks:
                 yield from map(tuple.__add__, zip(times.tolist()),
                                map(tails.__getitem__, codes.tolist()))
-
-    def tables(self, ordered: bool = True) -> Iterator[tuple]:
-        """Per part, rows after their time and the part's rows in event order (a
-        stretch's run by run unless `ordered`) as blocks of (times, indices into
-        those): see `_Stretch.table`, or a heap list's own rows in one block."""
-        for part in self.parts:
-            if isinstance(part, list):
-                times = np.array([row[0] for row in part], dtype=float)
-                yield [row[1:] for row in part], [(times, np.arange(len(part)))]
-            else:
-                yield part.table(ordered)
 
 
 @dataclass
@@ -290,7 +288,7 @@ class RunMetrics:
         floor is that of the last command set on the edge before it: its
         trigger row's, or that of a later re-tune of the same command."""
         parts = [np.zeros((0, 3))]
-        for tails, blocks in self.trigger_log.tables(ordered=False):
+        for tails, blocks in (p.table(ordered=False) for p in self.trigger_log.parts):
             edge, floor_ = np.array([r[0] for r in tails]), np.array([r[7] for r in tails])
             parts += [np.column_stack((edge[k], ts, floor_[k])) for ts, k in blocks]
         # the re-tunes go last, so a stable sort by (edge, time) puts each one
@@ -626,8 +624,8 @@ class Simulation:
             if dt_ <= horizon:
                 push(dt_, K_DISTURB, node_, jump_)
 
-        log_parts: list = [[]]
-        log_rows = log_parts[-1]
+        log_parts: list = [_Rows()]
+        heap_rows = log_parts[-1]
         closed: list = []
         retunes: list = []
         act_ok = act_fail = comm_ok = 0  # a trigger row is one comm attempt
@@ -678,7 +676,7 @@ class Simulation:
 
         def fast_forward(t_now):
             """Run a quiescent stretch from a trigger at t_now and log it, with a
-            new list for the heap's rows after it; False at the horizon."""
+            new `_Rows` for the heap's rows after it; False at the horizon."""
             nonlocal comm_ok
             live = [None] * ne
             disturb = []
@@ -697,7 +695,7 @@ class Simulation:
             stretch = _Stretch(runs)
             comm_ok += sum(int(np.count_nonzero(r.healthy)) for r in runs)
             if runs:
-                log_parts.extend((stretch, []))
+                log_parts.extend((stretch, _Rows()))
             if cut == limit and not disturb:
                 return False
             # the heap resumes at the cut: leave each edge as its last row did
@@ -718,7 +716,7 @@ class Simulation:
                     e_nbr_delay[e] = t_read - e_nbr_stamp[e]
             ran = {r.edge for r in runs}
             order = sorted((e for e in range(ne) if e not in ran), key=lambda e: live[e][1])
-            order += [runs[k].edge for k in (stretch._merge()[1] if runs else ())]
+            order += [runs[k].edge for k in (stretch._merged[1] if runs else ())]
             # the heap keeps its disturbances and takes the expiries in that order
             heap[:] = [ev for ev in heap if ev[1] == K_DISTURB]
             heapify(heap)
@@ -802,7 +800,8 @@ class Simulation:
                         push(t_next, K_EXPIRY, e, e_ver[e])
                     if not pair or e == r:
                         heappush(heap, (nxt, K_EXPIRY, *first))
-                    log_rows.append((t, e, comm_h, diff, u, theta, eps_k, rate_k, floor))
+                    heap_rows.times.append(t)
+                    heap_rows.rows.append((e, comm_h, diff, u, theta, eps_k, rate_k, floor))
 
                     new_sum = 0.0
                     for oe in self.out_edges[i]:
@@ -827,7 +826,7 @@ class Simulation:
                                 heappush(heap, (nxt, K_EXPIRY, *first))
                                 heappush(heap, (t, K_EXPIRY, sq, r, e_ver[r]))
                             ended = not fast_forward(t)
-                            log_rows = log_parts[-1]
+                            heap_rows = log_parts[-1]
                             break
                 if ended:
                     break

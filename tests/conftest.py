@@ -47,7 +47,7 @@ def min_dwell_margin_reference(m) -> float:
     sorted by edge, then each re-tune's floor written over its trigger row's,
     two `np.searchsorted` per re-tune."""
     edges, times, floors = [np.zeros(0, np.intp)], [np.zeros(0)], [np.zeros(0)]
-    for tails, blocks in m.trigger_log.tables():
+    for tails, blocks in (part.table() for part in m.trigger_log.parts):
         edge, floor_ = np.array([r[0] for r in tails]), np.array([r[7] for r in tails])
         for ts, codes in blocks:
             edges.append(edge[codes])

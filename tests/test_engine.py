@@ -1,6 +1,8 @@
+import tracemalloc
 from heapq import heappush
 from pathlib import Path
 
+import conftest
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from mgconsensus.adaptive import delay_aggregate
 from mgconsensus.attacks import ChannelSet, DosParams, DosSequence
 from mgconsensus.design import certified_params
 from mgconsensus.engine import K_ACT, EngineConfig, Simulation, _measurement_grid
-from mgconsensus.scenario import load_scenario
+from mgconsensus.scenario import load_scenario, parse_scenario
 from mgconsensus.topology import load_topology
 from test_engine_oracle import assert_matches_oracle, heap_push_times
 
@@ -233,3 +235,23 @@ def test_measurement_grid_is_the_repeated_sum(delta, horizon):
     while want[-1] + delta <= horizon:
         want.append(want[-1] + delta)
     assert _measurement_grid(delta, horizon).tolist() == want
+
+
+def test_reading_the_ring64_log_copies_no_heap_row():
+    # the 12 s ring-64 log holds some 20k heap rows; each part's table gives
+    # its stored rows and views of its times, so reading every block costs far
+    # less than a copy of the rows (some 2.6 MB)
+    s = parse_scenario(conftest.ring64_data())
+    log = Simulation(s.engine_config("frequency", s.build_channels())).run().trigger_log
+    read = 0
+    tracemalloc.start()
+    try:
+        for part in log.parts:
+            _tails, blocks = part.table()
+            for times, codes in blocks:
+                read += times.size
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert read == len(log) > 15000
+    assert peak < 0.5e6, peak

@@ -1,8 +1,8 @@
 """The order of a quiescent stretch's rows against a replay of the event heap.
 
-`_Stretch._merge` orders the rows of a stretch by one sort, ties that inherit
+`_Stretch._merged` orders the rows of a stretch by one sort, ties that inherit
 an earlier tie's order, and a pass over the other ties. `_replay_order`, the
-heap replay that `_merge` replaced, is the reference: it replays the heap on
+heap replay that `_merged` replaced, is the reference: it replays the heap on
 the runs' times alone, one pop per row. Both must give the same positions and
 the same order of the runs' last rows, which is the order the engine hands the
 runs' next expiries back to the heap in.
@@ -62,7 +62,7 @@ def _stretch(runs):
 
 
 def assert_merge_matches_replay(stretch):
-    order, last = stretch._merge()
+    order, last = stretch._merged
     want_order, want_last = _replay_order(stretch.runs)
     assert order.tolist() == want_order.tolist()
     assert last == want_last

@@ -1,13 +1,15 @@
 """The writers against references.
 
-`cli._write_events_csv` writes the trigger log from one table view per part
-(`TriggerLog.tables`): a quiescent stretch from its runs' distinct rows
-(`_Run.tails`), a list of heap rows from those rows, each table row and each
-distinct time formatted once. `_stretch` builds runs by hand: per row a time,
-a comm health and an index into the run's (eps, rate) commands.
-`cli._write_trace_csv` formats each distinct float of its block once.
-The references below format every cell of every row, by iterating the log;
-the outputs must be byte-identical.
+`cli._write_events_csv` writes the trigger log from each part's table
+(`table()`): a quiescent stretch from its runs' distinct rows (`_Run.tails`),
+a heap part (`_Rows`) from its stored rows, each table row and each distinct
+time formatted once. `_heap` and `_stretch` build parts by hand: heap rows as
+they are, and runs with per row a time, a comm health and an index into the
+run's (eps, rate) commands. `cli._write_trace_csv` formats each distinct
+float of its block once.
+The references below format every cell of every row: of the rows a test
+wrote by hand, or of a simulated run's log as iterated. The outputs must be
+byte-identical.
 `cli._write_json` must write exactly `json.dumps(data, indent=2,
 sort_keys=True)` and a newline.
 """
@@ -24,7 +26,7 @@ from hypothesis import strategies as st
 from test_engine_oracle import _quiet_prone_runs
 
 from mgconsensus.cli import _write_events_csv, _write_json, _write_trace_csv
-from mgconsensus.engine import RunMetrics, Simulation, TriggerLog, _Run, _Stretch
+from mgconsensus.engine import BLOCK, RunMetrics, Simulation, TriggerLog, _Rows, _Run, _Stretch
 from mgconsensus.scenario import MODES, load_scenario, parse_scenario
 
 SCENARIO = Path(__file__).resolve().parent.parent / "scenarios" / "ring4_dos.yaml"
@@ -40,10 +42,10 @@ def reference_trace_csv(path: Path, metrics: RunMetrics, n: int) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def reference_events_csv(path: Path, metrics: RunMetrics) -> None:
+def reference_events_csv(path: Path, rows, directed_edges: list) -> None:
     lines = ["time,edge_i,edge_j,comm_healthy,diff,u,theta,eps,rate,dwell_floor"]
-    for t, e, h, diff, u, theta, eps, rate, floor_ in metrics.trigger_log:
-        i, j = metrics.directed_edges[e]
+    for t, e, h, diff, u, theta, eps, rate, floor_ in rows:
+        i, j = directed_edges[e]
         lines.append(",".join([
             repr(float(t)), str(i), str(j), str(int(h)),
             "" if diff is None else repr(float(diff)),
@@ -53,14 +55,19 @@ def reference_events_csv(path: Path, metrics: RunMetrics) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def assert_writers_match(metrics: RunMetrics, n: int, tmp: Path) -> None:
-    """Both writers against their references; leaves `events.csv` and
+def assert_writers_match(metrics: RunMetrics, n: int, tmp: Path, rows=None) -> None:
+    """Both writers against their references, the events CSV against `rows`
+    (by default the log's rows as iterated); leaves `events.csv` and
     `trace.csv` in `tmp`."""
-    for name, write, ref, args in (("events", _write_events_csv, reference_events_csv, ()),
-                                   ("trace", _write_trace_csv, reference_trace_csv, (n,))):
+    rows = metrics.trigger_log if rows is None else rows
+    outputs = (("events", lambda p: _write_events_csv(p, metrics),
+                lambda p: reference_events_csv(p, rows, metrics.directed_edges)),
+               ("trace", lambda p: _write_trace_csv(p, metrics, n),
+                lambda p: reference_trace_csv(p, metrics, n)))
+    for name, write, ref in outputs:
         got, want = tmp / f"{name}.csv", tmp / f"{name}.want.csv"
-        write(got, metrics, *args)
-        ref(want, metrics, *args)
+        write(got)
+        ref(want)
         assert got.read_bytes() == want.read_bytes(), name
 
 
@@ -98,6 +105,17 @@ def _metrics(parts, states, inputs, edges=((0, 1), (1, 0))) -> RunMetrics:
         retunes=[], channel_stats={}, directed_edges=list(edges), segments=[])
 
 
+def _heap(rows):
+    """A heap part of the rows (t, edge, comm_healthy, diff, u, theta, eps,
+    rate, dwell_floor), all appended before any read: while a table views its
+    times, they cannot grow."""
+    part = _Rows()
+    for t, *tail in rows:
+        part.times.append(t)
+        part.rows.append(tuple(tail))
+    return part
+
+
 def _stretch(runs):
     """A stretch of hand-built runs (edge, times, health, commands, their
     (eps, rate), before, after, q); a resilient run has no `before`."""
@@ -117,9 +135,17 @@ def test_writers_keep_negative_zero(tmp_path):
                          -0.0, 0.0, 1),
                         (1, [0.5, 1.0, 1.5], [False, False, True], [0, 0, 0], [(1.0, 1.0)],
                          -0.0, -0.0, 0)])
-    m = _metrics([heap, stretch, list(heap)], [[0.0, -0.0], [-0.0, 0.0], [0.0, 0.0]],
+    # the stretch's rows in heap order (see test_stretch_order.py)
+    rows = [(0.5, 1, False, -0.0, 0, 0.25, 1.0, 1.0, 0.25),
+            (0.5, 0, False, -0.0, 0, 0.25, 1.0, 1.0, 0.25),
+            (0.75, 0, True, 0.0, 0, 0.25, 1.0, 1.0, 0.25),
+            (1.0, 1, False, -0.0, 0, 0.25, 1.0, 1.0, 0.25),
+            (1.0, 0, True, 0.0, 0, 0.25, 1.0, 1.0, 0.25),
+            (1.5, 1, True, -0.0, 0, 0.25, 1.0, 1.0, 0.25)]
+    m = _metrics([_heap(heap), stretch, _heap(heap)], [[0.0, -0.0], [-0.0, 0.0], [0.0, 0.0]],
                  [[-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0]])
-    assert_writers_match(m, 2, tmp_path)
+    assert list(m.trigger_log) == heap + rows + heap
+    assert_writers_match(m, 2, tmp_path, heap + rows + heap)
     diffs = [line.split(",")[4] for line in (tmp_path / "events.csv").read_text().splitlines()]
     assert diffs[1:11] == ["0.0", "-0.0", "0.0", "-0.0", "-0.0", "-0.0", "0.0", "-0.0", "0.0",
                            "-0.0"]
@@ -133,12 +159,35 @@ def test_writers_leave_a_jammed_resilient_diff_empty(tmp_path):
     stretch = _stretch([(0, [0.5, 0.75, 1.0, 1.25], [True, False, True, False], [0, 0, 1, 1],
                          [(1.0, 1.0), (0.5, 0.75)], None, 0.125, 0),
                         (1, [0.75, 1.25], [False, True], [0, 0], [(1.0, 1.0)], None, 0.125, 1)])
-    m = _metrics([heap, stretch], [[0.0, 1.0]], [[0.0, 0.0]])
-    assert_writers_match(m, 2, tmp_path)
+    rows = [(0.5, 0, True, 0.125, 0, 0.25, 1.0, 1.0, 0.25),
+            (0.75, 1, False, None, 0, 0.25, 1.0, 1.0, 0.25),
+            (0.75, 0, False, None, 0, 0.25, 1.0, 1.0, 0.25),
+            (1.0, 0, True, 0.125, 0, 0.125, 0.5, 0.75, 0.5 / 3.0),
+            (1.25, 1, True, 0.125, 0, 0.25, 1.0, 1.0, 0.25),
+            (1.25, 0, False, None, 0, 0.125, 0.5, 0.75, 0.5 / 3.0)]
+    m = _metrics([_heap(heap), stretch], [[0.0, 1.0]], [[0.0, 0.0]])
+    assert list(m.trigger_log) == heap + rows
+    assert_writers_match(m, 2, tmp_path, heap + rows)
     lines = (tmp_path / "events.csv").read_text().splitlines()
     assert lines[1] == "0.1,1,0,0,,0,0.25,1.0,1.0,0.25"
     # heap order: e0 0.5, e1 0.75, e0 0.75, e0 1.0, e1 1.25, e0 1.25
     assert [line.split(",")[4] for line in lines[2:]] == ["0.125", "", "", "0.125", "0.125", ""]
+
+
+def test_writers_cross_a_block_boundary_in_a_heap_part(tmp_path):
+    # more than BLOCK heap rows, three to a time, so that rows 4,095-4,097 share
+    # one time across the first block's end; diffs cycle through None, -0.0 and
+    # distinct values, u through -1, 0 and 1
+    rows = [(0.001 * (k // 3), k % 2, k % 3 != 0, [None, -0.0, 0.1 * k][k % 3], k % 3 - 1,
+             0.25, 1.0, 1.0, 0.25) for k in range(BLOCK + 904)]
+    part = _heap(rows)
+    assert [times.size for times, _ in part.table()[1]] == [BLOCK, 904]
+    m = _metrics([part], [[0.0, 1.0]], [[0.0, 0.0]])
+    assert list(m.trigger_log) == rows
+    assert_writers_match(m, 2, tmp_path, rows)
+    lines = (tmp_path / "events.csv").read_text().splitlines()
+    assert len(lines) == len(rows) + 1
+    assert [line.split(",")[0] for line in lines[BLOCK:BLOCK + 3]] == [repr(0.001 * 1365)] * 3
 
 
 def assert_json_matches_stdlib(data, path: Path) -> None:
