@@ -96,44 +96,46 @@ def podf_bound(p: DosParams) -> float:
     return (p.kappa + (p.eta + 1.0) * p.delta_star) / (1.0 - phi)
 
 
-@dataclass(frozen=True)
 class DosSequence:
-    """Sorted, disjoint half-open attack windows within [0, horizon)."""
+    """Sorted, disjoint (possibly touching) half-open attack windows within
+    [0, horizon), kept as one read-only array of their boundaries s_0, e_0,
+    s_1, e_1, ...: t is attacked exactly when an odd number of them are <= t."""
 
-    intervals: tuple[tuple[float, float], ...]
-    horizon: float
-    # window starts and ends, derived once for the attack-window query
-    starts: tuple[float, ...] = field(init=False, compare=False, repr=False)
-    ends: tuple[float, ...] = field(init=False, compare=False, repr=False)
+    __slots__ = ("bounds", "horizon")
 
-    def __post_init__(self):
-        if not math.isfinite(self.horizon):
-            raise ValueError(f"horizon must be finite, got {self.horizon!r}")
-        prev_end = 0.0
-        for s, e in self.intervals:
-            if not (0.0 <= s < e <= self.horizon):
-                raise ValueError(f"interval [{s}, {e}) outside [0, {self.horizon})")
-            if s < prev_end:
-                raise ValueError("intervals must be sorted and disjoint")
-            prev_end = e
-        object.__setattr__(self, "starts", tuple(s for s, _ in self.intervals))
-        object.__setattr__(self, "ends", tuple(e for _, e in self.intervals))
+    def __init__(self, intervals, horizon: float):
+        horizon = float(horizon)
+        if not math.isfinite(horizon):
+            raise ValueError(f"horizon must be finite, got {horizon!r}")
+        pairs = np.array(intervals, dtype=np.float64)
+        if pairs.shape[1:] != (2,) and pairs.shape != (0,):
+            raise ValueError(f"intervals must be [start, end] pairs, got shape {pairs.shape}")
+        bounds = pairs.reshape(-1)
+        if bounds.size:
+            # in 0, s_0, e_0, ..., horizon each start and the horizon is >= the
+            # value before it, and each end > its start; NaN fails both. Compared,
+            # not subtracted: inf - inf and 1e308 - -1e308 warn
+            ext = np.concatenate(((0.0,), bounds, (horizon,)))
+            if not ((ext[1::2] >= ext[0::2]).all() and (bounds[1::2] > bounds[0::2]).all()):
+                raise ValueError(f"intervals must be sorted, disjoint and within [0, {horizon}]")
+        bounds.flags.writeable = False
+        self.bounds = bounds
+        self.horizon = horizon
+
+    @property
+    def intervals(self) -> tuple[tuple[float, float], ...]:
+        """The windows as (start, end) pairs of Python floats."""
+        return tuple(map(tuple, self.bounds.reshape(-1, 2).tolist()))
 
     def health(self, t: float) -> tuple[bool, float]:
         """Whether t lies outside every window, and the next window boundary
         after t (inf after the last one): the answer holds up to it."""
-        idx = bisect_right(self.starts, t) - 1
-        if idx >= 0 and t < self.ends[idx]:
-            return False, self.ends[idx]
-        return True, self.starts[idx + 1] if idx + 1 < len(self.starts) else math.inf
+        k = bisect_right(self.bounds, t)
+        return not k & 1, self.bounds.item(k) if k < self.bounds.size else math.inf
 
     def attacked(self, times) -> np.ndarray:
         """Whether each point of `times` is attacked (see `health`), in one searchsorted."""
-        times = np.asarray(times, dtype=np.float64)
-        if not self.intervals:
-            return np.zeros(times.shape, dtype=bool)
-        idx = np.searchsorted(self.starts, times, side="right") - 1
-        return (idx >= 0) & (times < np.asarray(self.ends)[idx])
+        return np.searchsorted(self.bounds, times, "right") % 2 == 1
 
 
 @dataclass
@@ -200,8 +202,7 @@ def verify_sequence(s: DosSequence, p: DosParams) -> VerifyReport:
     gaps are piecewise linear in (t1, t2) with extrema only at interval
     boundaries (unit-tested against dense grids).
     """
-    starts = np.array(s.starts, dtype=np.float64)
-    ends = np.array(s.ends, dtype=np.float64)
+    starts, ends = s.bounds[0::2], s.bounds[1::2]
     tol = 1e-9
     # every window start is an off->on transition, counted by the frequency budget
     f_slack = frequency_min_slack(starts, p.eta, p.tau_f)
@@ -258,7 +259,7 @@ def _place_windows(p: DosParams, horizon: float, gap, cap, wait: float) -> DosSe
         # any attack start instantly violates one of the limit inequalities,
         # or no window is long enough to keep
         return empty
-    windows = []
+    bounds = []  # s_0, e_0, s_1, e_1, ...
     n = 0  # windows placed so far
     f_idx, f_start, f_key = 0, -math.inf, -math.inf  # frequency anchor, key s_p - tau_f p
     d_start, d_acc = -math.inf, 0.0  # duration anchor, attacked time since
@@ -293,9 +294,9 @@ def _place_windows(p: DosParams, horizon: float, gap, cap, wait: float) -> DosSe
         else:
             d_acc += length
         t = t_s + length
-        windows.append((t_s, t))
+        bounds += (t_s, t)
         n += 1
-    return DosSequence(tuple(windows), horizon)
+    return DosSequence(np.array(bounds).reshape(-1, 2), horizon)
 
 
 def generate_sequence(p: DosParams, horizon: float, seed: int) -> DosSequence:
@@ -395,7 +396,7 @@ class ChannelSet:
                     "delta_star": p.delta_star,
                 },
                 "horizon": seq.horizon,
-                "intervals": [[s, e] for s, e in seq.intervals],
+                "intervals": seq.bounds.reshape(-1, 2).tolist(),
             }
         return out
 
@@ -410,10 +411,7 @@ class ChannelSet:
             params[key] = DosParams(
                 pd["eta"], pd["kappa"], pd["tau_f"], pd["tau_d"], pd["delta_star"]
             )
-            sequences[key] = DosSequence(
-                tuple((float(s), float(e)) for s, e in entry["intervals"]),
-                float(entry["horizon"]),
-            )
+            sequences[key] = DosSequence(entry["intervals"], entry["horizon"])
         return cls(sequences, params)
 
 

@@ -212,7 +212,7 @@ def cmd_attacks_generate(args) -> int:
         raise ConfigError("scenario defines no attack channels")
     out = Path(args.out) if args.out else Path(args.scenario).with_suffix(".trace.json")
     _write_json(out, channels.to_dict())
-    n_windows = sum(len(s.intervals) for s in channels.sequences.values())
+    n_windows = sum(s.bounds.size for s in channels.sequences.values()) // 2
     print(f"wrote {out} ({len(channels.sequences)} channels, {n_windows} windows)")
     return 0
 

@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -81,12 +84,80 @@ def test_half_open_windows():
     assert s.health(5.0) == (True, float("inf"))
 
 
+def _reference_check(intervals, horizon):
+    """The per-window check `DosSequence` ran while it stored the windows as
+    tuples: ValueError unless they are sorted, disjoint and inside [0, horizon]."""
+    if not math.isfinite(horizon):
+        raise ValueError(f"horizon must be finite, got {horizon!r}")
+    prev_end = 0.0
+    for s, e in intervals:
+        if not (0.0 <= s < e <= horizon):
+            raise ValueError(f"interval [{s}, {e}) outside [0, {horizon})")
+        if s < prev_end:
+            raise ValueError("intervals must be sorted and disjoint")
+        prev_end = e
+
+
+@st.composite
+def _candidate_windows(draw):
+    """Windows cut from sorted points that repeat often (touching and
+    zero-length windows), then up to two edits: a swap of neighbouring
+    boundaries (a reversed or an overlapping window) or a boundary that is NaN,
+    infinite, negative or past the horizon."""
+    point = st.sampled_from([0.0, 1.0, 2.5, 4.0, 10.0]) | st.floats(0.0, 10.0)
+    cuts = sorted(draw(st.lists(point, max_size=12)))
+    bounds = cuts[: len(cuts) // 2 * 2]
+    odd = st.sampled_from([math.nan, math.inf, -math.inf, -1.0, -0.0, 10.5]) | st.floats()
+    for _ in range(draw(st.integers(0, 2)) if bounds else 0):
+        k = draw(st.integers(0, len(bounds) - 1))
+        if k + 1 < len(bounds) and draw(st.booleans()):
+            bounds[k], bounds[k + 1] = bounds[k + 1], bounds[k]
+        else:
+            bounds[k] = draw(odd)
+    return [(bounds[k], bounds[k + 1]) for k in range(0, len(bounds), 2)]
+
+
+@given(_candidate_windows(),
+       st.sampled_from([10.0, 10.0, 10.0, 4.0, 0.0, -1.0, math.nan, math.inf]))
+@settings(max_examples=500, deadline=None)
+def test_constructor_matches_the_per_window_check(windows, horizon):
+    try:
+        _reference_check(windows, horizon)
+    except ValueError:
+        with pytest.raises(ValueError):
+            DosSequence(windows, horizon)
+        return
+    got = DosSequence(windows, horizon).intervals
+    assert all(type(b) is float for w in got for b in w)
+    assert repr(got) == repr(tuple(windows))  # float for float, -0.0 included
+
+
+def test_attacked_copies_nothing_per_call():
+    # memory linear in the query, not in the trace: 20,000 windows as float
+    # arrays would take 160 KB each
+    s = DosSequence(tuple((2.0 * k, 2.0 * k + 1.0) for k in range(20_000)), 40_000.0)
+    points = np.linspace(0.0, 40_000.0, 10)
+    s.attacked(points)  # any one-time allocation falls outside the measurement
+    tracemalloc.start()
+    try:
+        s.attacked(points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4096, f"attacked allocated {peak} bytes for 10 points"
+
+
 @st.composite
 def _sequences_and_points(draw):
-    """Sorted disjoint windows and query points that include every window
-    start and end, a point on each side of them, and random points."""
+    """Sorted disjoint windows, some touching the one before, and query points
+    that include every window start and end, a point on each side of them, and
+    random points."""
     cuts = sorted(set(draw(st.lists(st.floats(0.0, 10.0), max_size=12))))
-    windows = tuple((a, b) for a, b in zip(cuts[0::2], cuts[1::2]))
+    touch = draw(st.lists(st.booleans(), min_size=len(cuts), max_size=len(cuts)))
+    windows, k = [], 0
+    while k + 1 < len(cuts):
+        windows.append((cuts[k], cuts[k + 1]))
+        k += 1 if touch[k] else 2  # a touching window starts where this one ends
     edges = [b for w in windows for b in w]
     points = edges + [np.nextafter(b, -np.inf) for b in edges] + \
         [np.nextafter(b, np.inf) for b in edges] + [0.0, 10.0] + \
@@ -103,6 +174,7 @@ def test_vectorised_query_matches_health(case):
     assert got.dtype == bool and got.shape == (len(points),)
     bounds = [b for w in s.intervals for b in w]
     for t, attacked in zip(points, got.tolist()):
+        assert attacked == any(a <= t < b for a, b in s.intervals)
         assert s.health(float(t)) == (not attacked, min((b for b in bounds if b > t),
                                                            default=float("inf")))
 
@@ -147,8 +219,9 @@ def test_generated_sequences_always_verify(seed, eta, kappa, tau_f, tau_d):
 
 def test_generation_is_deterministic():
     p = DosParams(1.0, 1.0, 5.0, 10.0, 0.1)
-    assert generate_sequence(p, 50.0, 7) == generate_sequence(p, 50.0, 7)
-    assert generate_sequence(p, 50.0, 7) != generate_sequence(p, 50.0, 8)
+    a, b, c = (generate_sequence(p, 50.0, seed) for seed in (7, 7, 8))
+    assert (a.intervals, a.horizon) == (b.intervals, b.horizon)
+    assert a.intervals != c.intervals
 
 
 def test_no_attacks_possible_below_unit_offsets():
@@ -220,7 +293,10 @@ def test_channel_set_roundtrip():
     cs = generate_channel_set(topo, [p, p], [p, p], {(0, 1): p}, 30.0, 42)
     cs.check_complete(topo, topo.edges)
     clone = ChannelSet.from_dict(cs.to_dict())
-    assert clone.sequences == cs.sequences
+    assert clone.sequences.keys() == cs.sequences.keys()
+    for key, seq in cs.sequences.items():
+        assert (clone.sequences[key].intervals, clone.sequences[key].horizon) == \
+            (seq.intervals, seq.horizon)
     assert clone.params == cs.params
 
 

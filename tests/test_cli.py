@@ -389,6 +389,27 @@ def test_verify_reports_unreadable_trace(tmp_path, capsys, content):
     assert "malformed trace:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("intervals, ok", [
+    ([1.0, 2.0], False), ([[1.0, 2.0, 3.0]], False), ([[1.0]], False), ([[]], False),
+    (None, False), ([[None, 2.0]], False), ([[1.0, 2.0], [3.0]], False),
+    ([[[1.0, 2.0]]], False), ([], True), ([[1.0, 2.0], [2.0, 3.0]], True),
+], ids=["flat", "triple", "single", "empty-pair", "null", "null-start", "ragged", "nested",
+        "no-windows", "touching"])
+def test_verify_checks_the_shape_of_intervals(fast_scenario, tmp_path, capsys, intervals, ok):
+    trace = tmp_path / "trace.json"
+    assert main(["attacks", "generate", str(fast_scenario), "--out", str(trace)]) == 0
+    data = json.loads(trace.read_text())
+    # a budget the touching windows keep, so only the windows' shape decides
+    data["act/0"]["params"].update(eta=5.0, kappa=5.0, tau_f=10.0, tau_d=10.0)
+    data["act/0"]["intervals"] = intervals
+    trace.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["attacks", "verify", str(trace)]) == (0 if ok else 1)
+    captured = capsys.readouterr()
+    assert ("malformed trace:" in captured.err) != ok
+    assert ("act/0: ok" in captured.out) == ok
+
+
 NON_FINITE = [("params", "eta", float("nan")), ("params", "kappa", float("nan")),
               ("params", "tau_d", float("inf")), (None, "horizon", float("inf"))]
 NON_FINITE_IDS = ["eta-nan", "kappa-nan", "tau_d-inf", "horizon-inf"]
