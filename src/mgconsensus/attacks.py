@@ -101,7 +101,7 @@ class DosSequence:
     [0, horizon), kept as one read-only array of their boundaries s_0, e_0,
     s_1, e_1, ...: t is attacked exactly when an odd number of them are <= t."""
 
-    __slots__ = ("bounds", "horizon")
+    __slots__ = ("bounds", "horizon", "_view")
 
     def __init__(self, intervals, horizon: float):
         horizon = float(horizon)
@@ -121,6 +121,8 @@ class DosSequence:
         bounds.flags.writeable = False
         self.bounds = bounds
         self.horizon = horizon
+        # `health` bisects this view: its items are Python floats, not numpy scalars
+        self._view = memoryview(bounds)
 
     @property
     def intervals(self) -> tuple[tuple[float, float], ...]:
@@ -130,8 +132,9 @@ class DosSequence:
     def health(self, t: float) -> tuple[bool, float]:
         """Whether t lies outside every window, and the next window boundary
         after t (inf after the last one): the answer holds up to it."""
-        k = bisect_right(self.bounds, t)
-        return not k & 1, self.bounds.item(k) if k < self.bounds.size else math.inf
+        view = self._view
+        k = bisect_right(view, t)
+        return not k & 1, view[k] if k < len(view) else math.inf
 
     def attacked(self, times) -> np.ndarray:
         """Whether each point of `times` is attacked (see `health`), in one searchsorted."""

@@ -181,7 +181,7 @@ def cmd_run(args) -> int:
     for name in names:
         summary["instances"][name] = _run_instance(scen, name, channels, outdir)
     if scen.mode != "nominal" or scen.has_attacks:
-        summary["certificate"] = scen.certificate().to_dict()
+        summary["certificate"] = scen.certificate()
     _write_json(outdir / "summary.json", summary)
     print(f"wrote {outdir}/summary.json")
     for name, s in summary["instances"].items():
@@ -197,10 +197,10 @@ def cmd_design(args) -> int:
         scen = scen.with_mode(args.mode)
     cert = scen.certificate()
     out = Path(args.out) if args.out else Path(args.scenario).with_suffix(".certificate.json")
-    _write_json(out, cert.to_dict())
+    _write_json(out, cert)
     print(f"wrote {out}")
-    print(f"design satisfied: {cert.satisfied}")
-    return 0 if cert.satisfied else 1
+    print(f"design satisfied: {cert['satisfied']}")
+    return 0 if cert["satisfied"] else 1
 
 
 def cmd_attacks_generate(args) -> int:

@@ -7,7 +7,6 @@ Lyapunov function.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Sequence
 
 from .errors import CriterionViolatedError
@@ -75,47 +74,3 @@ def lyapunov(states: Sequence[float]) -> float:
     n = len(states)
     mean = sum(states) / n
     return 0.5 * sum((x - mean) ** 2 for x in states)
-
-
-@dataclass
-class DesignCertificate:
-    """Outcome of the offline design for one scenario."""
-
-    mode: str                                  # "global" or "local"
-    eps: dict                                  # uniform {"all": e} or per-edge
-    rate: dict
-    phi_meas: dict
-    phi_act: dict
-    phi_comm: dict
-    phi_meas_max: float
-    phi_act_max: float
-    phi_comm_max: float
-    delta: float
-    t_star_bound: float | None
-    v0: float
-    satisfied: bool
-    notes: list[str] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        def _k(d):
-            return {("-".join(map(str, k)) if isinstance(k, tuple) else str(k)): v
-                    for k, v in sorted(d.items())}
-
-        return {
-            "mode": self.mode,
-            "eps": _k(self.eps),
-            "rate": _k(self.rate),
-            "phi_measurement": _k(self.phi_meas),
-            "phi_actuation": _k(self.phi_act),
-            "phi_communication": _k(self.phi_comm),
-            "phi_measurement_max": self.phi_meas_max,
-            "phi_actuation_max": self.phi_act_max,
-            "phi_communication_max": self.phi_comm_max,
-            "phi_composite_meas_act": self.phi_meas_max + 2.0 * self.phi_act_max,
-            "phi_composite_comm_act": self.phi_comm_max + 2.0 * self.phi_act_max,
-            "delta": self.delta,
-            "t_star_bound": self.t_star_bound,
-            "v0": self.v0,
-            "satisfied": self.satisfied,
-            "notes": self.notes,
-        }

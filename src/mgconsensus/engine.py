@@ -121,7 +121,7 @@ class EngineConfig:
     delta_act: float
     horizon: float
     record_period: float
-    eps_reference: float                        # delta = eps_reference * (n - 1)
+    delta: float                                # target set: spread < delta
     channels: ChannelSet | None = None
     per_direction_comm: bool = False
     activation_time: float = 0.0
@@ -517,7 +517,6 @@ class Simulation:
 
         self.resilient = cfg.mode != "nominal"
         self.adaptive = cfg.mode == "self-adaptive"
-        self.delta = cfg.eps_reference * (self.n - 1)
 
     def run(self) -> RunMetrics:
         cfg = self.cfg
@@ -891,14 +890,14 @@ class Simulation:
         mean = states.mean(axis=1, keepdims=True)
         v_series = 0.5 * ((states - mean) ** 2).sum(axis=1)
         spread = states.max(axis=1) - states.min(axis=1)
-        entry, converged = _entry_time(times, spread, self.delta)
+        entry, converged = _entry_time(times, spread, cfg.delta)
         return RunMetrics(
             times=times,
             states=states,
             inputs=inputs,
             v_series=v_series,
             spread_series=spread,
-            delta=self.delta,
+            delta=cfg.delta,
             entry_time=entry,
             converged=converged,
             trigger_log=log,

@@ -22,12 +22,7 @@ from .attacks import (
     read_channel_set,
 )
 from .design import (
-    DesignCertificate,
-    certified_params,
-    convergence_bound,
-    global_threshold,
-    local_threshold,
-    lyapunov,
+    certified_params, convergence_bound, global_threshold, local_threshold, lyapunov,
 )
 from .engine import EngineConfig
 from .errors import BudgetInfeasibleError, ConfigError
@@ -150,7 +145,7 @@ class ResolvedDesign:
     phi_comm: dict[tuple[int, int], float]
     edge_eps: tuple[float, ...]                 # per directed edge
     edge_rate: tuple[float, ...]
-    eps_reference: float                        # target set: delta = eps_reference * (n - 1)
+    delta: float                                # target set: spread < delta
 
     def scaled_budgets(self, scale_class: Optional[str], intensity: float) -> tuple:
         """meas, act and comm budgets with `scale_class` rescaled by `intensity`;
@@ -251,7 +246,8 @@ class Scenario:
             edge_eps=edge_eps, edge_rate=edge_rate,
             # the target set follows the operating sensitivity: the floor for
             # the adaptive mode (it re-tunes towards it), the design value else
-            eps_reference=self.eps if self.mode == "self-adaptive" else min(edge_eps),
+            delta=(self.eps if self.mode == "self-adaptive" else min(edge_eps))
+            * (topo.node_count - 1),
         )
 
     def build_channels(
@@ -278,11 +274,15 @@ class Scenario:
             self.per_direction_comm,
         )
 
-    def certificate(self) -> DesignCertificate:
+    def certificate(self) -> dict:
+        """The offline design as the certificate JSON that `run` and `design`
+        write. Edges are keyed "i-j" and nodes "i": string keys, which the
+        writer sorts as text ("10" before "2"), as a re-dump of the file does."""
         topo = self.topology
         d = self.design()
         # a uniform design reports its one (eps, R) under "all"
-        keys = topo.directed_edges() if d.kind == "local" else ["all"]
+        keys = [f"{i}-{j}" for i, j in topo.directed_edges()] if d.kind == "local" else ["all"]
+        nodes = [str(i) for i in range(topo.node_count)]
         pm, pa = max(d.phi_meas), max(d.phi_act)
         pc = max(d.phi_comm.values()) if d.phi_comm else 0.0
         # the bound must cover every instance, so it scales with the largest V(0)
@@ -297,22 +297,24 @@ class Scenario:
         for i in range(topo.node_count):
             if d.phi_meas[i] > pc + 1e-12 and pc > 0.0:
                 notes.append(f"node {i}: measurement bound exceeds every comm bound")
-        return DesignCertificate(
-            mode=d.kind,
-            eps=dict(zip(keys, d.edge_eps)),
-            rate=dict(zip(keys, d.edge_rate)),
-            phi_meas=dict(enumerate(d.phi_meas)),
-            phi_act=dict(enumerate(d.phi_act)),
-            phi_comm=d.phi_comm,
-            phi_meas_max=pm,
-            phi_act_max=pa,
-            phi_comm_max=pc,
-            delta=d.eps_reference * (topo.node_count - 1),
-            t_star_bound=t_bound,
-            v0=v0,
-            satisfied=t_bound is not None,
-            notes=notes,
-        )
+        return {
+            "mode": d.kind,
+            "eps": dict(zip(keys, d.edge_eps)),
+            "rate": dict(zip(keys, d.edge_rate)),
+            "phi_measurement": dict(zip(nodes, d.phi_meas)),
+            "phi_actuation": dict(zip(nodes, d.phi_act)),
+            "phi_communication": {f"{i}-{j}": v for (i, j), v in d.phi_comm.items()},
+            "phi_measurement_max": pm,
+            "phi_actuation_max": pa,
+            "phi_communication_max": pc,
+            "phi_composite_meas_act": pm + 2.0 * pa,
+            "phi_composite_comm_act": pc + 2.0 * pa,
+            "delta": d.delta,
+            "t_star_bound": t_bound,
+            "v0": v0,
+            "satisfied": t_bound is not None,
+            "notes": notes,
+        }
 
     # ---- engine assembly --------------------------------------------
 
@@ -349,7 +351,7 @@ class Scenario:
             horizon=self.horizon,
             record_period=self.record_period,
             disturbances=inst["disturbances"],
-            eps_reference=d.eps_reference,
+            delta=d.delta,
         )
 
     def with_mode(self, mode: str) -> "Scenario":

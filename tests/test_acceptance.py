@@ -70,7 +70,7 @@ def nominal_runs(topo):
             topology=topo, x0=list(x0), mode="nominal", eps_floor=0.1,
             edge_eps=[0.1] * ne, edge_rate=[1.0] * ne, alpha=1.5, beta=1.1,
             phi_act=[0.0] * 4, delta_meas=0.01, delta_act=0.01,
-            horizon=60.0, record_period=0.05, eps_reference=0.1,
+            horizon=60.0, record_period=0.05, delta=0.1 * (topo.node_count - 1),
         )
         runs.append((x0, Simulation(cfg).run()))
     return runs, time.perf_counter() - t0
@@ -117,7 +117,7 @@ def resilient_runs(topo):
             edge_eps=[eps] * ne, edge_rate=[rate] * ne, alpha=1.5, beta=1.1,
             phi_act=[0.0] * 4, delta_meas=0.01, delta_act=0.01,
             channels=channels, horizon=horizon, record_period=0.05,
-            eps_reference=eps,
+            delta=eps * (topo.node_count - 1),
         )
         runs.append((x0, comm_budget, Simulation(cfg).run()))
     return runs, eps, rate
@@ -234,7 +234,8 @@ def test_criterion_5_conservativeness_ordering(topo, heterogeneous_setup):
                 topology=topo, x0=x0, mode=mode, eps_floor=0.1,
                 edge_eps=ee, edge_rate=er, alpha=1.5, beta=1.1, phi_act=phi,
                 delta_meas=0.01, delta_act=0.01,
-                channels=channels, horizon=horizon, record_period=0.1, eps_reference=0.1,
+                channels=channels, horizon=horizon, record_period=0.1,
+                delta=0.1 * (topo.node_count - 1),
             )
             m = Simulation(cfg).run()
             spreads[mode] = m.spread_series[-1]
@@ -361,7 +362,8 @@ def _actuation_case(topo, scale, reference=True) -> list:
             topology=topo, x0=x0s[seed], mode="self-adaptive", eps_floor=0.1,
             edge_eps=[0.1] * ne, edge_rate=[1.0] * ne, alpha=1.5, beta=1.1,
             phi_act=phi_act, delta_meas=0.01, delta_act=0.01,
-            channels=channels, horizon=horizon, record_period=0.1, eps_reference=0.1,
+            channels=channels, horizon=horizon, record_period=0.1,
+            delta=0.1 * (topo.node_count - 1),
         )
         m = Simulation(cfg).run()
         margin = m.min_dwell_margin()

@@ -175,8 +175,10 @@ def test_vectorised_query_matches_health(case):
     bounds = [b for w in s.intervals for b in w]
     for t, attacked in zip(points, got.tolist()):
         assert attacked == any(a <= t < b for a, b in s.intervals)
-        assert s.health(float(t)) == (not attacked, min((b for b in bounds if b > t),
-                                                           default=float("inf")))
+        healthy, until = s.health(float(t))
+        assert (healthy, until) == (not attacked, min((b for b in bounds if b > t),
+                                                      default=float("inf")))
+        assert type(healthy) is bool and type(until) is float  # no numpy scalars
 
 
 def test_verify_accepts_within_budget():

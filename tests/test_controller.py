@@ -65,7 +65,7 @@ def _run(mode, rate=1.0, comm_jam=True, horizon=10.0):
         topology=topo, x0=[0.0, 2.0, 4.0, 1.0], mode=mode, eps_floor=0.1,
         edge_eps=[0.1] * ne, edge_rate=[rate] * ne, alpha=1.5, beta=1.1,
         phi_act=[0.05] * 4, delta_meas=0.01, delta_act=0.01, horizon=horizon,
-        record_period=0.05, eps_reference=0.1, channels=channels,
+        record_period=0.05, delta=0.1 * (topo.node_count - 1), channels=channels,
     )
     return Simulation(cfg).run()
 

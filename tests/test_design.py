@@ -1,8 +1,9 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from mgconsensus.design import (
-    DesignCertificate,
     certified_params,
     convergence_bound,
     global_threshold,
@@ -11,7 +12,9 @@ from mgconsensus.design import (
 )
 from mgconsensus.engine import _entry_time
 from mgconsensus.errors import CriterionViolatedError
+from mgconsensus.scenario import load_scenario
 
+SCENARIO = Path(__file__).resolve().parent.parent / "scenarios" / "ring4_dos.yaml"
 PHI = 0.0526  # per-channel persistency bound of the reference design
 
 
@@ -98,23 +101,20 @@ def test_lyapunov():
 
 
 def test_certificate_serialisation():
-    cert = DesignCertificate(
-        mode="local",
-        eps={(0, 1): 1.0},
-        rate={(0, 1): 2.0},
-        phi_meas={0: 0.1},
-        phi_act={0: 0.2},
-        phi_comm={(0, 1): 0.3},
-        phi_meas_max=0.1,
-        phi_act_max=0.2,
-        phi_comm_max=0.3,
-        delta=0.5,
-        t_star_bound=12.0,
-        v0=1.0,
-        satisfied=True,
-    )
-    d = cert.to_dict()
-    assert d["eps"] == {"0-1": 1.0}
-    assert d["phi_communication"] == {"0-1": 0.3}
-    assert d["satisfied"] is True
-    assert d["phi_composite_meas_act"] == pytest.approx(0.5)
+    # the bundled ring in local mode: per-edge maps keyed "i-j", per-node ones "i"
+    scen = load_scenario(str(SCENARIO)).with_mode("resilient-local")
+    d = scen.certificate()
+    topo = scen.topology
+    assert d["mode"] == "local"
+    assert set(d["eps"]) == set(d["rate"]) == {f"{i}-{j}" for i, j in topo.directed_edges()}
+    assert set(d["phi_communication"]) == {f"{i}-{j}" for i, j in topo.edges}
+    assert set(d["phi_measurement"]) == set(d["phi_actuation"]) == {"0", "1", "2", "3"}
+    assert d["phi_composite_meas_act"] == d["phi_measurement_max"] + 2.0 * d["phi_actuation_max"]
+    assert d["phi_composite_comm_act"] == \
+        d["phi_communication_max"] + 2.0 * d["phi_actuation_max"]
+    # satisfied exactly when the convergence bound exists: the local design is,
+    # the nominal one (eps 0.1 against the bundled budgets) is not
+    assert d["satisfied"] is True and d["t_star_bound"] > 0.0
+    nominal = scen.with_mode("nominal").certificate()
+    assert nominal["satisfied"] is False and nominal["t_star_bound"] is None
+    assert nominal["eps"] == {"all": 0.1}

@@ -27,7 +27,7 @@ def _cfg(adj, x0, **kw):
         topology=topo, x0=x0, mode="nominal", eps_floor=0.1,
         edge_eps=[0.1] * ne, edge_rate=[1.0] * ne, alpha=1.5, beta=1.1,
         phi_act=[0.0] * topo.node_count, delta_meas=0.01, delta_act=0.01,
-        horizon=20.0, record_period=0.05, eps_reference=0.1,
+        horizon=20.0, record_period=0.05, delta=0.1 * (topo.node_count - 1),
     )
     base.update(kw)
     return EngineConfig(**base)

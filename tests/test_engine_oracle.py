@@ -352,7 +352,7 @@ def _pair_cfg(**kw):
     base = dict(topology=topo, x0=[0.0, 1.0], mode="nominal", eps_floor=0.1,
                 edge_eps=[0.1, 0.1], edge_rate=[1.0, 1.0], alpha=1.5, beta=1.1,
                 phi_act=[0.0, 0.0], delta_meas=0.25, delta_act=0.01, horizon=3.0,
-                record_period=0.05, eps_reference=0.1)
+                record_period=0.05, delta=0.1)
     base.update(kw)
     return EngineConfig(**base)
 
@@ -403,7 +403,7 @@ def test_early_stop_waits_for_cancelling_edge_inputs(monkeypatch):
         topology=topo, x0=[0.15, 0.0, 0.3], mode="resilient-global", eps_floor=0.1,
         edge_eps=[0.1] * 4, edge_rate=[1.0] * 4, alpha=1.5, beta=1.1,
         phi_act=[0.0] * 3, delta_meas=0.01, delta_act=0.01, horizon=5.0, record_period=0.05,
-        channels=cs, per_direction_comm=True, eps_reference=0.25,  # delta 0.5 > spread
+        channels=cs, per_direction_comm=True, delta=0.5,  # > spread
     )
     pushes = heap_push_times(monkeypatch)
     m, _ = assert_matches_oracle(Simulation(cfg))
@@ -425,7 +425,7 @@ def test_uniform_ring_ties_keep_heap_order(monkeypatch):
         topology=topo, x0=[0.0, 0.0, 0.0, 2.0], mode="nominal", eps_floor=1.0,
         edge_eps=[1.0] * 8, edge_rate=[0.5] * 8, alpha=1.5, beta=1.1, phi_act=[0.0] * 4,
         delta_meas=0.0625, delta_act=0.0625, horizon=6.0, record_period=0.25,
-        eps_reference=1.0, disturbances=[(3.1, 1, 0.5)],
+        delta=3.0, disturbances=[(3.1, 1, 0.5)],
     )
     pushes = heap_push_times(monkeypatch)
     m, _ = assert_matches_oracle(Simulation(cfg))
@@ -445,7 +445,7 @@ def test_stretch_from_stale_neighbour_value_breaks_at_healthy_read(monkeypatch):
     cs = ChannelSet({("comm", 0, 1): DosSequence(((0.5, 4.0),), 8.0)},
                     {("comm", 0, 1): DosParams(1.0, 3.5, 1.0, 1e9, 0.0625)})
     cfg = _pair_cfg(x0=[0.0, 3.0], eps_floor=1.0, edge_eps=[1.0, 1.0], delta_meas=0.0625,
-                    delta_act=0.0625, horizon=8.0, record_period=0.25, eps_reference=1.0,
+                    delta_act=0.0625, horizon=8.0, record_period=0.25, delta=1.0,
                     channels=cs)
     pushes = heap_push_times(monkeypatch)
     m, _ = assert_matches_oracle(Simulation(cfg))
@@ -471,7 +471,7 @@ def test_offline_stretch_is_cut_at_the_earlier_of_two_breaks(ends, monkeypatch):
                     {k: DosParams(1.0, 4.5, 1.0, 1e9, 0.0625) for k in keys})
     cfg = _pair_cfg(topology=topo, x0=[0.0, 3.0, 0.0, 3.0], eps_floor=1.0, edge_eps=[1.0] * 6,
                     edge_rate=[1.0] * 6, phi_act=[0.0] * 4, delta_meas=0.0625,
-                    delta_act=0.0625, horizon=8.0, record_period=0.25, eps_reference=1.0,
+                    delta_act=0.0625, horizon=8.0, record_period=0.25, delta=3.0,
                     channels=cs)
     pushes = heap_push_times(monkeypatch)
     m, _ = assert_matches_oracle(Simulation(cfg))
@@ -499,7 +499,7 @@ def test_self_adaptive_stretch_breaks_edge_by_edge_at_one_gamma(monkeypatch):
         topology=load_topology(RING4), x0=[0.0, 0.0, 2.0, 1.0], mode="self-adaptive",
         eps_floor=0.1, edge_eps=[0.1] * 8, edge_rate=[1.0] * 8, alpha=1.5, beta=1.1,
         phi_act=[0.0] * 4, delta_meas=0.375, delta_act=0.0625, horizon=8.0,
-        record_period=0.25, eps_reference=0.1, channels=cs, activation_time=0.5,
+        record_period=0.25, delta=0.1 * 3, channels=cs, activation_time=0.5,
     )
     pushes = heap_push_times(monkeypatch)
     m, _ = assert_matches_oracle(Simulation(cfg))
@@ -546,7 +546,7 @@ def quiet_prone_config(n: int, seed: int, mode: str, attacked: bool) -> EngineCo
         edge_eps=[eps] * ne, edge_rate=[rate] * ne, alpha=1.5, beta=1.1,
         phi_act=[0.0 if mode == "self-adaptive" else phi] * n,
         delta_meas=0.02, delta_act=0.02, channels=channels, horizon=horizon,
-        record_period=0.1, eps_reference=eps, activation_time=float(rng.uniform(0.0, 0.5)),
+        record_period=0.1, delta=eps * (n - 1), activation_time=float(rng.uniform(0.0, 0.5)),
         disturbances=[(float(rng.uniform(1.0, 5.0)), int(rng.integers(n)),
                        float(rng.uniform(-2.0, 2.0) * eps))],
     )
@@ -624,7 +624,7 @@ def test_lockstep_links_split_and_rejoin(mode, monkeypatch):
         topology=topo, x0=[0.0, 1.0, 2.5, 4.0, 6.0], mode=mode, eps_floor=0.1,
         edge_eps=[0.1] * ne, edge_rate=[1.0] * ne, alpha=1.5, beta=1.1,
         phi_act=[podf_bound(act)] * 5, delta_meas=0.01, delta_act=0.01, channels=channels,
-        per_direction_comm=True, horizon=6.0, record_period=0.1, eps_reference=0.1,
+        per_direction_comm=True, horizon=6.0, record_period=0.1, delta=0.1 * 4,
     )
     pushes = expiry_pushes(monkeypatch)
     m, _ = assert_matches_oracle(Simulation(cfg))

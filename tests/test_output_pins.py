@@ -2,8 +2,9 @@
 
 The sha256 of every file `mgconsensus run` writes (trace CSV, events CSV,
 metrics JSON, attack trace, summary) in the four modes at seeds 0 and 3, of
-`design` in the four modes, of `attacks generate` at the scenario's seed, at
-`--seed 3` and at an 8,000 s horizon, and of `sweep --seeds 2 --out`. The
+`design` in the four modes and in local mode on a 12-node ring, of
+`attacks generate` at the scenario's seed, at `--seed 3` and at an 8,000 s
+horizon, and of `sweep --seeds 2 --out`. The
 bundled runs log only a few hundred triggers from the event heap; the 12 s
 self-adaptive ring-64 run of the oracle tests (`conftest.ring64_data`), whose
 ~20k triggers come from the heap, pins the active loop's events and trace. An
@@ -181,6 +182,11 @@ DESIGN_PINS = {
     "self-adaptive": "7124217d1462b8d936c9ec45dd3cc48127b398cd11c7e8fe49c569029ad5a595",
 }
 
+# `design --mode resilient-local` on a 12-node ring whose node 3 has a far larger
+# measurement budget: two distinct per-edge eps, keys "10-11" beside "2-3", and
+# both notes. Node ids 10 and 11 sort as text, before "2"
+RING12_DESIGN_PIN = "8324d174ccf02334616bbcd190d8142ac5e051017748bbf3ad2bbc5724afd4db"
+
 GENERATE_PINS = {
     "scenario-seed": "5b648d84b6a29ad0a69d78634aad8c029aa8636f39ec71bcb7edb16a0380d561",
     "seed-3": "01278a852ad6c92bb9128b7f86d5b1c2a2b756d54cc04e84e886f0e1a16674a5",
@@ -222,6 +228,23 @@ def test_design_matches_pins(at_root, tmp_path, mode):
     assert cli_main(["design", SCENARIO, "--mode", mode, "--out", str(out)]) == \
         (1 if mode == "nominal" else 0)
     assert sha256(out) == DESIGN_PINS[mode]
+
+
+def test_ring12_local_design_matches_pin(tmp_path):
+    n = 12
+    data = yaml.safe_load((ROOT / SCENARIO).read_text())
+    del data["mgs"]
+    data["topology"]["adjacency"] = [[int((j - i) % n in (1, n - 1)) for j in range(n)]
+                                     for i in range(n)]
+    data["instances"] = {"frequency": {"initial": [50.0 + 0.01 * i for i in range(n)]}}
+    data["channels"]["measurement"]["overrides"] = {
+        3: {"eta": 1.0, "kappa": 1.0, "tau_f": 10.0, "tau_d": 25.0}}
+    scenario, out = tmp_path / "ring12.yaml", tmp_path / "certificate.json"
+    scenario.write_text(yaml.safe_dump(data, sort_keys=True))
+    # the stability decrement is negative, so the design is not certified
+    assert cli_main(["design", str(scenario), "--mode", "resilient-local",
+                     "--out", str(out)]) == 1
+    assert sha256(out) == RING12_DESIGN_PIN
 
 
 @pytest.mark.parametrize("variant", sorted(GENERATE_PINS))

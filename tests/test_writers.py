@@ -244,7 +244,7 @@ def test_certificate_json_is_stdlib_text_on_12_nodes(mode, tmp_path):
                                      for i in range(n)]
     data["instances"] = {"frequency": {"initial": [50.0 + 0.01 * i for i in range(n)]}}
     path = tmp_path / "certificate.json"
-    _write_json(path, parse_scenario(data).with_mode(mode).certificate().to_dict())
+    _write_json(path, parse_scenario(data).with_mode(mode).certificate())
     text = path.read_text()
     assert '"11": ' in text
     assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
