@@ -4,7 +4,8 @@ Subcommands: run, design, attacks generate, attacks verify, sweep. Outputs
 are byte-deterministic for a fixed scenario and seed (sorted JSON keys,
 repr-formatted floats in CSV).
 
-Exit codes: 0 success, 1 verification failure, 2 configuration error.
+Exit codes: 0 success, 1 verification failure, 2 configuration error or an
+output that cannot be written (its directory is made before any work).
 """
 
 from __future__ import annotations
@@ -82,6 +83,13 @@ def _encode(data, pad: str, out: list) -> None:
             _encode(item, inner, out)
             sep = ",\n"
         out.append("\n" + pad + "]")
+
+
+def _out_file(path: str) -> Path:
+    """`path`, with its parent directory made."""
+    out = Path(path)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    return out
 
 
 def _write_json(path: Path, data) -> None:
@@ -195,8 +203,8 @@ def cmd_design(args) -> int:
     scen = load_scenario(args.scenario)
     if args.mode:
         scen = scen.with_mode(args.mode)
+    out = _out_file(args.out or Path(args.scenario).with_suffix(".certificate.json"))
     cert = scen.certificate()
-    out = Path(args.out) if args.out else Path(args.scenario).with_suffix(".certificate.json")
     _write_json(out, cert)
     print(f"wrote {out}")
     print(f"design satisfied: {cert['satisfied']}")
@@ -207,10 +215,10 @@ def cmd_attacks_generate(args) -> int:
     scen = load_scenario(args.scenario)
     if args.seed is not None:
         scen = scen.with_seed(args.seed)
-    channels = scen.build_channels()
-    if channels is None:
+    if not scen.has_attacks:
         raise ConfigError("scenario defines no attack channels")
-    out = Path(args.out) if args.out else Path(args.scenario).with_suffix(".trace.json")
+    out = _out_file(args.out or Path(args.scenario).with_suffix(".trace.json"))
+    channels = scen.build_channels()
     _write_json(out, channels.to_dict())
     n_windows = sum(s.bounds.size for s in channels.sequences.values()) // 2
     print(f"wrote {out} ({len(channels.sequences)} channels, {n_windows} windows)")
@@ -256,6 +264,7 @@ def cmd_sweep(args) -> int:
     design = scen.design()
     for cls in classes:
         design.scaled_budgets(cls, args.intensity)
+    out = _out_file(args.out) if args.out else None
 
     def median_entry(scale_class, intensity) -> tuple[float | None, int]:
         """Median entry time over the converged seeds (None if none converged)
@@ -291,9 +300,9 @@ def cmd_sweep(args) -> int:
         }
         print(f"{cls}: median entry {_fmt(med, '.4f')} (baseline {_fmt(base_med, '.4f')}, "
               f"improvement {_fmt(gain, '+.4f')})")
-    if args.out:
-        _write_json(Path(args.out), result)
-        print(f"wrote {args.out}")
+    if out:
+        _write_json(out, result)
+        print(f"wrote {out}")
     return 0
 
 
@@ -352,6 +361,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # reads are ConfigErrors: this is an output
+        print(f"cannot write output: {exc}", file=sys.stderr)
         return 2
 
 

@@ -68,11 +68,12 @@ positions. Expiries go back in their runs' order.
 Link pairs. When an expiry pops and its reverse edge's live expiry is next at
 the same t, one pass fires both. No segment starts between them, so the second
 reuses the first's reads, its health on one comm channel, and when both are
-healthy gamma = d_i (t - s_i) + d_j (t - s_j) (one sum either way), its (eps,
-R), and as |-diff| = |diff| its theta and dwell floor. Equal next expiries go
-back as one link entry under the first's seq: nothing else is pushed between
-them, so pops keep their order. A jammed direction, per-edge eps or a re-tune
-(a stale version in the entry) splits a pair; none straddles a stretch's start.
+healthy gamma = d_i (t - s_i) + d_j (t - s_j) (one sum either way) and its
+(eps, R); each applies the trigger rule to its own diff. Equal next expiries
+(|-diff| = |diff|) go back as one link entry under the first's seq: nothing
+else is pushed between them, so pops keep their order. A jammed direction,
+per-edge eps or a re-tune (a stale version in the entry) splits a pair; none
+straddles a stretch's start.
 """
 
 from __future__ import annotations
@@ -89,9 +90,8 @@ from typing import Optional
 
 import numpy as np
 
-from .adaptive import actuation_estimate, delay_aggregate, scaled_input
 from .attacks import ChannelSet, DosSequence
-from .controller import attacked_clock_reset, clock_reset, deadzone_sign, dwell_time_floor
+from .controller import actuation_estimate, delay_aggregate, scaled_input, trigger
 from .design import certified_params
 from .topology import Topology
 
@@ -132,11 +132,11 @@ class EngineConfig:
 class _Run:
     """One edge's triggers in a quiescent stretch, as columns: their times,
     comm health and command, an index into `params`, the run's distinct
-    commanded (eps, rate) (one pair in the offline modes). Every row has u = 0
-    and theta and floor from its command. Its diff is `before` up to the first
-    healthy row and `after` from there on; a resilient run has no `before`, and
-    its jammed rows hold None. `q` orders the runs' first rows, as their pushes
-    before the stretch did."""
+    commanded (eps, rate) (one pair in the offline modes). A row's diff is
+    `before` up to the first healthy row and `after` from there on; a resilient
+    run has no `before`, and its jammed rows hold None. The trigger rule on that
+    diff and the row's command gives its u (0), theta and floor. `q` orders the
+    runs' first rows, as their pushes before the stretch did."""
 
     edge: int
     degs: tuple[int, int]
@@ -162,10 +162,9 @@ class _Run:
         tails = []
         for k in seen.tolist():
             eps, rate = self.params[k >> 2]
-            # inside the dead zone clock_reset gives this theta as well
-            tails.append((self.edge, bool(k & 1), self.after if k & 3 else self.before, 0,
-                          attacked_clock_reset(eps, *self.degs), eps, rate,
-                          dwell_time_floor(eps, rate, *self.degs)))
+            diff = self.after if k & 3 else self.before
+            u, theta, floor = trigger(diff, eps, rate, *self.degs)
+            tails.append((self.edge, bool(k & 1), diff, u, theta, eps, rate, floor))
         return code[key], tails
 
 
@@ -400,10 +399,9 @@ def step_adaptive(stamps: _Stamps, i: int, j: int, degs: tuple[int, int], link: 
     jam_i, jam_j = stamps.jam[i].get, stamps.jam[j].get
     jammed = sorted(stamps.jam[i].keys() | stamps.jam[j].keys())
     d_i, d_j = degs
-    # the distinct commands, and each one's clock period (clock_reset inside
-    # the dead zone gives it as well)
+    # the distinct commands, and each one's clock period
     cmds = {cmd: 0}
-    periods = [attacked_clock_reset(cmd[0], d_i, d_j) / cmd[1]]
+    periods = [trigger(None, *cmd, d_i, d_j)[1] / cmd[1]]
     # a stretch sees few gamma values: apply the rules once per value, giving a
     # command, or -1 where eps breaks
     rule: dict = {}
@@ -412,10 +410,10 @@ def step_adaptive(stamps: _Stamps, i: int, j: int, degs: tuple[int, int], link: 
         c = rule.get(gamma)
         if c is None:
             eps_n, rate_n = certify(gamma)
-            c = rule[gamma] = -1 if deadzone_sign(diff, eps_n) else \
+            c = rule[gamma] = -1 if trigger(diff, eps_n, rate_n, d_i, d_j)[0] else \
                 cmds.setdefault((eps_n, rate_n), len(cmds))
             if c == len(periods):
-                periods.append(attacked_clock_reset(eps_n, d_i, d_j) / rate_n)
+                periods.append(trigger(None, eps_n, rate_n, d_i, d_j)[1] / rate_n)
         return c
 
     def block(t, c):
@@ -643,19 +641,19 @@ class Simulation:
             the cut."""
             cols, breaks, comm = [None] * ne, [], self.comm_ch
             # the edges that can break step first, each up to the earliest break so far
-            for e in sorted(range(ne), key=lambda e: not deadzone_sign(diffs[e], eps_floor)):
+            for e in sorted(range(ne), key=lambda e: not trigger(
+                    diffs[e], eps_floor, e_rate[e], degs[e_i[e]], degs[e_j[e]])[0]):
                 i, j = edges[e]
-                cmd, until = (e_eps[e], e_rate[e]), min(breaks, default=limit)
+                d, cmd = (degs[i], degs[j]), (e_eps[e], e_rate[e])
+                until = min(breaks, default=limit)
                 if adaptive:
-                    *cols[e], broke = step_adaptive(stamps, i, j, (degs[i], degs[j]), comm[e], cmd,
+                    *cols[e], broke = step_adaptive(stamps, i, j, d, comm[e], cmd,
                                                     diffs[e], live[e][0], until, certify)
                 else:
-                    # clock_reset inside the dead zone gives this period as well
-                    period = attacked_clock_reset(cmd[0], degs[i], degs[j]) / cmd[1]
-                    times = _cumsum_run(live[e][0], period, until)
+                    times = _cumsum_run(live[e][0], trigger(None, *cmd, *d)[1] / cmd[1], until)
                     healthy = ~comm[e].attacked(times[:-1])
                     # an edge whose diff is outside its dead zone breaks at its first healthy read
-                    broke = deadzone_sign(diffs[e], cmd[0]) != 0 and healthy.any()
+                    broke = trigger(diffs[e], *cmd, *d)[0] != 0 and healthy.any()
                     k = int(np.argmax(healthy)) if broke else healthy.size
                     times, healthy = times[:k + 1], healthy[:k]
                     cols[e] = times, healthy, np.zeros(healthy.size, dtype=np.intp), [cmd]
@@ -772,20 +770,16 @@ class Simulation:
                         diff = nbr_val - own_val
                         e_own_delay[e] = own_delay = t - own_stamp
                         e_nbr_delay[e] = nbr_delay = t - nbr_stamp
-                        if not (reuse and adaptive):  # else one gamma, command and |diff|
+                        if not (reuse and adaptive):  # else one gamma and command
                             if adaptive and comm_h:
                                 gamma = delay_aggregate(own_delay, nbr_delay, 0.0, degs[i], degs[j])
                                 eps_k, rate_k = certified_params(gamma, alpha, beta, eps_floor)
                             else:
                                 eps_k, rate_k = cfg.edge_eps[e], cfg.edge_rate[e]
-                            theta = clock_reset(diff, eps_k, degs[i], degs[j])
-                            floor = dwell_time_floor(eps_k, rate_k, degs[i], degs[j])
-                        u = deadzone_sign(diff, eps_k)
                     else:
-                        diff, u = None, 0
+                        diff = None
                         eps_k, rate_k = e_eps[e], e_rate[e]
-                        theta = attacked_clock_reset(eps_k, degs[i], degs[j])
-                        floor = dwell_time_floor(eps_k, rate_k, degs[i], degs[j])
+                    u, theta, floor = trigger(diff, eps_k, rate_k, degs[i], degs[j])
                     e_diff[e] = diff
                     set_command(e, i, u, theta, eps_k, rate_k)
                     # a pair's first push waits for the second's: one link entry if they agree
@@ -859,11 +853,11 @@ class Simulation:
                             gamma = delay_aggregate(e_own_delay[e], e_nbr_delay[e], t_hat,
                                                     degs[i], degs[e_j[e]])
                             eps_k, rate_k = certified_params(gamma, alpha, beta, eps_floor)
-                            theta = clock_reset(e_diff[e], eps_k, degs[i], degs[e_j[e]])
-                            set_command(e, i, deadzone_sign(e_diff[e], eps_k), theta, eps_k, rate_k)
+                            u, theta, floor = trigger(e_diff[e], eps_k, rate_k,
+                                                      degs[i], degs[e_j[e]])
+                            set_command(e, i, u, theta, eps_k, rate_k)
                             push(max(e_trig_t[e] + theta / rate_k, t), K_EXPIRY, e, e_ver[e])
-                            retunes.append((e, e_trig_t[e], dwell_time_floor(
-                                eps_k, rate_k, degs[i], degs[e_j[e]])))
+                            retunes.append((e, e_trig_t[e], floor))
                         new_sum = 0.0
                         for oe in self.out_edges[i]:
                             new_sum += e_ueff[oe]

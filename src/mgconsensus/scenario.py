@@ -379,6 +379,8 @@ def _instances(data: dict, n: int, mg_ratings, droop_constant) -> dict[str, dict
             continue
         inst = dict(data[name])
         where = f"instances.{name}"
+        if inst.get("initial") is not None and inst.get("initial_power_kw") is not None:
+            raise ConfigError(f"{where} sets both initial and initial_power_kw; give one")
         if name == "power" and inst.get("initial") is None:
             if inst.get("initial_power_kw") is None or mg_ratings is None:
                 raise ConfigError(
@@ -421,12 +423,17 @@ def parse_scenario(data: Any) -> Scenario:
     ch = data.get("channels") or {}
 
     def _budgets(section: str, keys) -> list[Optional[dict]]:
-        """Each key's override (by label, or a node by its id), else the default."""
+        """Each key's override (by label, or a node by its id), else the default;
+        an override that names no key is an error."""
         sec = ch.get(section) or {}
         over = sec.get("overrides") or {}
+        labels = ["-".join(map(str, key)) if isinstance(key, tuple) else str(key) for key in keys]
+        for name in over:
+            if name not in labels and name not in keys:
+                what = 'edge "i-j" with i < j' if section == "communication" else f"node 0..{n - 1}"
+                raise ConfigError(f"channels.{section}.overrides key {name!r} names no {what}")
         out = []
-        for key in keys:
-            label = "-".join(map(str, key)) if isinstance(key, tuple) else str(key)
+        for key, label in zip(keys, labels):
             entry = over.get(label, over.get(key, sec.get("default")))
             out.append(_budget(entry, f"channels.{section}[{label}]") if entry else None)
         return out

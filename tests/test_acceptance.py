@@ -13,7 +13,7 @@ import conftest
 import numpy as np
 import pytest
 
-from mgconsensus.adaptive import scaled_input
+from mgconsensus.controller import scaled_input
 from mgconsensus.attacks import (
     DosParams,
     generate_channel_set,

@@ -1,6 +1,6 @@
 import pytest
 
-from mgconsensus.adaptive import actuation_estimate, delay_aggregate, scaled_input
+from mgconsensus.controller import actuation_estimate, delay_aggregate, scaled_input
 from mgconsensus.design import certified_params
 from mgconsensus.errors import CriterionViolatedError
 

@@ -151,12 +151,14 @@ def _unparsable(path: Path, data: dict) -> Path:
     ("topology.adjacency", _with("topology.adjacency", [[0, float("nan")], [float("nan"), 0]])),
     ("topology.adjacency", _with("topology.adjacency", [[0, float("inf")], [float("inf"), 0]])),
     ("topology.adjacency", _with("topology.adjacency", [[0, True], [True, 0]])),
+    ("channels.communication.overrides key '0-2' names no edge",
+     _with("channels.communication.overrides", {"0-2": {}})),
 ], ids=["missing-file", "yaml-syntax", "no-topology", "no-adjacency", "no-instances",
         "topology-list", "adjacency-null", "channels-list", "controller-list",
         "measurement-list", "overrides-list", "frequency-list", "initial-null",
         "disturbances-number", "mgs-number", "per-direction-string", "trace-file-number",
         "adjacency-row-number", "adjacency-entry-string", "adjacency-entry-nan",
-        "adjacency-entry-inf", "adjacency-entry-bool"])
+        "adjacency-entry-inf", "adjacency-entry-bool", "override-no-edge"])
 def test_malformed_scenario_exits_2_naming_its_key(fast_scenario, tmp_path, capsys, named,
                                                    write):
     scen = write(tmp_path / "scen.yaml", yaml.safe_load(fast_scenario.read_text()))
@@ -357,6 +359,35 @@ def test_sweep_on_a_trace_file_scenario_is_config_error(fast_scenario, tmp_path,
     assert main(argv) == 2
     assert "channels.trace_file" in capsys.readouterr().err
     assert not out.exists()
+
+
+_OUT_COMMANDS = {
+    "design": ["design"],
+    "attacks generate": ["attacks", "generate"],
+    "sweep": ["sweep", "--seeds", "1", "--classes", "actuation"],
+}
+
+
+@pytest.mark.parametrize("command", list(_OUT_COMMANDS))
+def test_out_into_a_missing_directory_makes_it(fast_scenario, tmp_path, command):
+    out = tmp_path / "new" / "dir" / "out.json"
+    argv = _OUT_COMMANDS[command] + [str(fast_scenario), "--out", str(out)]
+    assert main(argv) == 0
+    assert json.loads(out.read_text())
+
+
+@pytest.mark.parametrize("command", list(_OUT_COMMANDS))
+def test_unwritable_out_exits_2_before_any_run(fast_scenario, tmp_path, capsys, monkeypatch,
+                                              command):
+    # a file where the output's directory should be: a one-line error, exit 2
+    (tmp_path / "taken").write_text("")
+    monkeypatch.setattr(cli, "Simulation", _no_run)
+    argv = _OUT_COMMANDS[command] + [str(fast_scenario), "--out",
+                                     str(tmp_path / "taken" / "out.json")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cannot write output:") and "taken" in err
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("attacks", [True, False], ids=["attacks", "no-attacks"])

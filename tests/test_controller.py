@@ -1,18 +1,26 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from mgconsensus.attacks import ChannelSet, DosParams, DosSequence
-from mgconsensus.controller import (
-    attacked_clock_reset,
-    clock_reset,
-    deadzone_sign,
-    dwell_time_floor,
-)
-from mgconsensus.engine import EngineConfig, Simulation
+from mgconsensus.controller import trigger
+from mgconsensus.engine import EngineConfig, Simulation, _Rows, _Stretch
+from mgconsensus.scenario import load_scenario
 from mgconsensus.topology import load_topology
 
+SCENARIO = Path(__file__).resolve().parent.parent / "scenarios" / "ring4_dos.yaml"
 MODES = ("nominal", "resilient-global", "resilient-local", "self-adaptive")
 RING4 = [[0, 1, 0, 1], [1, 0, 1, 0], [0, 1, 0, 1], [1, 0, 1, 0]]
+
+
+def _rule(diff, eps, rate, d_i, d_j):
+    """The ternary rule written out: u = sgn(diff) outside the closed dead zone
+    |diff| < eps (0 on a jammed link, diff None), theta = max(|diff|, eps) /
+    (2 (d_i + d_j)) and the dwell floor eps / (2 R (d_i + d_j))."""
+    mag = eps if diff is None else max(abs(diff), eps)
+    u = 0 if diff is None or abs(diff) < eps else (1 if diff > 0.0 else -1)
+    return u, mag / (2.0 * (d_i + d_j)), eps / (2.0 * rate * (d_i + d_j))
 
 
 @pytest.mark.parametrize(
@@ -23,27 +31,68 @@ RING4 = [[0, 1, 0, 1], [1, 0, 1, 0], [0, 1, 0, 1], [1, 0, 1, 0]]
         (0.1, 0.1, 1),      # closed dead-zone boundary fires
         (-0.1, 0.1, -1),
         (0.0999, 0.1, 0),
+        (-0.0999, 0.1, 0),
         (0.0, 0.1, 0),
+        (None, 0.1, 0),     # a jammed link reads nothing
     ],
 )
 def test_deadzone_sign(z, eps, expected):
-    assert deadzone_sign(z, eps) == expected
+    u, theta, floor = trigger(z, eps, 1.0, 1, 1)
+    assert u == expected
+    assert type(u) is int
+    assert (u, theta, floor) == _rule(z, eps, 1.0, 1, 1)
 
 
 def test_clock_reset_floors_at_eps():
-    assert clock_reset(0.05, 0.1, 1, 1) == pytest.approx(0.1 / 4.0)
-    assert clock_reset(0.8, 0.1, 1, 1) == pytest.approx(0.2)
-    assert clock_reset(-0.8, 0.1, 1, 1) == pytest.approx(0.2)
+    assert trigger(0.05, 0.1, 1.0, 1, 1)[1] == pytest.approx(0.1 / 4.0)
+    assert trigger(0.8, 0.1, 1.0, 1, 1)[1] == pytest.approx(0.2)
+    assert trigger(-0.8, 0.1, 1.0, 1, 1)[1] == pytest.approx(0.2)
+    # theta does not depend on the rate
+    assert trigger(-0.8, 0.1, 3.0, 1, 1)[1] == trigger(-0.8, 0.1, 1.0, 1, 1)[1]
 
 
 def test_attacked_reset_is_the_floor():
-    assert attacked_clock_reset(0.1, 2, 2) == pytest.approx(0.1 / 8.0)
-    assert attacked_clock_reset(0.1, 2, 2) == clock_reset(0.0, 0.1, 2, 2)
+    assert trigger(None, 0.1, 1.0, 2, 2) == (0, pytest.approx(0.1 / 8.0), pytest.approx(0.1 / 8.0))
+    # a jammed link's clock is that of a read inside the dead zone
+    assert trigger(None, 0.1, 1.0, 2, 2) == trigger(0.0, 0.1, 1.0, 2, 2)
+    assert trigger(None, 0.1, 1.0, 2, 2) == trigger(-0.05, 0.1, 1.0, 2, 2)
 
 
 def test_dwell_floor_value():
-    # design values from the heavier resilient example
-    assert dwell_time_floor(1.2624, 1.01, 2, 2) == pytest.approx(0.15623762376237624)
+    # design values from the heavier resilient example; the floor is the
+    # same for every diff
+    for diff in (None, 0.0, 5.0, -5.0):
+        assert trigger(diff, 1.2624, 1.01, 2, 2)[2] == pytest.approx(0.15623762376237624)
+
+
+@pytest.fixture(scope="module")
+def bundled_logs():
+    """The trigger logs of both bundled instances in every mode."""
+    scen = load_scenario(str(SCENARIO))
+    logs = {}
+    for mode in MODES:
+        s = scen.with_mode(mode)
+        channels = s.build_channels()
+        for name in s.instances:
+            logs[mode, name] = (s.topology.degrees,
+                                Simulation(s.engine_config(name, channels)).run())
+    return logs
+
+
+def test_every_bundled_row_follows_the_rule(bundled_logs):
+    kinds = set()
+    for (mode, _name), (degs, m) in bundled_logs.items():
+        for part in m.trigger_log.parts:
+            kinds.add((mode, type(part)))
+            tails, blocks = part.table()
+            used = np.unique(np.concatenate([codes for _times, codes in blocks]))
+            assert used.tolist() == list(range(len(tails)))
+            for e, _h, diff, u, theta, eps, rate, floor in tails:
+                i, j = m.directed_edges[e]
+                assert (u, theta, floor) == _rule(diff, eps, rate, degs[i], degs[j])
+                assert type(u) is int
+    # heap and stretch rows in every mode
+    assert kinds == {(mode, kind) for mode in MODES for kind in (_Rows, _Stretch)}
 
 
 # The tests below check the rule as the engine applies it, row by row of
@@ -74,9 +123,8 @@ def test_expiry_healthy_branch():
     for mode in MODES:
         rows = [r for r in _run(mode).trigger_log if r[3] is not None]
         assert rows
-        for _t, _e, _h, diff, u, theta, eps, _r, _f in rows:
-            assert u == deadzone_sign(diff, eps)
-            assert theta == clock_reset(diff, eps, D, D)
+        for _t, _e, _h, diff, u, theta, eps, rate, floor in rows:
+            assert (u, theta, floor) == trigger(diff, eps, rate, D, D)
 
 
 def test_expiry_jammed_branch():
@@ -84,10 +132,10 @@ def test_expiry_jammed_branch():
         jammed = [r for r in _run(mode).trigger_log if r[3] is None]
         # only resilient controllers discard the stale data of a jammed link
         assert bool(jammed) == (mode != "nominal")
-        for _t, _e, healthy, _d, u, theta, eps, _r, _f in jammed:
+        for _t, _e, healthy, _d, u, theta, eps, rate, floor in jammed:
             assert not healthy
             assert u == 0
-            assert theta == attacked_clock_reset(eps, D, D)
+            assert (u, theta, floor) == trigger(None, eps, rate, D, D)
 
 
 def test_expiry_inside_dead_zone_keeps_zero_input():

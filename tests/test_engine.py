@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from mgconsensus import engine
-from mgconsensus.adaptive import delay_aggregate
+from mgconsensus.controller import delay_aggregate
 from mgconsensus.attacks import ChannelSet, DosParams, DosSequence
 from mgconsensus.design import certified_params
 from mgconsensus.engine import K_ACT, EngineConfig, Simulation, _measurement_grid

@@ -18,14 +18,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from mgconsensus import engine
-from mgconsensus.adaptive import actuation_estimate, delay_aggregate, scaled_input
 from mgconsensus.attacks import ChannelSet, DosParams, DosSequence, generate_channel_set, podf_bound
-from mgconsensus.controller import (
-    attacked_clock_reset,
-    clock_reset,
-    deadzone_sign,
-    dwell_time_floor,
-)
+from mgconsensus.controller import actuation_estimate, delay_aggregate, scaled_input
 from mgconsensus.design import certified_params, global_threshold, lyapunov
 from mgconsensus.engine import EngineConfig, Simulation, _entry_time
 from mgconsensus.scenario import MODES, load_scenario, parse_scenario
@@ -82,12 +76,13 @@ def oracle_run(sim: Simulation) -> dict:
     adaptive = sim.adaptive
 
     def set_command(e, i, j, diff, eps_k, rate_k):
-        if diff is None:
-            u = 0
-            theta = attacked_clock_reset(eps_k, degs[i], degs[j])
+        # the ternary rule, written out: u = sgn(diff) outside the closed dead
+        # zone |diff| < eps, theta = max(|diff|, eps) / (2 (d_i + d_j)); a
+        # jammed link reads nothing
+        if diff is None or abs(diff) < eps_k:
+            u, theta = 0, eps_k / (2.0 * (degs[i] + degs[j]))
         else:
-            u = deadzone_sign(diff, eps_k)
-            theta = clock_reset(diff, eps_k, degs[i], degs[j])
+            u, theta = (1 if diff > 0.0 else -1), abs(diff) / (2.0 * (degs[i] + degs[j]))
         e_eps[e] = eps_k
         e_rate[e] = rate_k
         e_ueff[e] = scaled_input(u, theta, rate_k, phi_act[i]) if adaptive else float(u)
@@ -180,7 +175,7 @@ def oracle_run(sim: Simulation) -> dict:
             push(t + theta / rate_k, K_EXPIRY, e, e_ver[e])
             trigger_log.append(
                 (t, e, comm_h, diff, u, theta, eps_k, rate_k,
-                 dwell_time_floor(eps_k, rate_k, degs[i], degs[j]))
+                 eps_k / (2.0 * rate_k * (degs[i] + degs[j])))
             )
 
             new_sum = 0.0

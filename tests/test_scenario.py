@@ -322,6 +322,31 @@ def test_budget_overrides_by_node_and_edge(data):
         parse_scenario(case)
 
 
+@pytest.mark.parametrize("section,key", [
+    ("measurement", "7"),
+    ("actuation", 4),
+    ("communication", "0-2"),       # no such link on the ring
+    ("communication", "1-0"),       # a link is named with i < j
+], ids=["measurement-node-7", "actuation-node-4", "communication-0-2", "communication-1-0"])
+def test_override_that_names_no_channel_is_rejected(data, section, key):
+    # such an override used to be dropped, and the channel ran on the default
+    case = copy.deepcopy(data)
+    weak = {"eta": 0.5, "kappa": 0.01, "tau_f": 20.0, "tau_d": 50.0}
+    case["channels"][section]["overrides"] = {key: weak}
+    with pytest.raises(ConfigError, match=re.escape(f"channels.{section}.overrides key {key!r}")):
+        parse_scenario(case)
+
+
+def test_power_instance_with_both_initial_states_is_rejected(data):
+    # `initial` used to win and `initial_power_kw` was ignored
+    case = copy.deepcopy(data)
+    case["instances"]["power"]["initial"] = [1.0, 1.1, 0.9, 1.0]
+    with pytest.raises(ConfigError, match="instances.power sets both initial and initial_power_kw"):
+        parse_scenario(case)
+    del case["instances"]["power"]["initial_power_kw"]
+    assert parse_scenario(case).instances["power"]["initial"] == [1.0, 1.1, 0.9, 1.0]
+
+
 def test_attack_free_when_channels_absent(data):
     bare = copy.deepcopy(data)
     del bare["channels"]

@@ -22,9 +22,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mgconsensus import engine
-from mgconsensus.adaptive import delay_aggregate
 from mgconsensus.attacks import DosSequence
-from mgconsensus.controller import attacked_clock_reset, deadzone_sign
+from mgconsensus.controller import delay_aggregate
 from mgconsensus.design import certified_params
 from mgconsensus.engine import Simulation, _Stamps, step_adaptive
 from mgconsensus.scenario import load_scenario
@@ -55,8 +54,10 @@ def _step_rows(stamps, i, j, degs, link, cmd, diff, t, until, certify):
             k -= 1
         return grid[k]
 
+    # a command's clock period: theta = eps / (2 (d_i + d_j)) inside the dead
+    # zone, over its rate
     cmds = {cmd: 0}
-    periods = [attacked_clock_reset(cmd[0], d_i, d_j) / cmd[1]]
+    periods = [cmd[0] / (2.0 * (d_i + d_j)) / cmd[1]]
     rule: dict = {}
     ts, hs, cs = [], [], []
     c = 0
@@ -68,10 +69,11 @@ def _step_rows(stamps, i, j, degs, link, cmd, diff, t, until, certify):
             c = rule.get(gamma)
             if c is None:
                 eps_n, rate_n = certify(gamma)
-                c = rule[gamma] = -1 if deadzone_sign(diff, eps_n) else \
+                # an eps that leaves |diff| outside the closed dead zone breaks
+                c = rule[gamma] = -1 if abs(diff) >= eps_n else \
                     cmds.setdefault((eps_n, rate_n), len(cmds))
                 if c == len(periods):
-                    periods.append(attacked_clock_reset(eps_n, d_i, d_j) / rate_n)
+                    periods.append(eps_n / (2.0 * (d_i + d_j)) / rate_n)
             if c < 0:
                 break
         ts.append(t)
