@@ -117,24 +117,35 @@ def _write_trace_csv(path: Path, metrics: RunMetrics, n: int) -> None:
     path.write_text("\n".join([",".join(header), *lines]) + "\n")
 
 
-def _tail_text(tail: tuple, directed_edges: list) -> str:
-    """The CSV text of a trigger row after its time, from the comma on."""
-    e, h, diff, u, theta, eps, rate, floor_ = tail
-    i, j = directed_edges[e]
-    return "," + ",".join([str(i), str(j), str(int(h)), "" if diff is None else repr(float(diff)),
-                           str(u), repr(float(theta)), repr(float(eps)), repr(float(rate)),
-                           repr(float(floor_))]) + "\n"
+def _tail_text(tails: np.ndarray, directed_edges: list) -> list:
+    """The CSV text of each record of `tails` (a trigger row after its time),
+    from the comma on, formatted column by column: each edge and each distinct
+    float of a column once, and a NaN (a jammed link's diff) left empty."""
+    edges = tails["edge"].tolist()
+    pairs = {e: "{},{}".format(*directed_edges[e]) for e in set(edges)}
+
+    def floats(key):
+        text, index = _reprs(tails[key])
+        text = ["" if v == "nan" else v for v in text]
+        return map(text.__getitem__, index.tolist())
+
+    return list(map(",{},{:d},{},{},{},{},{},{}\n".format, map(pairs.__getitem__, edges),
+                    tails["healthy"].tolist(), floats("diff"), tails["u"].tolist(),
+                    *map(floats, ("theta", "eps", "rate", "floor"))))
 
 
 def _write_events_csv(path: Path, metrics: RunMetrics) -> None:
-    """One line per trigger row, from each log part's table: each table row
-    after its time, and each distinct time of a block, is formatted once."""
+    """One line per trigger row, from each log part's blocks: each record of a
+    block's tails, which a stretch's blocks share, and each distinct time of a
+    block, is formatted once."""
     edges = metrics.directed_edges
     with path.open("w") as fh:
         fh.write("time,edge_i,edge_j,comm_healthy,diff,u,theta,eps,rate,dwell_floor\n")
-        for tails, blocks in (part.table() for part in metrics.trigger_log.parts):
-            text = [_tail_text(tail, edges) for tail in tails]
-            for times, codes in blocks:
+        for part in metrics.trigger_log.parts:
+            last = None
+            for times, tails, codes in part.table():
+                if tails is not last:
+                    text, last = _tail_text(tails, edges), tails
                 stamps, index = _reprs(times)
                 pieces = [""] * (2 * times.size)
                 pieces[0::2] = map(stamps.__getitem__, index.tolist())

@@ -52,9 +52,11 @@ first, and each edge steps up to the earliest such trigger so far:
 
 A trigger that would leave the dead zone (a nominal edge's first healthy read
 after a jammed link, or an adapted eps that no longer covers the diff) hands
-every edge back to the event heap at that instant. `trigger_log` keeps the
-heap's rows as a table (`_Rows`) and builds a stretch's rows only when read,
-from its per-edge runs and their heap order. That order, ties included,
+every edge back to the event heap at that instant. The run packs each heap
+row into one fixed-width `ROW` record of a `trigger_log` part (`_Rows`), and
+each closed command into one `CLOSED` record (`_Records`); both are read
+through their numpy dtype. `trigger_log` builds a stretch's rows only when
+read, from its per-edge runs and their heap order. That order, ties included,
 decides which edges join a node's pending commands, so what `closed_commands`
 records and what a failed actuation re-tunes. The heap pops a stretch's rows
 by (time, key): a run's first row is keyed by its q, ahead of every later row,
@@ -85,7 +87,8 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heapify, heappop, heappush
-from math import nextafter
+from math import isfinite, nan, nextafter
+from struct import Struct
 from typing import Optional
 
 import numpy as np
@@ -102,6 +105,15 @@ K_DISTURB = 2
 
 # a log part's rows are read and written, and a stretch's stepped, this many at a time
 BLOCK = 4096
+
+# a trigger row, 54 bytes packed; NaN in `diff` is None, a jammed resilient link
+ROW = np.dtype([("t", "<f8"), ("edge", "<u4"), ("healthy", "?"), ("diff", "<f8"), ("u", "i1"),
+                ("theta", "<f8"), ("eps", "<f8"), ("rate", "<f8"), ("floor", "<f8")])
+# a row after its time: the fields of ROW but `t`, at their offsets
+TAIL = ROW[list(ROW.names[1:])]
+# a closed command and the delays observed for it, 52 bytes packed
+CLOSED = np.dtype([("edge", "<u4"), ("trigger_t", "<f8"), ("own", "<f8"), ("nbr", "<f8"),
+                   ("act", "<f8"), ("eps", "<f8"), ("rate", "<f8")])
 
 
 @dataclass
@@ -149,8 +161,9 @@ class _Run:
     q: int
 
     def tails(self) -> tuple[np.ndarray, list]:
-        """The rows after their time, (edge, comm_healthy, diff, u, theta, eps,
-        rate, dwell_floor): the distinct ones, and per row the index of its own."""
+        """The rows after their time, as TAIL tuples (edge, comm_healthy, diff,
+        u, theta, eps, rate, dwell_floor): per row the index of its own, and the
+        distinct ones."""
         # health in bit 0, a nominal edge's rows from its first healthy one in
         # bit 1, the command above them
         key = self.healthy + 4 * self.cmd
@@ -164,7 +177,8 @@ class _Run:
             eps, rate = self.params[k >> 2]
             diff = self.after if k & 3 else self.before
             u, theta, floor = trigger(diff, eps, rate, *self.degs)
-            tails.append((self.edge, bool(k & 1), diff, u, theta, eps, rate, floor))
+            tails.append((self.edge, k & 1, nan if diff is None else diff, u, theta, eps, rate,
+                          floor))
         return code[key], tails
 
 
@@ -178,17 +192,18 @@ class _Stretch:
     def __len__(self) -> int:
         return sum(r.times.size for r in self.runs)
 
-    def table(self, ordered: bool = True) -> tuple[list, Iterator]:
-        """The distinct rows after their time (see `_Run.tails`), and the rows in
-        heap order, or run by run, as blocks of (times, indices into those)."""
+    def table(self, ordered: bool = True) -> Iterator:
+        """The rows in heap order, or run by run, as blocks of (times, tails,
+        codes): every block shares the stretch's distinct tails (see
+        `_Run.tails`), and codes index them per row."""
         times, codes, tails = [], [], []
         for r in self.runs:
             c, t = r.tails()
             codes.append(c + len(tails))
             tails += t
             times.append(r.times)
-        return tails, _blocks(np.concatenate(times), np.concatenate(codes),
-                              self._merged[0] if ordered else None)
+        return _blocks(np.concatenate(times), np.array(tails, TAIL), np.concatenate(codes),
+                       self._merged[0] if ordered else None)
 
     @cached_property
     def _merged(self) -> tuple:
@@ -226,30 +241,61 @@ class _Stretch:
         return order, np.argsort(pos[np.cumsum(sizes) - 1]).tolist()
 
 
-class _Rows:
-    """The event heap's rows: their times in one float array, each row after its time."""
+class _Records:
+    """Records of one dtype, packed in blocks of BLOCK records. The engine
+    appends `struct.pack(...)` to the last block, a bytearray, and `seal` keeps
+    it as `bytes` of exactly its size, so no growth slack is kept."""
 
-    def __init__(self):
-        self.times, self.rows = array("d"), []
+    def __init__(self, dtype: np.dtype = ROW):
+        self.dtype, self.full, self.blocks = dtype, BLOCK * dtype.itemsize, [bytearray()]
+        # the dtype's layout: its fields' codes, little-endian and unpadded
+        self.struct = Struct("<" + "".join(dtype[k].char for k in dtype.names))
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return sum(map(len, self.blocks)) // self.dtype.itemsize
 
-    def table(self, ordered: bool = True) -> tuple[list, Iterator]:
-        """The rows after their time, and blocks of (times, indices), in log order either way."""
-        return self.rows, _blocks(np.frombuffer(self.times), np.arange(len(self.rows)))
+    def seal(self) -> bytearray:
+        """Keep the last block as bytes, and start a new one."""
+        self.blocks[-1] = bytes(self.blocks[-1])
+        self.blocks.append(bytearray())
+        return self.blocks[-1]
+
+    def array(self) -> np.ndarray:
+        """The records as one array; each block is dropped once copied."""
+        out = np.empty(len(self), self.dtype)
+        flat, a = out.view(np.uint8), 0
+        while self.blocks:
+            data = self.blocks.pop(0)
+            flat[a:a + len(data)] = np.frombuffer(data, np.uint8)
+            a += len(data)
+        return out
 
 
-def _blocks(times: np.ndarray, codes: np.ndarray, order: Optional[np.ndarray] = None) -> Iterator:
-    """(times, codes) in blocks of at most BLOCK rows, in `order` or as stored."""
+class _Rows(_Records):
+    """The event heap's rows, as ROW records."""
+
+    def table(self, ordered: bool = True) -> Iterator:
+        """Blocks of (times, tails, codes) in log order either way: each block's
+        times and tails are views of its own records, and its codes count them."""
+        for data in self.blocks:
+            if data:
+                block = np.frombuffer(data, ROW)
+                yield block["t"], block.view(TAIL), np.arange(block.size)
+
+
+def _blocks(times: np.ndarray, tails: np.ndarray, codes: np.ndarray,
+            order: Optional[np.ndarray] = None) -> Iterator:
+    """(times, tails, codes) in blocks of at most BLOCK rows, in `order` or as stored."""
     for a in range(0, times.size, BLOCK):
         k = slice(a, a + BLOCK) if order is None else order[a:a + BLOCK]
-        yield times[k], codes[k]
+        yield times[k], tails, codes[k]
 
 
 class TriggerLog:
-    """A run's trigger rows (t, edge, comm_healthy, diff, u, theta, eps, rate,
-    dwell_floor) in event order, in parts (`_Rows`, `_Stretch`) read by `table()`."""
+    """A run's trigger rows in event order, in parts (`_Rows`, `_Stretch`) whose
+    `table()` gives blocks of (times, tails, codes): the rows' times, TAIL
+    records, and per row the index of its record. Every reader takes the
+    records column by column."""
 
     def __init__(self, parts: list):
         self.parts = parts
@@ -258,11 +304,23 @@ class TriggerLog:
         return sum(map(len, self.parts))
 
     def __iter__(self):
+        """Each row as a tuple (t, edge, comm_healthy, diff, u, theta, eps, rate,
+        dwell_floor), with diff None on a jammed resilient link."""
         for part in self.parts:
-            tails, blocks = part.table()
-            for times, codes in blocks:
-                yield from map(tuple.__add__, zip(times.tolist()),
-                               map(tails.__getitem__, codes.tolist()))
+            for times, tails, codes in part.table():
+                if tails.size < codes.size:  # a stretch's shared tails: each one's tuple once
+                    rows = list(zip(*_columns(tails)))
+                    yield from map(tuple.__add__, zip(times.tolist()),
+                                   map(rows.__getitem__, codes.tolist()))
+                else:
+                    yield from zip(times.tolist(), *_columns(tails, codes))
+
+
+def _columns(tails: np.ndarray, codes=slice(None)) -> list:
+    """The TAIL columns of the records `tails[codes]` as lists, a NaN diff as None."""
+    cols = [tails[k][codes].tolist() for k in TAIL.names]
+    cols[2] = [None if d != d else d for d in cols[2]]
+    return cols
 
 
 @dataclass
@@ -276,7 +334,8 @@ class RunMetrics:
     entry_time: Optional[float]
     converged: bool
     trigger_log: TriggerLog     # (t, edge, comm_healthy, diff, u, theta, eps, rate, dwell_floor)
-    closed_commands: list       # (edge, trigger_t, own_delay, nbr_delay, act_delay, eps, rate)
+    closed_commands: np.ndarray  # CLOSED records, one per actuated command: its edge, trigger
+    #                              time, own, neighbour and actuation delays, and (eps, rate)
     retunes: list               # (edge, trigger_t, dwell_floor) per failed-actuation re-tune
     channel_stats: dict
     directed_edges: list
@@ -287,9 +346,9 @@ class RunMetrics:
         floor is that of the last command set on the edge before it: its
         trigger row's, or that of a later re-tune of the same command."""
         parts = [np.zeros((0, 3))]
-        for tails, blocks in (p.table(ordered=False) for p in self.trigger_log.parts):
-            edge, floor_ = np.array([r[0] for r in tails]), np.array([r[7] for r in tails])
-            parts += [np.column_stack((edge[k], ts, floor_[k])) for ts, k in blocks]
+        for p in self.trigger_log.parts:
+            parts += [np.column_stack((tails["edge"][k], ts, tails["floor"][k]))
+                      for ts, tails, k in p.table(ordered=False)]
         # the re-tunes go last, so a stable sort by (edge, time) puts each one
         # after its trigger row and the earlier re-tunes of that row
         parts.append(np.array(self.retunes).reshape(-1, 3))
@@ -501,6 +560,9 @@ class Simulation:
             raise ValueError("activation_time must be >= 0")
         if any(p < 0.0 for p in cfg.phi_act):
             raise ValueError("phi_act must be non-negative")
+        # a log row's NaN diff stands for None, so every state stays finite
+        if not all(map(isfinite, cfg.x0)) or not all(isfinite(d[2]) for d in cfg.disturbances):
+            raise ValueError("x0 and disturbance jumps must be finite")
 
         # a channel without a trace is an unattacked one
         sequences = cfg.channels.sequences if cfg.channels else {}
@@ -621,9 +683,13 @@ class Simulation:
             if dt_ <= horizon:
                 push(dt_, K_DISTURB, node_, jump_)
 
+        # each record is appended to its table's last block, a bytearray
         log_parts: list = [_Rows()]
-        heap_rows = log_parts[-1]
-        closed: list = []
+        log_rows = log_parts[-1].blocks[-1]
+        closed = _Records(CLOSED)
+        closed_rows = closed.blocks[-1]
+        pack_row, pack_closed = log_parts[-1].struct.pack, closed.struct.pack
+        rows_full, closed_full = log_parts[-1].full, closed.full
         retunes: list = []
         act_ok = act_fail = comm_ok = 0  # a trigger row is one comm attempt
 
@@ -692,6 +758,7 @@ class Simulation:
             stretch = _Stretch(runs)
             comm_ok += sum(int(np.count_nonzero(r.healthy)) for r in runs)
             if runs:
+                log_parts[-1].seal()
                 log_parts.extend((stretch, _Rows()))
             if cut == limit and not disturb:
                 return False
@@ -793,8 +860,10 @@ class Simulation:
                         push(t_next, K_EXPIRY, e, e_ver[e])
                     if not pair or e == r:
                         heappush(heap, (nxt, K_EXPIRY, *first))
-                    heap_rows.times.append(t)
-                    heap_rows.rows.append((e, comm_h, diff, u, theta, eps_k, rate_k, floor))
+                    log_rows += pack_row(t, e, comm_h, nan if diff is None else diff, u, theta,
+                                         eps_k, rate_k, floor)
+                    if len(log_rows) == rows_full:
+                        log_rows = log_parts[-1].seal()
 
                     new_sum = 0.0
                     for oe in self.out_edges[i]:
@@ -819,7 +888,7 @@ class Simulation:
                                 heappush(heap, (nxt, K_EXPIRY, *first))
                                 heappush(heap, (t, K_EXPIRY, sq, r, e_ver[r]))
                             ended = not fast_forward(t)
-                            heap_rows = log_parts[-1]
+                            log_rows = log_parts[-1].blocks[-1]
                             break
                 if ended:
                     break
@@ -837,10 +906,11 @@ class Simulation:
                     new_segment(i, t, pending[i])
                     pending[i] = None
                     for e in pend_edges[i]:
-                        closed.append(
-                            (e, e_trig_t[e], e_own_delay[e], e_nbr_delay[e],
-                             t - e_trig_t[e], e_eps[e], e_rate[e])
-                        )
+                        closed_rows += pack_closed(e, e_trig_t[e], e_own_delay[e],
+                                                   e_nbr_delay[e], t - e_trig_t[e], e_eps[e],
+                                                   e_rate[e])
+                        if len(closed_rows) == closed_full:
+                            closed_rows = closed.seal()
                     pend_edges[i].clear()
                 else:
                     act_fail += 1
@@ -868,6 +938,7 @@ class Simulation:
                 new_segment(a, t, seg_u[a][-1], b)
 
         times = _record_times(cfg.record_period, horizon)
+        log_parts[-1].seal()
         log = TriggerLog([p for p in log_parts if len(p)])
         n_fail = sum(map(len, meas_jam))
         stats = {"meas_ok": n * len(grid) - n_fail, "meas_fail": n_fail,
@@ -895,7 +966,7 @@ class Simulation:
             entry_time=entry,
             converged=converged,
             trigger_log=log,
-            closed_commands=closed,
+            closed_commands=closed.array(),
             retunes=retunes,
             channel_stats=stats,
             directed_edges=self.edges,

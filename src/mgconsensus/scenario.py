@@ -21,6 +21,7 @@ from .attacks import (
     BUDGET_RANGES, ChannelSet, DosParams, checked, generate_channel_set, load_yaml, podf_bound,
     read_channel_set,
 )
+from .controller import trigger
 from .design import (
     certified_params, convergence_bound, global_threshold, local_threshold, lyapunov,
 )
@@ -228,12 +229,12 @@ class Scenario:
                 for i, j in dirs
             ))
         # The trigger law itself enforces the dwell time, so a link's minimum
-        # attempt spacing is eps / (4 R d_max) with the faster direction's rate.
+        # attempt spacing is its dwell floor at d_i = d_j = d_max, with the floor
+        # eps and the faster direction's rate.
         rate = dict(zip(dirs, edge_rate))
         comm = {
-            (i, j): DosParams(
-                delta_star=self.eps / (4.0 * max(rate[i, j], rate[j, i]) * topo.d_max), **b
-            )
+            (i, j): DosParams(delta_star=trigger(None, self.eps, max(rate[i, j], rate[j, i]),
+                                                 topo.d_max, topo.d_max)[2], **b)
             for (i, j), b in self.comm_budgets.items() if b is not None
         }
         phi_comm = {

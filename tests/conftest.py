@@ -47,12 +47,11 @@ def min_dwell_margin_reference(m) -> float:
     sorted by edge, then each re-tune's floor written over its trigger row's,
     two `np.searchsorted` per re-tune."""
     edges, times, floors = [np.zeros(0, np.intp)], [np.zeros(0)], [np.zeros(0)]
-    for tails, blocks in (part.table() for part in m.trigger_log.parts):
-        edge, floor_ = np.array([r[0] for r in tails]), np.array([r[7] for r in tails])
-        for ts, codes in blocks:
-            edges.append(edge[codes])
+    for part in m.trigger_log.parts:
+        for ts, tails, codes in part.table():
+            edges.append(tails["edge"][codes])
             times.append(ts)
-            floors.append(floor_[codes])
+            floors.append(tails["floor"][codes])
     # the log is in time order, and a stable sort by edge keeps each edge's rows in it
     order = np.argsort(np.concatenate(edges), kind="stable")
     edge, times, floors = (np.concatenate(c)[order] for c in (edges, times, floors))

@@ -242,7 +242,9 @@ def test_criterion_5_conservativeness_ordering(topo, heterogeneous_setup):
             if mode == "self-adaptive":
                 # adapted eps stays under the offline per-edge design value
                 # whenever the observed delays sit under their phi bounds
-                for e, _tt, own, nbr, act, eps_cmd, _r in m.closed_commands:
+                c = m.closed_commands
+                for e, own, nbr, act, eps_cmd in zip(*(c[k].tolist() for k in (
+                        "edge", "own", "nbr", "act", "eps"))):
                     i, j = ne_dirs[e]
                     if own < phi[i] and nbr < phi[j] and act < phi[i]:
                         if eps_cmd > eps_l[e] + 1e-9:

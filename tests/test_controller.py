@@ -5,7 +5,7 @@ import pytest
 
 from mgconsensus.attacks import ChannelSet, DosParams, DosSequence
 from mgconsensus.controller import trigger
-from mgconsensus.engine import EngineConfig, Simulation, _Rows, _Stretch
+from mgconsensus.engine import TAIL, EngineConfig, Simulation, _Rows, _Stretch
 from mgconsensus.scenario import load_scenario
 from mgconsensus.topology import load_topology
 
@@ -84,13 +84,20 @@ def test_every_bundled_row_follows_the_rule(bundled_logs):
     for (mode, _name), (degs, m) in bundled_logs.items():
         for part in m.trigger_log.parts:
             kinds.add((mode, type(part)))
-            tails, blocks = part.table()
-            used = np.unique(np.concatenate([codes for _times, codes in blocks]))
-            assert used.tolist() == list(range(len(tails)))
-            for e, _h, diff, u, theta, eps, rate, floor in tails:
-                i, j = m.directed_edges[e]
-                assert (u, theta, floor) == _rule(diff, eps, rate, degs[i], degs[j])
-                assert type(u) is int
+            blocks = list(part.table())
+            # a stretch's blocks share its distinct tails, and use every one
+            if isinstance(part, _Stretch):
+                tails = blocks[0][1]
+                assert all(b[1] is tails for b in blocks)
+                used = np.unique(np.concatenate([codes for _times, _tails, codes in blocks]))
+                assert used.tolist() == list(range(tails.size))
+            for _times, tails, _codes in blocks:
+                for e, _h, diff, u, theta, eps, rate, floor in zip(
+                        *(tails[k].tolist() for k in TAIL.names)):
+                    i, j = m.directed_edges[e]
+                    diff = None if np.isnan(diff) else diff
+                    assert (u, theta, floor) == _rule(diff, eps, rate, degs[i], degs[j])
+                    assert type(u) is int
     # heap and stretch rows in every mode
     assert kinds == {(mode, kind) for mode in MODES for kind in (_Rows, _Stretch)}
 

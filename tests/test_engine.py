@@ -10,7 +10,9 @@ from mgconsensus import engine
 from mgconsensus.controller import delay_aggregate
 from mgconsensus.attacks import ChannelSet, DosParams, DosSequence
 from mgconsensus.design import certified_params
-from mgconsensus.engine import K_ACT, EngineConfig, Simulation, _measurement_grid
+from mgconsensus.engine import (
+    CLOSED, K_ACT, ROW, EngineConfig, Simulation, _measurement_grid, _Stretch,
+)
 from mgconsensus.scenario import load_scenario, parse_scenario
 from mgconsensus.topology import load_topology
 from test_engine_oracle import assert_matches_oracle, heap_push_times
@@ -155,10 +157,12 @@ def test_retune_uses_delay_aggregate():
     m = Simulation(
         _cfg(PAIR, [0.0, 1.0], channels=cs, mode="self-adaptive", horizon=5.0)
     ).run()
-    for _e, _t, own, nbr, act, eps, rate in m.closed_commands:
+    c = m.closed_commands
+    for own, nbr, act, eps, rate in zip(*(c[k].tolist() for k in ("own", "nbr", "act", "eps",
+                                                                   "rate"))):
         gamma = delay_aggregate(own, nbr, act, 1, 1)
         assert (eps, rate) == certified_params(gamma, 1.5, 1.1, 0.1)
-    assert any(c[4] > 0.0 for c in m.closed_commands)
+    assert (c["act"] > 0.0).any()
 
 
 def test_measurement_jam_freezes_cache():
@@ -238,20 +242,53 @@ def test_measurement_grid_is_the_repeated_sum(delta, horizon):
 
 
 def test_reading_the_ring64_log_copies_no_heap_row():
-    # the 12 s ring-64 log holds some 20k heap rows; each part's table gives
-    # its stored rows and views of its times, so reading every block costs far
-    # less than a copy of the rows (some 2.6 MB)
+    # the 12 s ring-64 log holds some 20k heap rows; each block of a part's
+    # table views its stored records, times and tails, so reading every block
+    # costs far less than a copy of the records (some 1.1 MB)
     s = parse_scenario(conftest.ring64_data())
     log = Simulation(s.engine_config("frequency", s.build_channels())).run().trigger_log
     read = 0
     tracemalloc.start()
     try:
         for part in log.parts:
-            _tails, blocks = part.table()
-            for times, codes in blocks:
+            for times, _tails, _codes in part.table():
                 read += times.size
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert read == len(log) > 15000
     assert peak < 0.5e6, peak
+
+
+def test_the_ring64_run_keeps_packed_records_only():
+    # the 12 s ring-64 run's heap rows and closed commands are held at their
+    # packed sizes, 54 and 52 B each, with no growth slack; a few kB go to
+    # object headers. As tuples they held some 200 B each.
+    s = parse_scenario(conftest.ring64_data())
+    cfg = s.engine_config("frequency", s.build_channels())
+    tracemalloc.start()
+    try:
+        m = Simulation(cfg).run()
+        heap = [p for p in m.trigger_log.parts if not isinstance(p, _Stretch)]
+        rows, commands = sum(map(len, heap)), len(m.closed_commands)
+        before = tracemalloc.get_traced_memory()[0]
+        m.trigger_log.parts = [p for p in m.trigger_log.parts if isinstance(p, _Stretch)]
+        del heap
+        after_rows = tracemalloc.get_traced_memory()[0]
+        m.closed_commands = None
+        after_commands = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert rows > 15000 and commands > 10000
+    assert before - after_rows <= ROW.itemsize * rows + 4096, (before - after_rows) / rows
+    assert after_rows - after_commands <= CLOSED.itemsize * commands + 4096, \
+        (after_rows - after_commands) / commands
+
+
+@pytest.mark.parametrize("x0,jumps", [([0.0, float("nan")], []), ([float("inf"), 1.0], []),
+                                      ([0.0, 1.0], [(1.0, 0, float("nan"))]),
+                                      ([0.0, 1.0], [(1.0, 1, -float("inf"))])])
+def test_non_finite_states_are_rejected(x0, jumps):
+    # a log row's NaN diff stands for None (a jammed link), so no state may be NaN
+    with pytest.raises(ValueError, match="finite"):
+        Simulation(_cfg(PAIR, x0, disturbances=jumps))

@@ -1,12 +1,12 @@
 """The writers against references.
 
-`cli._write_events_csv` writes the trigger log from each part's table
-(`table()`): a quiescent stretch from its runs' distinct rows (`_Run.tails`),
-a heap part (`_Rows`) from its stored rows, each table row and each distinct
-time formatted once. `_heap` and `_stretch` build parts by hand: heap rows as
-they are, and runs with per row a time, a comm health and an index into the
-run's (eps, rate) commands. `cli._write_trace_csv` formats each distinct
-float of its block once.
+`cli._write_events_csv` writes the trigger log from each part's blocks of
+(times, tails, codes) (`table()`): a quiescent stretch from its runs' distinct
+rows (`_Run.tails`), a heap part (`_Rows`) from its packed records, each tail
+record and each distinct time of a block formatted once. `_heap` and
+`_stretch` build parts by hand: heap rows as `ROW` records, and runs with per
+row a time, a comm health and an index into the run's (eps, rate) commands.
+`cli._write_trace_csv` formats each distinct float of its block once.
 The references below format every cell of every row: of the rows a test
 wrote by hand, or of a simulated run's log as iterated. The outputs must be
 byte-identical.
@@ -26,7 +26,9 @@ from hypothesis import strategies as st
 from test_engine_oracle import _quiet_prone_runs
 
 from mgconsensus.cli import _write_events_csv, _write_json, _write_trace_csv
-from mgconsensus.engine import BLOCK, RunMetrics, Simulation, TriggerLog, _Rows, _Run, _Stretch
+from mgconsensus.engine import (
+    BLOCK, CLOSED, ROW, RunMetrics, Simulation, TriggerLog, _Records, _Rows, _Run, _Stretch,
+)
 from mgconsensus.scenario import MODES, load_scenario, parse_scenario
 
 SCENARIO = Path(__file__).resolve().parent.parent / "scenarios" / "ring4_dos.yaml"
@@ -107,12 +109,12 @@ def _metrics(parts, states, inputs, edges=((0, 1), (1, 0))) -> RunMetrics:
 
 def _heap(rows):
     """A heap part of the rows (t, edge, comm_healthy, diff, u, theta, eps,
-    rate, dwell_floor), all appended before any read: while a table views its
-    times, they cannot grow."""
-    part = _Rows()
-    for t, *tail in rows:
-        part.times.append(t)
-        part.rows.append(tuple(tail))
+    rate, dwell_floor), a None diff stored as NaN, all appended before any
+    read, in blocks of BLOCK records as the engine keeps them."""
+    part, size = _Rows(), BLOCK * ROW.itemsize
+    data = np.array([(t, e, h, np.nan if d is None else d, *rest)
+                     for t, e, h, d, *rest in rows], ROW).tobytes()
+    part.blocks = [data[a:a + size] for a in range(0, len(data), size)]
     return part
 
 
@@ -181,13 +183,40 @@ def test_writers_cross_a_block_boundary_in_a_heap_part(tmp_path):
     rows = [(0.001 * (k // 3), k % 2, k % 3 != 0, [None, -0.0, 0.1 * k][k % 3], k % 3 - 1,
              0.25, 1.0, 1.0, 0.25) for k in range(BLOCK + 904)]
     part = _heap(rows)
-    assert [times.size for times, _ in part.table()[1]] == [BLOCK, 904]
+    assert [times.size for times, _tails, _codes in part.table()] == [BLOCK, 904]
     m = _metrics([part], [[0.0, 1.0]], [[0.0, 0.0]])
     assert list(m.trigger_log) == rows
     assert_writers_match(m, 2, tmp_path, rows)
     lines = (tmp_path / "events.csv").read_text().splitlines()
     assert len(lines) == len(rows) + 1
     assert [line.split(",")[0] for line in lines[BLOCK:BLOCK + 3]] == [repr(0.001 * 1365)] * 3
+
+
+def test_packed_records_read_back_exactly(tmp_path):
+    # each Struct is its dtype's layout, and rows packed as the engine packs
+    # them read back exactly through the log's iteration and the events CSV: a
+    # None diff (stored as NaN), a -0.0 diff, u = -1 and an edge past 16 bits
+    for dtype in (ROW, CLOSED):
+        assert _Records(dtype).struct.size == dtype.itemsize
+    e = 2 ** 20
+    rows = [(0.5, e, False, None, 0, 0.25, 1.0, 1.0, 0.25),
+            (0.75, e, True, -0.0, -1, 0.125, 0.5, 0.75, 0.5 / 3.0),
+            (1.0, 0, True, -2.5, -1, 0.625, 1.0, 1.0, 0.25)]
+    part = _Rows()
+    for t, edge, h, diff, *rest in rows:
+        part.blocks[-1] += part.struct.pack(t, edge, h, np.nan if diff is None else diff, *rest)
+    part.seal()
+    m = _metrics([part], [[0.0, 1.0]], [[0.0, 0.0]], [(0, 1)] * e + [(3, 5)])
+    got = list(m.trigger_log)
+    assert got == rows
+    assert [type(v) for v in got[0]] == [float, int, bool, type(None), int, float, float, float,
+                                         float]
+    assert str(got[1][3]) == "-0.0"
+    assert_writers_match(m, 2, tmp_path, rows)
+    assert (tmp_path / "events.csv").read_text().splitlines()[1:3] == [
+        "0.5,3,5,0,,0,0.25,1.0,1.0,0.25", "0.75,3,5,1,-0.0,-1,0.125,0.5,0.75,0.16666666666666666"]
+    closed = (e, 0.5, 0.125, -0.0, 0.25, 1.0, 2.0)
+    assert np.frombuffer(_Records(CLOSED).struct.pack(*closed), CLOSED).tolist() == [closed]
 
 
 def assert_json_matches_stdlib(data, path: Path) -> None:
