@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import chain, count, cycle, repeat
 from operator import mul
 from typing import Iterable, Sequence
@@ -37,9 +37,10 @@ BUDGET_RANGES = {"eta": ">=", "kappa": ">=", "tau_f": ">", "tau_d": ">", "delta_
 
 def checked(value, key: str, op: str | None = None, low: float = 0.0) -> float:
     """`value` as a finite float, with `value op low` when `op` (">" or ">=") is
-    given; else a ConfigError naming `key`."""
+    given; else a ConfigError naming `key`. A bool is not a number, and a str
+    is read as one: YAML reads `1e-2` as a str."""
     try:
-        v = float(value)
+        v = math.nan if isinstance(value, bool) else float(value)
     except (TypeError, ValueError):
         v = math.nan
     if not math.isfinite(v):  # an infinite horizon never ends attack generation
@@ -104,9 +105,7 @@ class DosSequence:
     __slots__ = ("bounds", "horizon", "_view")
 
     def __init__(self, intervals, horizon: float):
-        horizon = float(horizon)
-        if not math.isfinite(horizon):
-            raise ValueError(f"horizon must be finite, got {horizon!r}")
+        horizon = checked(horizon, "horizon")
         pairs = np.array(intervals, dtype=np.float64)
         if pairs.shape[1:] != (2,) and pairs.shape != (0,):
             raise ValueError(f"intervals must be [start, end] pairs, got shape {pairs.shape}")
@@ -387,21 +386,10 @@ class ChannelSet:
                     raise ConfigError(f"missing comm channel {key}")
 
     def to_dict(self) -> dict:
-        out = {}
-        for key, seq in sorted(self.sequences.items()):
-            p = self.params[key]
-            out["/".join(str(k) for k in key)] = {
-                "params": {
-                    "eta": p.eta,
-                    "kappa": p.kappa,
-                    "tau_f": p.tau_f,
-                    "tau_d": p.tau_d,
-                    "delta_star": p.delta_star,
-                },
-                "horizon": seq.horizon,
-                "intervals": seq.bounds.reshape(-1, 2).tolist(),
-            }
-        return out
+        return {"/".join(str(k) for k in key): {"params": asdict(self.params[key]),
+                                                "horizon": seq.horizon,
+                                                "intervals": seq.bounds.reshape(-1, 2).tolist()}
+                for key, seq in sorted(self.sequences.items())}
 
     @classmethod
     def from_dict(cls, data: dict) -> "ChannelSet":
@@ -410,10 +398,10 @@ class ChannelSet:
         for name, entry in data.items():
             parts = name.split("/")
             key: ChannelId = (parts[0], *(int(x) for x in parts[1:]))
-            pd = entry["params"]
-            params[key] = DosParams(
-                pd["eta"], pd["kappa"], pd["tau_f"], pd["tau_d"], pd["delta_star"]
-            )
+            if set(entry) != {"params", "horizon", "intervals"}:
+                raise ValueError(f"channel {name} needs exactly the keys params, horizon and "
+                                 f"intervals, got {list(entry)}")
+            params[key] = DosParams(**entry["params"])
             sequences[key] = DosSequence(entry["intervals"], entry["horizon"])
         return cls(sequences, params)
 

@@ -135,22 +135,21 @@ def _tail_text(tails: np.ndarray, directed_edges: list) -> list:
 
 
 def _write_events_csv(path: Path, metrics: RunMetrics) -> None:
-    """One line per trigger row, from each log part's blocks: each record of a
-    block's tails, which a stretch's blocks share, and each distinct time of a
-    block, is formatted once."""
+    """One line per trigger row, from the log's blocks: each record of a block's
+    tails, which a stretch's blocks share, and each distinct time of a block,
+    is formatted once."""
     edges = metrics.directed_edges
     with path.open("w") as fh:
         fh.write("time,edge_i,edge_j,comm_healthy,diff,u,theta,eps,rate,dwell_floor\n")
-        for part in metrics.trigger_log.parts:
-            last = None
-            for times, tails, codes in part.table():
-                if tails is not last:
-                    text, last = _tail_text(tails, edges), tails
-                stamps, index = _reprs(times)
-                pieces = [""] * (2 * times.size)
-                pieces[0::2] = map(stamps.__getitem__, index.tolist())
-                pieces[1::2] = map(text.__getitem__, codes.tolist())
-                fh.write("".join(pieces))
+        last = None
+        for times, tails, codes in metrics.trigger_log.blocks():
+            if tails is not last:
+                text, last = _tail_text(tails, edges), tails
+            stamps, index = _reprs(times)
+            pieces = [""] * (2 * times.size)
+            pieces[0::2] = map(stamps.__getitem__, index.tolist())
+            pieces[1::2] = map(text.__getitem__, codes.tolist())
+            fh.write("".join(pieces))
 
 
 def _metrics_summary(metrics: RunMetrics) -> dict:
@@ -267,9 +266,11 @@ def cmd_sweep(args) -> int:
     scen = load_scenario(args.scenario)
     if scen.trace_file:
         raise ConfigError("sweep rescales generated traces; channels.trace_file fixes them")
+    instance = args.instance
+    if instance not in scen.instances:  # before any trace is generated
+        raise ConfigError(f"scenario has no '{instance}' instance")
     classes = [c.strip() for c in args.classes.split(",") if c.strip()]
     seeds = list(range(args.seeds))
-    instance = args.instance
     # an unknown class or an infeasible class budget is a configuration error
     # before any run
     design = scen.design()

@@ -52,20 +52,21 @@ first, and each edge steps up to the earliest such trigger so far:
 
 A trigger that would leave the dead zone (a nominal edge's first healthy read
 after a jammed link, or an adapted eps that no longer covers the diff) hands
-every edge back to the event heap at that instant. The run packs each heap
-row into one fixed-width `ROW` record of a `trigger_log` part (`_Rows`), and
-each closed command into one `CLOSED` record (`_Records`); both are read
-through their numpy dtype. `trigger_log` builds a stretch's rows only when
-read, from its per-edge runs and their heap order. That order, ties included,
-decides which edges join a node's pending commands, so what `closed_commands`
-records and what a failed actuation re-tunes. The heap pops a stretch's rows
-by (time, key): a run's first row is keyed by its q, ahead of every later row,
-keyed by the position of its run's previous row. One sort by (time, previous
-row's time, q) gives that order but within a tie, rows at one time whose
-previous rows share a time. A tie whose previous rows are exactly one tie
-keeps that tie's order: a row takes the rank of its run's latest row outside
-such ties. The few other ties are sorted in time order by their previous rows'
-positions. Expiries go back in their runs' order.
+every edge back to the event heap at that instant. The run packs each heap row
+into one fixed-width `ROW` record of a `trigger_log` part (`_Rows`), and each
+closed command into one `CLOSED` record of `closed_commands` (`_Records`);
+both are read a block at a time (`records()`, and the log's `blocks()`), each
+block a view through its numpy dtype. `trigger_log` builds a stretch's rows
+only when read, from its per-edge runs and their heap order. That order, ties
+included, decides which edges join a node's pending commands, so what
+`closed_commands` records and what a failed actuation re-tunes. The heap pops
+a stretch's rows by (time, key): a run's first row is keyed by its q, ahead of
+every later row, keyed by the position of its run's previous row. One sort by
+(time, previous row's time, q) gives that order but within a tie, rows at one
+time whose previous rows share a time. A tie whose previous rows are exactly
+one tie keeps that tie's order: a row takes the rank of its run's latest row
+outside such ties. The few other ties are sorted in time order by their
+previous rows' positions. Expiries go back in their runs' order.
 
 Link pairs. When an expiry pops and its reverse edge's live expiry is next at
 the same t, one pass fires both. No segment starts between them, so the second
@@ -192,9 +193,9 @@ class _Stretch:
     def __len__(self) -> int:
         return sum(r.times.size for r in self.runs)
 
-    def table(self, ordered: bool = True) -> Iterator:
-        """The rows in heap order, or run by run, as blocks of (times, tails,
-        codes): every block shares the stretch's distinct tails (see
+    def table(self) -> Iterator:
+        """The rows in heap order, as blocks of (times, tails, codes) of at most
+        BLOCK rows: every block shares the stretch's distinct tails (see
         `_Run.tails`), and codes index them per row."""
         times, codes, tails = [], [], []
         for r in self.runs:
@@ -202,8 +203,11 @@ class _Stretch:
             codes.append(c + len(tails))
             tails += t
             times.append(r.times)
-        return _blocks(np.concatenate(times), np.array(tails, TAIL), np.concatenate(codes),
-                       self._merged[0] if ordered else None)
+        times, codes, tails = np.concatenate(times), np.concatenate(codes), np.array(tails, TAIL)
+        order = self._merged[0]
+        for a in range(0, order.size, BLOCK):
+            k = order[a:a + BLOCK]
+            yield times[k], tails, codes[k]
 
     @cached_property
     def _merged(self) -> tuple:
@@ -260,42 +264,28 @@ class _Records:
         self.blocks.append(bytearray())
         return self.blocks[-1]
 
-    def array(self) -> np.ndarray:
-        """The records as one array; each block is dropped once copied."""
-        out = np.empty(len(self), self.dtype)
-        flat, a = out.view(np.uint8), 0
-        while self.blocks:
-            data = self.blocks.pop(0)
-            flat[a:a + len(data)] = np.frombuffer(data, np.uint8)
-            a += len(data)
-        return out
+    def records(self) -> Iterator[np.ndarray]:
+        """Each non-empty block as a view of its records, in append order."""
+        for data in self.blocks:
+            if data:
+                yield np.frombuffer(data, self.dtype)
 
 
 class _Rows(_Records):
     """The event heap's rows, as ROW records."""
 
-    def table(self, ordered: bool = True) -> Iterator:
-        """Blocks of (times, tails, codes) in log order either way: each block's
-        times and tails are views of its own records, and its codes count them."""
-        for data in self.blocks:
-            if data:
-                block = np.frombuffer(data, ROW)
-                yield block["t"], block.view(TAIL), np.arange(block.size)
-
-
-def _blocks(times: np.ndarray, tails: np.ndarray, codes: np.ndarray,
-            order: Optional[np.ndarray] = None) -> Iterator:
-    """(times, tails, codes) in blocks of at most BLOCK rows, in `order` or as stored."""
-    for a in range(0, times.size, BLOCK):
-        k = slice(a, a + BLOCK) if order is None else order[a:a + BLOCK]
-        yield times[k], tails, codes[k]
+    def table(self) -> Iterator:
+        """Blocks of (times, tails, codes) in log order: each block's times and
+        tails are views of its own records, and its codes count them."""
+        for block in self.records():
+            yield block["t"], block.view(TAIL), np.arange(block.size)
 
 
 class TriggerLog:
     """A run's trigger rows in event order, in parts (`_Rows`, `_Stretch`) whose
     `table()` gives blocks of (times, tails, codes): the rows' times, TAIL
-    records, and per row the index of its record. Every reader takes the
-    records column by column."""
+    records, and per row the index of its record. Every reader walks them
+    through `blocks()` and takes the records column by column."""
 
     def __init__(self, parts: list):
         self.parts = parts
@@ -303,17 +293,21 @@ class TriggerLog:
     def __len__(self) -> int:
         return sum(map(len, self.parts))
 
+    def blocks(self) -> Iterator:
+        """Every part's blocks of (times, tails, codes), in log order."""
+        for part in self.parts:
+            yield from part.table()
+
     def __iter__(self):
         """Each row as a tuple (t, edge, comm_healthy, diff, u, theta, eps, rate,
         dwell_floor), with diff None on a jammed resilient link."""
-        for part in self.parts:
-            for times, tails, codes in part.table():
-                if tails.size < codes.size:  # a stretch's shared tails: each one's tuple once
-                    rows = list(zip(*_columns(tails)))
-                    yield from map(tuple.__add__, zip(times.tolist()),
-                                   map(rows.__getitem__, codes.tolist()))
-                else:
-                    yield from zip(times.tolist(), *_columns(tails, codes))
+        for times, tails, codes in self.blocks():
+            if tails.size < codes.size:  # a stretch's shared tails: each one's tuple once
+                rows = list(zip(*_columns(tails)))
+                yield from map(tuple.__add__, zip(times.tolist()),
+                               map(rows.__getitem__, codes.tolist()))
+            else:
+                yield from zip(times.tolist(), *_columns(tails, codes))
 
 
 def _columns(tails: np.ndarray, codes=slice(None)) -> list:
@@ -334,8 +328,8 @@ class RunMetrics:
     entry_time: Optional[float]
     converged: bool
     trigger_log: TriggerLog     # (t, edge, comm_healthy, diff, u, theta, eps, rate, dwell_floor)
-    closed_commands: np.ndarray  # CLOSED records, one per actuated command: its edge, trigger
-    #                              time, own, neighbour and actuation delays, and (eps, rate)
+    closed_commands: _Records   # CLOSED records, one per actuated command: its edge, trigger
+    #                             time, own, neighbour and actuation delays, and (eps, rate)
     retunes: list               # (edge, trigger_t, dwell_floor) per failed-actuation re-tune
     channel_stats: dict
     directed_edges: list
@@ -345,10 +339,8 @@ class RunMetrics:
         """Smallest (observed gap - guaranteed floor) over all edges. A gap's
         floor is that of the last command set on the edge before it: its
         trigger row's, or that of a later re-tune of the same command."""
-        parts = [np.zeros((0, 3))]
-        for p in self.trigger_log.parts:
-            parts += [np.column_stack((tails["edge"][k], ts, tails["floor"][k]))
-                      for ts, tails, k in p.table(ordered=False)]
+        parts = [np.zeros((0, 3))] + [np.column_stack((tails["edge"][k], ts, tails["floor"][k]))
+                                      for ts, tails, k in self.trigger_log.blocks()]
         # the re-tunes go last, so a stable sort by (edge, time) puts each one
         # after its trigger row and the earlier re-tunes of that row
         parts.append(np.array(self.retunes).reshape(-1, 3))
@@ -939,6 +931,7 @@ class Simulation:
 
         times = _record_times(cfg.record_period, horizon)
         log_parts[-1].seal()
+        closed.seal()
         log = TriggerLog([p for p in log_parts if len(p)])
         n_fail = sum(map(len, meas_jam))
         stats = {"meas_ok": n * len(grid) - n_fail, "meas_fail": n_fail,
@@ -966,7 +959,7 @@ class Simulation:
             entry_time=entry,
             converged=converged,
             trigger_log=log,
-            closed_commands=closed.array(),
+            closed_commands=closed,
             retunes=retunes,
             channel_stats=stats,
             directed_edges=self.edges,

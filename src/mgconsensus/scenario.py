@@ -265,6 +265,12 @@ class Scenario:
         if self.trace_file:
             channels = read_channel_set(self.trace_file)
             channels.check_complete(self.topology, d.comm, self.per_direction_comm)
+            # past its trace's horizon a channel would read as unattacked
+            for key, seq in sorted(channels.sequences.items()):
+                if seq.horizon < self.horizon:
+                    raise ConfigError(f"{self.trace_file}: channel {'/'.join(map(str, key))} "
+                                      f"ends at {seq.horizon:g}, before the horizon "
+                                      f"{self.horizon:g}")
             return channels
         meas, act, comm = d.scaled_budgets(scale_class, intensity)
         # a node without a budget gets an unattackable placeholder trace

@@ -3,7 +3,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from mgconsensus.engine import _evaluate
+from mgconsensus.engine import CLOSED, _evaluate
 
 SCENARIO = Path(__file__).resolve().parent.parent / "scenarios" / "ring4_dos.yaml"
 
@@ -27,6 +27,12 @@ def v_at_active_triggers(m) -> np.ndarray:
     return np.column_stack((t, v))
 
 
+def closed_commands(m) -> np.ndarray:
+    """The run's closed-command records as one array, read a block at a time
+    through `records()`."""
+    return np.concatenate([np.zeros(0, CLOSED), *m.closed_commands.records()])
+
+
 def ring64_data() -> dict:
     """The bundled scenario on a 64-node ring, frequency instance only, with a
     12 s horizon and x0 spread over 2.5 delta: the active regime at graph size."""
@@ -47,11 +53,10 @@ def min_dwell_margin_reference(m) -> float:
     sorted by edge, then each re-tune's floor written over its trigger row's,
     two `np.searchsorted` per re-tune."""
     edges, times, floors = [np.zeros(0, np.intp)], [np.zeros(0)], [np.zeros(0)]
-    for part in m.trigger_log.parts:
-        for ts, tails, codes in part.table():
-            edges.append(tails["edge"][codes])
-            times.append(ts)
-            floors.append(tails["floor"][codes])
+    for ts, tails, codes in m.trigger_log.blocks():
+        edges.append(tails["edge"][codes])
+        times.append(ts)
+        floors.append(tails["floor"][codes])
     # the log is in time order, and a stable sort by edge keeps each edge's rows in it
     order = np.argsort(np.concatenate(edges), kind="stable")
     edge, times, floors = (np.concatenate(c)[order] for c in (edges, times, floors))

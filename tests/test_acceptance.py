@@ -242,7 +242,7 @@ def test_criterion_5_conservativeness_ordering(topo, heterogeneous_setup):
             if mode == "self-adaptive":
                 # adapted eps stays under the offline per-edge design value
                 # whenever the observed delays sit under their phi bounds
-                c = m.closed_commands
+                c = conftest.closed_commands(m)
                 for e, own, nbr, act, eps_cmd in zip(*(c[k].tolist() for k in (
                         "edge", "own", "nbr", "act", "eps"))):
                     i, j = ne_dirs[e]

@@ -6,6 +6,8 @@ import yaml
 
 from mgconsensus import cli
 from mgconsensus.cli import main
+from mgconsensus.scenario import _SCHEMA, Scenario
+from test_scenario import _number_rows
 
 SCENARIO = Path(__file__).resolve().parent.parent / "scenarios" / "ring4_dos.yaml"
 
@@ -83,6 +85,36 @@ def test_config_error_exit_code(tmp_path):
     assert main(["run", str(bad)]) == 2
 
 
+def _set(key):
+    """An edit of the scenario that sets the dotted `key`, whose parts may be
+    list indices, to true."""
+    def edit(data):
+        *parents, last = [int(k) if k.isdigit() else k for k in key.split(".")]
+        for k in parents:
+            data = data[k]
+        data[last] = True
+    return edit
+
+
+# YAML reads true, yes and on as booleans, and float(True) is 1.0: a boolean
+# eps designed and ran with eps = 1. Each number of the schema, then the
+# numbers `parse_scenario` checks itself
+_BOOLEANS = [(key, _set(key)) for key, *_ in _number_rows(_SCHEMA)] + [
+    ("instances.frequency.reference", _set("instances.frequency.reference")),
+    ("channels.measurement[0].eta", _set("channels.measurement.default.eta")),
+    ("channels.communication[0-1].tau_d", _set("channels.communication.default.tau_d")),
+    ("instances.frequency.initial", _set("instances.frequency.initial.0")),
+    ("instances.power.initial_power_kw", _set("instances.power.initial_power_kw.3")),
+    ("instances.frequency.disturbances[0].time",
+     lambda d: d["instances"]["frequency"].update(disturbances=[{"time": True, "node": 0,
+                                                                 "jump": 0.1}])),
+    ("instances.frequency.disturbances[0].jump",
+     lambda d: d["instances"]["frequency"].update(disturbances=[{"time": 2.0, "node": 0,
+                                                                 "jump": True}])),
+    ("mgs[1].ratings_kw", _set("mgs.1.ratings_kw.0")),
+]
+
+
 @pytest.mark.parametrize("key,edit", [
     ("activation_time", lambda d: d.update(activation_time=-1.0)),
     ("instances.frequency.disturbances[0].node",
@@ -90,7 +122,9 @@ def test_config_error_exit_code(tmp_path):
                                                                  "jump": 0.1}])),
     ("mgs[0].ratings_kw", lambda d: d["mgs"][0].update(ratings_kw=[])),
     ("horizon", lambda d: d.update(horizon="long")),
-], ids=["activation-negative", "disturbance-node", "ratings-empty", "horizon-text"])
+] + [(f"{key} must be a finite number, got True", edit) for key, edit in _BOOLEANS],
+    ids=["activation-negative", "disturbance-node", "ratings-empty", "horizon-text"]
+    + [f"{key}-true" for key, _ in _BOOLEANS])
 def test_bad_scenario_value_exits_2_naming_its_key(fast_scenario, tmp_path, capsys, key, edit):
     data = yaml.safe_load(fast_scenario.read_text())
     edit(data)
@@ -404,6 +438,21 @@ def test_sweep_unknown_class_is_config_error(fast_scenario, tmp_path, capsys, mo
     assert "unknown channel class 'bogus'" in capsys.readouterr().err
 
 
+def test_sweep_checks_the_instance_before_any_work(fast_scenario, tmp_path, capsys,
+                                                  monkeypatch):
+    # an unknown instance is reported before any trace is generated or any
+    # output directory is made, as `run` does
+    def no_channels(*args, **kwargs):
+        raise AssertionError("traces generated before the instance check")
+
+    monkeypatch.setattr(Scenario, "build_channels", no_channels)
+    out = tmp_path / "d" / "sweep.json"
+    argv = ["sweep", str(fast_scenario), "--instance", "voltage", "--out", str(out)]
+    assert main(argv) == 2
+    assert "no 'voltage' instance" in capsys.readouterr().err
+    assert not out.parent.exists()
+
+
 def test_run_unknown_instance_writes_nothing(fast_scenario, tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["run", str(fast_scenario), "--instance", "bogus", "--out", str(out)]) == 2
@@ -446,8 +495,8 @@ NON_FINITE = [("params", "eta", float("nan")), ("params", "kappa", float("nan"))
 NON_FINITE_IDS = ["eta-nan", "kappa-nan", "tau_d-inf", "horizon-inf"]
 
 
-def _non_finite_trace(scenario, path: Path, where, key, value) -> Path:
-    """A generated trace with one value of channel act/0 made non-finite."""
+def _trace_with(scenario, path: Path, where, key, value) -> Path:
+    """A generated trace with one value of channel act/0 set to `value`."""
     assert main(["attacks", "generate", str(scenario), "--out", str(path)]) == 0
     data = json.loads(path.read_text())
     entry = data["act/0"] if where is None else data["act/0"][where]
@@ -459,7 +508,7 @@ def _non_finite_trace(scenario, path: Path, where, key, value) -> Path:
 @pytest.mark.parametrize("where, key, value", NON_FINITE, ids=NON_FINITE_IDS)
 def test_verify_rejects_non_finite_budget(fast_scenario, tmp_path, capsys, where, key, value):
     # a NaN budget compares false against every bound, so it passed the audit
-    trace = _non_finite_trace(fast_scenario, tmp_path / "trace.json", where, key, value)
+    trace = _trace_with(fast_scenario, tmp_path / "trace.json", where, key, value)
     capsys.readouterr()
     assert main(["attacks", "verify", str(trace)]) == 1
     captured = capsys.readouterr()
@@ -469,13 +518,57 @@ def test_verify_rejects_non_finite_budget(fast_scenario, tmp_path, capsys, where
 @pytest.mark.parametrize("where, key, value", NON_FINITE, ids=NON_FINITE_IDS)
 def test_non_finite_budget_trace_file_is_config_error(fast_scenario, tmp_path, capsys,
                                                       where, key, value):
-    _non_finite_trace(fast_scenario, tmp_path / "trace.json", where, key, value)
+    _trace_with(fast_scenario, tmp_path / "trace.json", where, key, value)
     data = yaml.safe_load(fast_scenario.read_text())
     data["channels"]["trace_file"] = "trace.json"
     scen = tmp_path / "scen.yaml"
     scen.write_text(yaml.safe_dump(data))
     assert main(["run", str(scen), "--out", str(tmp_path / "out")]) == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where, key", [("params", "eta"), (None, "horizon")],
+                         ids=["eta", "horizon"])
+def test_verify_rejects_a_boolean_number(fast_scenario, tmp_path, capsys, where, key):
+    # JSON true read as 1.0, and the trace passed its audit
+    trace = _trace_with(fast_scenario, tmp_path / "trace.json", where, key, True)
+    data = json.loads(trace.read_text())
+    data["act/0"]["intervals"] = []  # no window then ends past a 1 s horizon
+    trace.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["attacks", "verify", str(trace)]) == 1
+    err = capsys.readouterr().err
+    assert "malformed trace:" in err and f"{key} must be a finite number, got True" in err
+
+
+@pytest.mark.parametrize("where, key", [("params", "tau_D"), (None, "window")],
+                         ids=["params", "entry"])
+def test_verify_rejects_an_unknown_trace_key(fast_scenario, tmp_path, capsys, where, key):
+    # a misspelt budget key was ignored, and the trace passed its audit
+    trace = _trace_with(fast_scenario, tmp_path / "trace.json", where, key, 25.0)
+    capsys.readouterr()
+    assert main(["attacks", "verify", str(trace)]) == 1
+    captured = capsys.readouterr()
+    assert "malformed trace:" in captured.err and key in captured.err
+
+
+@pytest.mark.parametrize("horizon, code", [(24.0, 2), (12.0, 0), (6.0, 0)])
+def test_trace_file_must_reach_the_horizon(fast_scenario, tmp_path, capsys, horizon, code):
+    # past the end of its 12 s trace every channel read as unattacked; a
+    # longer trace is allowed
+    assert main(["attacks", "generate", str(fast_scenario),
+                 "--out", str(tmp_path / "trace.json")]) == 0
+    data = yaml.safe_load(fast_scenario.read_text())
+    data["horizon"] = horizon
+    data["channels"]["trace_file"] = "trace.json"
+    scen = tmp_path / "scen.yaml"
+    scen.write_text(yaml.safe_dump(data))
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main(["run", str(scen), "--instance", "frequency", "--out", str(out)]) == code
+    if code:
+        assert "channel act/0 ends at 12, before the horizon 24" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_undecodable_trace_file_is_config_error(fast_scenario, tmp_path):

@@ -157,7 +157,7 @@ def test_retune_uses_delay_aggregate():
     m = Simulation(
         _cfg(PAIR, [0.0, 1.0], channels=cs, mode="self-adaptive", horizon=5.0)
     ).run()
-    c = m.closed_commands
+    c = conftest.closed_commands(m)
     for own, nbr, act, eps, rate in zip(*(c[k].tolist() for k in ("own", "nbr", "act", "eps",
                                                                    "rate"))):
         gamma = delay_aggregate(own, nbr, act, 1, 1)
@@ -242,17 +242,16 @@ def test_measurement_grid_is_the_repeated_sum(delta, horizon):
 
 
 def test_reading_the_ring64_log_copies_no_heap_row():
-    # the 12 s ring-64 log holds some 20k heap rows; each block of a part's
-    # table views its stored records, times and tails, so reading every block
+    # the 12 s ring-64 log holds some 20k heap rows; each of the log's blocks
+    # views its stored records, times and tails, so reading every block
     # costs far less than a copy of the records (some 1.1 MB)
     s = parse_scenario(conftest.ring64_data())
     log = Simulation(s.engine_config("frequency", s.build_channels())).run().trigger_log
     read = 0
     tracemalloc.start()
     try:
-        for part in log.parts:
-            for times, _tails, _codes in part.table():
-                read += times.size
+        for times, _tails, _codes in log.blocks():
+            read += times.size
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -262,8 +261,8 @@ def test_reading_the_ring64_log_copies_no_heap_row():
 
 def test_the_ring64_run_keeps_packed_records_only():
     # the 12 s ring-64 run's heap rows and closed commands are held at their
-    # packed sizes, 54 and 52 B each, with no growth slack; a few kB go to
-    # object headers. As tuples they held some 200 B each.
+    # packed sizes, 54 and 52 B each, with no growth slack (the run seals each
+    # last block); a few kB go to object headers. As tuples they held some 200 B each.
     s = parse_scenario(conftest.ring64_data())
     cfg = s.engine_config("frequency", s.build_channels())
     tracemalloc.start()
@@ -283,6 +282,19 @@ def test_the_ring64_run_keeps_packed_records_only():
     assert before - after_rows <= ROW.itemsize * rows + 4096, (before - after_rows) / rows
     assert after_rows - after_commands <= CLOSED.itemsize * commands + 4096, \
         (after_rows - after_commands) / commands
+
+
+def test_a_run_keeps_every_closed_command_block_as_bytes():
+    # the 12 s ring-64 run closes some 12k commands: every block, the last
+    # one too, is sealed as bytes of whole records, read as read-only views
+    s = parse_scenario(conftest.ring64_data())
+    m = Simulation(s.engine_config("frequency", s.build_channels())).run()
+    blocks = [b for b in m.closed_commands.blocks if b]
+    assert len(blocks) > 2 and all(type(b) is bytes for b in blocks)
+    views = list(m.closed_commands.records())
+    assert [v.size for v in views[:-1]] == [engine.BLOCK] * (len(views) - 1)
+    assert sum(v.size for v in views) == len(m.closed_commands)
+    assert not any(v.flags.writeable for v in views)
 
 
 @pytest.mark.parametrize("x0,jumps", [([0.0, float("nan")], []), ([float("inf"), 1.0], []),

@@ -34,6 +34,16 @@ def test_bundled_scenario_loads(scen):
     assert scen.instances.keys() == {"frequency", "power"}
 
 
+def test_a_number_yaml_reads_as_a_string_loads(tmp_path):
+    # PyYAML reads 3e-2 (no dot in the mantissa) as a str, and the budget as 0.03
+    text = SCENARIO.read_text().replace("kappa: 0.5,", "kappa: 3e-2,")
+    assert "kappa: 3e-2," in text
+    path = tmp_path / "scen.yaml"
+    path.write_text(text)
+    assert yaml.safe_load(text)["channels"]["communication"]["default"]["kappa"] == "3e-2"
+    assert load_scenario(str(path)).comm_budgets[0, 1]["kappa"] == 0.03
+
+
 def test_parse_without_libyaml_gives_equal_scenario(scen, monkeypatch):
     # load_yaml takes libyaml's CSafeLoader when PyYAML has it; the pure-Python
     # SafeLoader it falls back to must read the same scenario
