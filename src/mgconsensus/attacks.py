@@ -403,6 +403,9 @@ class ChannelSet:
                                  f"intervals, got {list(entry)}")
             params[key] = DosParams(**entry["params"])
             sequences[key] = DosSequence(entry["intervals"], entry["horizon"])
+            # numpy reads a bool bound as 0.0 or 1.0; the pairs' shape is checked by now
+            if bool in set(map(type, chain.from_iterable(entry["intervals"]))):
+                raise ValueError(f"channel {name}: window bounds must be numbers, got a boolean")
         return cls(sequences, params)
 
 

@@ -225,6 +225,9 @@ def cmd_attacks_generate(args) -> int:
     scen = load_scenario(args.scenario)
     if args.seed is not None:
         scen = scen.with_seed(args.seed)
+    if scen.trace_file:
+        raise ConfigError("attacks generate draws traces from the budgets; channels.trace_file "
+                          "fixes them")
     if not scen.has_attacks:
         raise ConfigError("scenario defines no attack channels")
     out = _out_file(args.out or Path(args.scenario).with_suffix(".trace.json"))

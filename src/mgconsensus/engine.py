@@ -8,10 +8,13 @@ or droop-scaled power); both instances of a scenario are two runs sharing
 topology and attack traces.
 
 The event heap holds clock expiries, actuation attempts and disturbances; at
-equal times they resolve in that order, FIFO within a kind. An attempt due at
-the instant it is queued waits in a FIFO beside the heap (`due`), which spares
-a large graph's busiest path a heap push and pop. Measurements and record
-samples are not events:
+equal times they resolve in that order. Each edge runs its own clock, so
+expiries at one time have no order in the model: they pop by link, as
+`Topology.edges` lists the links, the lower node's direction (i < j) first
+(`Simulation.key`). Attempts and disturbances at one time pop FIFO. An attempt
+due at the instant it is queued waits in a FIFO beside the heap (`due`), which
+spares a large graph's busiest path a heap push and pop. Measurements and
+record samples are not events:
 
 - node i measures itself on its grid 0, delta*_meas, 2 delta*_meas, ...; a
   trigger at t reads i's cache lazily as x_i at the latest healthy grid point
@@ -52,31 +55,23 @@ first, and each edge steps up to the earliest such trigger so far:
 
 A trigger that would leave the dead zone (a nominal edge's first healthy read
 after a jammed link, or an adapted eps that no longer covers the diff) hands
-every edge back to the event heap at that instant. The run packs each heap row
-into one fixed-width `ROW` record of a `trigger_log` part (`_Rows`), and each
-closed command into one `CLOSED` record of `closed_commands` (`_Records`);
-both are read a block at a time (`records()`, and the log's `blocks()`), each
-block a view through its numpy dtype. `trigger_log` builds a stretch's rows
-only when read, from its per-edge runs and their heap order. That order, ties
-included, decides which edges join a node's pending commands, so what
-`closed_commands` records and what a failed actuation re-tunes. The heap pops
-a stretch's rows by (time, key): a run's first row is keyed by its q, ahead of
-every later row, keyed by the position of its run's previous row. One sort by
-(time, previous row's time, q) gives that order but within a tie, rows at one
-time whose previous rows share a time. A tie whose previous rows are exactly
-one tie keeps that tie's order: a row takes the rank of its run's latest row
-outside such ties. The few other ties are sorted in time order by their
-previous rows' positions. Expiries go back in their runs' order.
+every edge back to the event heap at that instant, its next expiries pushed in
+edge order. The run packs each heap row into one fixed-width `ROW` record of a
+`trigger_log` part (`_Rows`), and each closed command into one `CLOSED` record
+of `closed_commands` (`_Records`); both are read a block at a time
+(`records()`, and the log's `blocks()`), each block a view through its numpy
+dtype. `trigger_log` builds a stretch's rows only when read, from its per-edge
+runs, in the order the heap would pop them: one sort by (time, key).
 
 Link pairs. When an expiry pops and its reverse edge's live expiry is next at
 the same t, one pass fires both. No segment starts between them, so the second
 reuses the first's reads, its health on one comm channel, and when both are
 healthy gamma = d_i (t - s_i) + d_j (t - s_j) (one sum either way) and its
-(eps, R); each applies the trigger rule to its own diff. Equal next expiries
-(|-diff| = |diff|) go back as one link entry under the first's seq: nothing
-else is pushed between them, so pops keep their order. A jammed direction,
-per-edge eps or a re-tune (a stale version in the entry) splits a pair; none
-straddles a stretch's start.
+(eps, R); each applies the trigger rule to its own diff. The first is the
+lower direction, and equal next expiries (|-diff| = |diff|) go back as one
+link entry under its key: a link's two keys are adjacent, so pops keep their
+order. A jammed direction, per-edge eps or a re-tune (a stale version in the
+entry) splits a pair; none straddles a stretch's start.
 """
 
 from __future__ import annotations
@@ -86,7 +81,6 @@ from bisect import bisect_left, bisect_right
 from collections import deque
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from functools import cached_property
 from heapq import heapify, heappop, heappush
 from math import isfinite, nan, nextafter
 from struct import Struct
@@ -148,8 +142,8 @@ class _Run:
     commanded (eps, rate) (one pair in the offline modes). A row's diff is
     `before` up to the first healthy row and `after` from there on; a resilient
     run has no `before`, and its jammed rows hold None. The trigger rule on that
-    diff and the row's command gives its u (0), theta and floor. `q` orders the
-    runs' first rows, as their pushes before the stretch did."""
+    diff and the row's command gives its u (0), theta and floor. `key` is the
+    edge's heap key (`Simulation.key`)."""
 
     edge: int
     degs: tuple[int, int]
@@ -159,7 +153,7 @@ class _Run:
     params: list
     before: Optional[float]
     after: float
-    q: int
+    key: int
 
     def tails(self) -> tuple[np.ndarray, list]:
         """The rows after their time, as TAIL tuples (edge, comm_healthy, diff,
@@ -184,8 +178,8 @@ class _Run:
 
 
 class _Stretch:
-    """The rows of a quiescent stretch, kept as one `_Run` per edge and their
-    heap order; no row is kept, each is built when read."""
+    """The rows of a quiescent stretch, kept as one `_Run` per edge; no row is
+    kept, each is built when read."""
 
     def __init__(self, runs: list):
         self.runs = runs                     # each with rows
@@ -194,9 +188,9 @@ class _Stretch:
         return sum(r.times.size for r in self.runs)
 
     def table(self) -> Iterator:
-        """The rows in heap order, as blocks of (times, tails, codes) of at most
-        BLOCK rows: every block shares the stretch's distinct tails (see
-        `_Run.tails`), and codes index them per row."""
+        """The rows in heap order, by (time, key), as blocks of (times, tails,
+        codes) of at most BLOCK rows: every block shares the stretch's distinct
+        tails (see `_Run.tails`), and codes index them per row."""
         times, codes, tails = [], [], []
         for r in self.runs:
             c, t = r.tails()
@@ -204,45 +198,11 @@ class _Stretch:
             tails += t
             times.append(r.times)
         times, codes, tails = np.concatenate(times), np.concatenate(codes), np.array(tails, TAIL)
-        order = self._merged[0]
+        keys = np.repeat([r.key for r in self.runs], [r.times.size for r in self.runs])
+        order = np.lexsort((keys, times))
         for a in range(0, order.size, BLOCK):
             k = order[a:a + BLOCK]
             yield times[k], tails, codes[k]
-
-    @cached_property
-    def _merged(self) -> tuple:
-        """The rows' positions in the runs' concatenation, in heap order, and
-        the runs in the order of their last rows (see the module docstring)."""
-        sizes = [r.times.size for r in self.runs]
-        times = np.concatenate([r.times for r in self.runs])
-        row = np.arange(times.size)
-        prev = row - 1
-        prev[np.cumsum(sizes) - sizes] = -1
-        q = np.repeat([r.q for r in self.runs], sizes)
-        t_prev = np.where(prev < 0, -np.inf, times[prev])
-        order = np.lexsort((q, t_prev, times))
-        # ties: rows at one time whose previous rows share a time, or first rows
-        ts, tp = times[order], t_prev[order]
-        start = np.flatnonzero(np.r_[True, (ts[1:] != ts[:-1]) | (tp[1:] != tp[:-1])])
-        size = np.diff(np.r_[start, row.size])
-        tie, rank = np.empty_like(row), np.empty_like(row)
-        tie[order] = np.repeat(np.arange(start.size), size)
-        rank[order] = row - start[tie[order]]
-        # a tie inherits the order of its previous rows where they are one tie
-        prev_tie = np.where(prev < 0, -1, tie[prev])[order]
-        low = np.minimum.reduceat(prev_tie, start)
-        inherits = (low == np.maximum.reduceat(prev_tie, start)) & (low >= 0) & (size[low] == size)
-        anc = np.maximum.accumulate(np.where(inherits[tie], 0, row))
-        # the other ties of later rows, in time order, by their previous rows' positions
-        loose = ~inherits & (size > 1) & (tp[start] > -np.inf)
-        rows = order[np.repeat(loose, size)]
-        base, ancs = start[tie[prev[rows]]], anc[prev[rows]]
-        ends = np.cumsum(size[loose]).tolist()
-        for a, b in zip([0] + ends, ends):
-            rank[rows[a:b][np.argsort(base[a:b] + rank[ancs[a:b]])]] = np.arange(b - a)
-        pos = start[tie] + rank[anc]
-        order[pos] = row
-        return order, np.argsort(pos[np.cumsum(sizes) - 1]).tolist()
 
 
 class _Records:
@@ -543,6 +503,10 @@ class Simulation:
         self.degs = topo.degrees
         self.edges = topo.directed_edges()
         self.edge_index = {e: k for k, e in enumerate(self.edges)}
+        # each directed edge's rank among expiries at one time: its link's
+        # place in `topo.edges`, then the lower node's direction first
+        link = {e: k for k, e in enumerate(topo.edges)}
+        self.key = [2 * link[min(i, j), max(i, j)] + (i > j) for i, j in self.edges]
         self.out_edges = [
             [self.edge_index[(i, j)] for j in topo.neighbors[i]] for i in range(self.n)
         ]
@@ -663,14 +627,18 @@ class Simulation:
         heap: list = []
         due: deque = deque()  # actuation attempts due at their push: keys only rise
         seq = 0
+        # expiries at one time pop by edge key, then by push: the key rides in
+        # the seq field's high bits, so that field stays unique and no two
+        # entries compare their versions (an int or a link's tuple)
+        key = [k << 40 for k in self.key]
 
-        def push(time_, kind, a=0, b=0):
+        def push(time_, kind, a=0, b=0, order=0):
             nonlocal seq
-            heappush(heap, (time_, kind, seq, a, b))
+            heappush(heap, (time_, kind, order | seq, a, b))
             seq += 1
 
         for e in range(ne):
-            push(cfg.activation_time, K_EXPIRY, e, 0)
+            push(cfg.activation_time, K_EXPIRY, e, 0, key[e])
         for dt_, node_, jump_ in sorted(cfg.disturbances):
             if dt_ <= horizon:
                 push(dt_, K_DISTURB, node_, jump_)
@@ -693,7 +661,7 @@ class Simulation:
             return certified_params(gamma, alpha, beta, eps_floor)
 
         def stretch_runs(live, diffs, limit):
-            """Every edge's triggers from its live expiry (time, seq) while before
+            """Every edge's triggers from its live expiry time while before
             `limit`, cut before the first one that would leave the dead zone.
             Returns the runs of the edges with rows, each edge's next expiry and
             the cut."""
@@ -706,9 +674,9 @@ class Simulation:
                 until = min(breaks, default=limit)
                 if adaptive:
                     *cols[e], broke = step_adaptive(stamps, i, j, d, comm[e], cmd,
-                                                    diffs[e], live[e][0], until, certify)
+                                                    diffs[e], live[e], until, certify)
                 else:
-                    times = _cumsum_run(live[e][0], trigger(None, *cmd, *d)[1] / cmd[1], until)
+                    times = _cumsum_run(live[e], trigger(None, *cmd, *d)[1] / cmd[1], until)
                     healthy = ~comm[e].attacked(times[:-1])
                     # an edge whose diff is outside its dead zone breaks at its first healthy read
                     broke = trigger(diffs[e], *cmd, *d)[0] != 0 and healthy.any()
@@ -718,7 +686,6 @@ class Simulation:
                 if broke:
                     breaks.append(float(cols[e][0][-1]))
             cut = min(breaks, default=limit)
-            q = np.argsort(np.argsort([sq for _t, sq in live]))
             runs, nxt = [], []
             for e, (times, healthy, cmd, params) in enumerate(cols):
                 k = int(np.searchsorted(times[:-1], cut, side="left"))
@@ -726,7 +693,7 @@ class Simulation:
                 if k:
                     runs.append(_Run(e, (degs[e_i[e]], degs[e_j[e]]), times[:k], healthy[:k],
                                      cmd[:k], params, None if resilient else e_diff[e],
-                                     diffs[e], int(q[e])))
+                                     diffs[e], self.key[e]))
             return runs, nxt, cut
 
         def fast_forward(t_now):
@@ -735,11 +702,11 @@ class Simulation:
             nonlocal comm_ok
             live = [None] * ne
             disturb = []
-            for time_, kind, sq, a, b in heap:
-                if kind == K_EXPIRY:  # a link entry: its second direction right after its first
-                    for k, (e, v) in enumerate(zip((a, rev[a]), b if type(b) is tuple else [b])):
+            for time_, kind, _sq, a, b in heap:
+                if kind == K_EXPIRY:  # a link entry holds both directions' versions
+                    for e, v in zip((a, rev[a]), b if type(b) is tuple else [b]):
                         if v == e_ver[e]:
-                            live[e] = (time_, sq + 0.5 * k)
+                            live[e] = time_
                 elif kind == K_DISTURB:
                     disturb.append(time_)
             limit = min(disturb) if disturb else nextafter(horizon + 1e-12, np.inf)
@@ -747,11 +714,10 @@ class Simulation:
             x_now = [measured(i, t_now)[1] for i in range(n)]
             diffs = [x_now[j] - x_now[i] for i, j in edges]
             runs, nxt, cut = stretch_runs(live, diffs, limit)
-            stretch = _Stretch(runs)
             comm_ok += sum(int(np.count_nonzero(r.healthy)) for r in runs)
             if runs:
                 log_parts[-1].seal()
-                log_parts.extend((stretch, _Rows()))
+                log_parts.extend((_Stretch(runs), _Rows()))
             if cut == limit and not disturb:
                 return False
             # the heap resumes at the cut: leave each edge as its last row did
@@ -770,20 +736,17 @@ class Simulation:
                 if read.size or not resilient:
                     e_own_delay[e] = t_read - stamps(i, t_read)
                     e_nbr_delay[e] = t_read - e_nbr_stamp[e]
-            ran = {r.edge for r in runs}
-            order = sorted((e for e in range(ne) if e not in ran), key=lambda e: live[e][1])
-            order += [runs[k].edge for k in (stretch._merged[1] if runs else ())]
-            # the heap keeps its disturbances and takes the expiries in that order
+            # the heap keeps its disturbances and takes every edge's next expiry
             heap[:] = [ev for ev in heap if ev[1] == K_DISTURB]
             heapify(heap)
             due.clear()
-            for e in order:
+            for e in range(ne):
                 e_ver[e] += 1
-                push(nxt[e], K_EXPIRY, e, e_ver[e])
+                push(nxt[e], K_EXPIRY, e, e_ver[e], key[e])
             return True
 
         while heap:
-            t, kind, sq, a, b = due.popleft() if due and due[0] < heap[0] else heappop(heap)
+            t, kind, _sq, a, b = due.popleft() if due and due[0] < heap[0] else heappop(heap)
             if t > horizon + 1e-12:
                 break
 
@@ -844,12 +807,12 @@ class Simulation:
                     # a pair's first push waits for the second's: one link entry if they agree
                     t_next = t + theta / rate_k
                     if nxt is None:
-                        nxt, first = t_next, (seq, e, e_ver[e])
+                        nxt, first = t_next, (key[e] | seq, e, e_ver[e])
                         seq += 1
                     elif t_next == nxt:
                         first = (*first[:2], (first[2], e_ver[e]))
                     else:
-                        push(t_next, K_EXPIRY, e, e_ver[e])
+                        push(t_next, K_EXPIRY, e, e_ver[e], key[e])
                     if not pair or e == r:
                         heappush(heap, (nxt, K_EXPIRY, *first))
                     log_rows += pack_row(t, e, comm_h, nan if diff is None else diff, u, theta,
@@ -878,7 +841,7 @@ class Simulation:
                         if len(fresh) == ne:
                             if pair and e != r:  # a pair never straddles a stretch's start
                                 heappush(heap, (nxt, K_EXPIRY, *first))
-                                heappush(heap, (t, K_EXPIRY, sq, r, e_ver[r]))
+                                push(t, K_EXPIRY, r, e_ver[r], key[r])
                             ended = not fast_forward(t)
                             log_rows = log_parts[-1].blocks[-1]
                             break
@@ -918,7 +881,8 @@ class Simulation:
                             u, theta, floor = trigger(e_diff[e], eps_k, rate_k,
                                                       degs[i], degs[e_j[e]])
                             set_command(e, i, u, theta, eps_k, rate_k)
-                            push(max(e_trig_t[e] + theta / rate_k, t), K_EXPIRY, e, e_ver[e])
+                            push(max(e_trig_t[e] + theta / rate_k, t), K_EXPIRY, e, e_ver[e],
+                                 key[e])
                             retunes.append((e, e_trig_t[e], floor))
                         new_sum = 0.0
                         for oe in self.out_edges[i]:

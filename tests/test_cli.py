@@ -395,6 +395,22 @@ def test_sweep_on_a_trace_file_scenario_is_config_error(fast_scenario, tmp_path,
     assert not out.exists()
 
 
+def test_attacks_generate_on_a_trace_file_scenario_is_config_error(fast_scenario, tmp_path,
+                                                                   capsys):
+    # the generator copied the fixed trace and ignored --seed
+    trace = tmp_path / "trace.json"
+    assert main(["attacks", "generate", str(fast_scenario), "--out", str(trace)]) == 0
+    data = yaml.safe_load(fast_scenario.read_text())
+    data["channels"]["trace_file"] = str(trace)
+    scen = tmp_path / "scen.yaml"
+    scen.write_text(yaml.safe_dump(data))
+    capsys.readouterr()
+    out = tmp_path / "new" / "t.json"
+    assert main(["attacks", "generate", str(scen), "--seed", "5", "--out", str(out)]) == 2
+    assert "channels.trace_file" in capsys.readouterr().err
+    assert not out.parent.exists()
+
+
 _OUT_COMMANDS = {
     "design": ["design"],
     "attacks generate": ["attacks", "generate"],
@@ -539,6 +555,37 @@ def test_verify_rejects_a_boolean_number(fast_scenario, tmp_path, capsys, where,
     assert main(["attacks", "verify", str(trace)]) == 1
     err = capsys.readouterr().err
     assert "malformed trace:" in err and f"{key} must be a finite number, got True" in err
+
+
+BOOL_BOUNDS = [[[True, 2.0]], [[0.5, True]]]
+
+
+@pytest.mark.parametrize("intervals", BOOL_BOUNDS, ids=["start", "end"])
+def test_verify_rejects_a_boolean_window_bound(fast_scenario, tmp_path, capsys, intervals):
+    # numpy read true as 1.0, and the trace passed its audit
+    trace = _trace_with(fast_scenario, tmp_path / "trace.json", None, "intervals", intervals)
+    data = json.loads(trace.read_text())
+    # a budget the window keeps, so only the bound's type decides
+    data["act/0"]["params"].update(eta=5.0, kappa=5.0, tau_f=10.0, tau_d=10.0)
+    trace.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["attacks", "verify", str(trace)]) == 1
+    err = capsys.readouterr().err
+    assert "malformed trace:" in err and "channel act/0" in err and "boolean" in err
+
+
+@pytest.mark.parametrize("intervals", BOOL_BOUNDS, ids=["start", "end"])
+def test_boolean_window_bound_trace_file_is_config_error(fast_scenario, tmp_path, capsys,
+                                                        intervals):
+    _trace_with(fast_scenario, tmp_path / "trace.json", None, "intervals", intervals)
+    data = yaml.safe_load(fast_scenario.read_text())
+    data["channels"]["trace_file"] = "trace.json"
+    scen = tmp_path / "scen.yaml"
+    scen.write_text(yaml.safe_dump(data))
+    capsys.readouterr()
+    assert main(["run", str(scen), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "channel act/0" in err
 
 
 @pytest.mark.parametrize("where, key", [("params", "tau_D"), (None, "window")],

@@ -91,17 +91,19 @@ def oracle_run(sim: Simulation) -> dict:
 
     heap = []
     seq = 0
+    # expiries at one time pop by the engine's edge key, ahead of their seq
+    key = [k << 40 for k in sim.key]
 
-    def push(time_, kind, a=0, b=0):
+    def push(time_, kind, a=0, b=0, order=0):
         nonlocal seq
-        heappush(heap, (time_, kind, seq, a, b))
+        heappush(heap, (time_, kind, order | seq, a, b))
         seq += 1
 
     horizon = cfg.horizon
     for i in range(n):
         push(0.0, K_MEAS, i)
     for e in range(ne):
-        push(cfg.activation_time, K_EXPIRY, e, 0)
+        push(cfg.activation_time, K_EXPIRY, e, 0, key[e])
     for dt_, node_, jump_ in sorted(cfg.disturbances):
         if dt_ <= horizon:
             push(dt_, K_DISTURB, node_, jump_)
@@ -172,7 +174,7 @@ def oracle_run(sim: Simulation) -> dict:
             u, theta = set_command(e, i, j, diff, eps_k, rate_k)
             if comm_h and u != 0 and abs(diff) >= eps_k:
                 v_active.append((t, [x(i, t) for i in range(n)]))
-            push(t + theta / rate_k, K_EXPIRY, e, e_ver[e])
+            push(t + theta / rate_k, K_EXPIRY, e, e_ver[e], key[e])
             trigger_log.append(
                 (t, e, comm_h, diff, u, theta, eps_k, rate_k,
                  eps_k / (2.0 * rate_k * (degs[i] + degs[j])))
@@ -213,7 +215,8 @@ def oracle_run(sim: Simulation) -> dict:
                                                 degs[i], degs[e_j[e]])
                         eps_k, rate_k = certified_params(gamma, alpha, beta, eps_floor)
                         _u, theta = set_command(e, i, e_j[e], e_diff[e], eps_k, rate_k)
-                        push(max(e_trig_t[e] + theta / rate_k, t), K_EXPIRY, e, e_ver[e])
+                        push(max(e_trig_t[e] + theta / rate_k, t), K_EXPIRY, e, e_ver[e],
+                             key[e])
                     new_sum = 0.0
                     for oe in sim.out_edges[i]:
                         new_sum += e_ueff[oe]
@@ -412,9 +415,10 @@ RING4 = [[0, 1, 0, 1], [1, 0, 1, 0], [0, 1, 0, 1], [1, 0, 1, 0]]
 def test_uniform_ring_ties_keep_heap_order(monkeypatch):
     # every edge has one period, 0.25, and all eight trigger together from
     # t = 0.5 on. The four edges of node 3 acted at t = 0 with theta 0.25
-    # (|diff| = 2), the others at t = 0 and 0.25: at each tie the edges of
-    # node 3 come first, as the heap pushed them. Dyadic numbers keep both
-    # engines exact; the jump at t = 3.1 hands the tied expiries back.
+    # (|diff| = 2), the others at t = 0 and 0.25, so a FIFO heap would put
+    # node 3's edges first; at every tie the edges pop by link instead, the
+    # lower node's direction first. Dyadic numbers keep both engines exact;
+    # the jump at t = 3.1 hands the tied expiries back.
     topo = load_topology(RING4)
     cfg = EngineConfig(
         topology=topo, x0=[0.0, 0.0, 0.0, 2.0], mode="nominal", eps_floor=1.0,
@@ -423,12 +427,19 @@ def test_uniform_ring_ties_keep_heap_order(monkeypatch):
         delta=3.0, disturbances=[(3.1, 1, 0.5)],
     )
     pushes = heap_push_times(monkeypatch)
-    m, _ = assert_matches_oracle(Simulation(cfg))
+    sim = Simulation(cfg)
+    m, _ = assert_matches_oracle(sim)
     assert len(pushes) < len(m.trigger_log) / 2
-    node3_first = [1, 5, 6, 7, 0, 2, 3, 4]
-    assert [m.directed_edges[e] for e in node3_first[:4]] == [(0, 3), (2, 3), (3, 0), (3, 2)]
+    by_link = [0, 2, 1, 6, 3, 4, 5, 7]
+    assert [m.directed_edges[e] for e in by_link] == \
+        [(0, 1), (1, 0), (0, 3), (3, 0), (1, 2), (2, 1), (2, 3), (3, 2)]
+    assert [sim.key[e] for e in by_link] == list(range(8))
     for k in range(2, 24):
-        assert [row[1] for row in m.trigger_log if row[0] == k * 0.25] == node3_first, k
+        assert [row[1] for row in m.trigger_log if row[0] == k * 0.25] == by_link, k
+    # every tie, from t = 0 on, in that order
+    for t in {row[0] for row in m.trigger_log}:
+        tie = [row[1] for row in m.trigger_log if row[0] == t]
+        assert tie == [e for e in by_link if e in tie], t
 
 
 def test_stretch_from_stale_neighbour_value_breaks_at_healthy_read(monkeypatch):

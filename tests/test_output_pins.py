@@ -32,13 +32,13 @@ PINS = {
         "attack_trace.json":
             "8f5790a18168d28bae872e0d5dc49062ab2fe6b7566ddd1551b2b1e42bbab534",
         "frequency_events.csv":
-            "81aba54a4b31bb80c8f4af2a48f87d4f308cd2c2f5a6d736bfe472ea4be17d2e",
+            "ae3ba770ac1bce887861faede99e70e2db153f24ebd642a06092fea0de699b40",
         "frequency_metrics.json":
             "a6d2654e73f9949741b5c98e3f0a8c8ce45f162b9fdb9664c9d05654c07291d1",
         "frequency_trace.csv":
             "cb4bca107dbdd32b6eee9a35de982f83036f6a6f8c9f23fc77db9281c1b7a345",
         "power_events.csv":
-            "79e242613c406e94e92dcd95dd71d46e1286b971462ae5112967424b0ccaf116",
+            "6f57ab85bdeb77d1d1677b3c0492eaa8647d312a91af87d2340339c322a968cf",
         "power_metrics.json":
             "4f66f3fdbb3e57c2904ce65eece7c5317e0ff09bc1ae9438a981a9379505156d",
         "power_trace.csv":
@@ -50,13 +50,13 @@ PINS = {
         "attack_trace.json":
             "cd17bd2965b1ee44c000b0f2a68664e6335fd7a5e0be600ccd6e33bf2044825d",
         "frequency_events.csv":
-            "5aa77a375d94c02c10d099651dccecaff6a03bbc200da84a71aa10855baa779d",
+            "b2f314a5e289984128374e6b9883da2f209599be9ae79a0c258e27e40db27303",
         "frequency_metrics.json":
             "5d5f4817621cbf3f83bd02fdb4398e5c98f116186187dbb6e64c374845d00bd8",
         "frequency_trace.csv":
             "3a5d850ee049bd151d40aed7cbe05fd53858823d78064ad94078fb5779db0554",
         "power_events.csv":
-            "597ce4db34ea336cc0f3975c8a1877153951c73bb3e5a4b7f35530b55cb2e489",
+            "ba154022bd7c927491f93b287b1ece1d86eb91dcaac564fa9c6125ed20dc7be3",
         "power_metrics.json":
             "e926ab9c6da4ab99628ba6f8bc770157ca857fd8e4accc61e3756609ce4d34a7",
         "power_trace.csv":
@@ -68,13 +68,13 @@ PINS = {
         "attack_trace.json":
             "ac5cb2e37a262f70ad910631f6550ad904328ec47b87dac3196bdcdb6468800b",
         "frequency_events.csv":
-            "7915af5039f97f23b08d85dc3024c0ad21c0b19172ec208a0dc4c1350d137bde",
+            "77a1085c256e9c1d11ef96aceb439190adefa415249100090d68767623408353",
         "frequency_metrics.json":
             "e9bda3f48d8693fe272f1ef5d7f4d7c0604110f288c013475c40cd8ea16d9f5b",
         "frequency_trace.csv":
             "2ebd2b1070380006769ffcfc203c5a510da3e3e0cac0c91b295dca2e6873ff9b",
         "power_events.csv":
-            "19ec0a29c5892454ebab849b4f7c049cfb0ca49ceff690b4c156ea73ebe409e5",
+            "d3219c2856c8c021b9b752225594f218816cf2f62538ba519bc2a4d01128957d",
         "power_metrics.json":
             "26865df175d3287a7554619e32086f3fdb1df112844e0211c37173791a37389c",
         "power_trace.csv":
@@ -86,13 +86,13 @@ PINS = {
         "attack_trace.json":
             "01278a852ad6c92bb9128b7f86d5b1c2a2b756d54cc04e84e886f0e1a16674a5",
         "frequency_events.csv":
-            "014bad54887b82889b26a903574204b0f944982c9f4bee70c8636199e81e55b1",
+            "897149732f1f9d34605b5fcaf4a8cbb96a286be369be9a816c67b57a9041d854",
         "frequency_metrics.json":
             "83c83cee2fff315ede55a914af50458529f9b1ad4a7db52f8f7e056188b48fa9",
         "frequency_trace.csv":
             "2ebd2b1070380006769ffcfc203c5a510da3e3e0cac0c91b295dca2e6873ff9b",
         "power_events.csv":
-            "c64d8f91b2681e5d74816d02daf6599fcf775c27ecf610f683ea8373026a24a0",
+            "43ec94459893c9e4a2009b285938d219834e30d94208b4e73e8ed540bae1c464",
         "power_metrics.json":
             "f22db8f002be8812d621122bbacd442e7c91f0dae5df94ac572ba71a9039b661",
         "power_trace.csv":
@@ -104,13 +104,13 @@ PINS = {
         "attack_trace.json":
             "ac5cb2e37a262f70ad910631f6550ad904328ec47b87dac3196bdcdb6468800b",
         "frequency_events.csv":
-            "7915af5039f97f23b08d85dc3024c0ad21c0b19172ec208a0dc4c1350d137bde",
+            "77a1085c256e9c1d11ef96aceb439190adefa415249100090d68767623408353",
         "frequency_metrics.json":
             "e9bda3f48d8693fe272f1ef5d7f4d7c0604110f288c013475c40cd8ea16d9f5b",
         "frequency_trace.csv":
             "2ebd2b1070380006769ffcfc203c5a510da3e3e0cac0c91b295dca2e6873ff9b",
         "power_events.csv":
-            "19ec0a29c5892454ebab849b4f7c049cfb0ca49ceff690b4c156ea73ebe409e5",
+            "d3219c2856c8c021b9b752225594f218816cf2f62538ba519bc2a4d01128957d",
         "power_metrics.json":
             "26865df175d3287a7554619e32086f3fdb1df112844e0211c37173791a37389c",
         "power_trace.csv":
@@ -122,13 +122,13 @@ PINS = {
         "attack_trace.json":
             "01278a852ad6c92bb9128b7f86d5b1c2a2b756d54cc04e84e886f0e1a16674a5",
         "frequency_events.csv":
-            "014bad54887b82889b26a903574204b0f944982c9f4bee70c8636199e81e55b1",
+            "897149732f1f9d34605b5fcaf4a8cbb96a286be369be9a816c67b57a9041d854",
         "frequency_metrics.json":
             "83c83cee2fff315ede55a914af50458529f9b1ad4a7db52f8f7e056188b48fa9",
         "frequency_trace.csv":
             "2ebd2b1070380006769ffcfc203c5a510da3e3e0cac0c91b295dca2e6873ff9b",
         "power_events.csv":
-            "c64d8f91b2681e5d74816d02daf6599fcf775c27ecf610f683ea8373026a24a0",
+            "43ec94459893c9e4a2009b285938d219834e30d94208b4e73e8ed540bae1c464",
         "power_metrics.json":
             "f22db8f002be8812d621122bbacd442e7c91f0dae5df94ac572ba71a9039b661",
         "power_trace.csv":
@@ -140,13 +140,13 @@ PINS = {
         "attack_trace.json":
             "ac5cb2e37a262f70ad910631f6550ad904328ec47b87dac3196bdcdb6468800b",
         "frequency_events.csv":
-            "083f2dc7d09fe556434ab55462b061bc82b5b63aa4e145fd2522f3e6fac222d2",
+            "d3124edd71f9957a06a9df5852204501928ad2216bca07925815c525bd9490c4",
         "frequency_metrics.json":
             "1e6577dac3a213f10d00c63dede931490abec27b2086bccbb2f11c9ace0609c1",
         "frequency_trace.csv":
             "a8b4190f9e56bbd74579a2a779511f93dc77084d5426e275073825ac250f45d8",
         "power_events.csv":
-            "1a222cfc966066f7032cc702e2c4afa53a1384bc1b2db175a0b6a62fb5c3e460",
+            "7aa49bbb7f925ba1c3accdf3cd677620ebf53bd7531a1704f533dd375d6de651",
         "power_metrics.json":
             "22dc8c01faa3b7180c189a1e2e4d59e9ae7afa056236a002b29ebb4dfa7afdfb",
         "power_trace.csv":
@@ -158,13 +158,13 @@ PINS = {
         "attack_trace.json":
             "01278a852ad6c92bb9128b7f86d5b1c2a2b756d54cc04e84e886f0e1a16674a5",
         "frequency_events.csv":
-            "47f19cb84e48e670ee2d08119a2f2711e009d8e15e492ff23928905f3f8544e2",
+            "98813375b2be89b1fa0bd5e407ce49d73d5fa87ba36bac11626faeacd189f401",
         "frequency_metrics.json":
             "588ca6600e29c46bf36d23812e8a2da669770b90642b4e4ba5d815857649ed35",
         "frequency_trace.csv":
             "1fe6838ccbb8aa9527f01d1820f225425c0dd46c7832fe1b7257044792ff4833",
         "power_events.csv":
-            "77df107f7b972a4d7a881985559a6883a927f6a29193d87bd4c03455a9263b18",
+            "9b81abea4eadfd6635f91277424c2e5ff48e3a0093fb7eb27119bc1c130f57d3",
         "power_metrics.json":
             "868dd8cdcf5a55d7dfcd09aab6d51439048db66d11053406524f8ecbcd98b2d5",
         "power_trace.csv":
@@ -197,7 +197,7 @@ SWEEP_PIN = "f0e04860ccc6ba1439ffba7ba7663ea2e11a48e83319484e7e2e83b948154a1d"
 
 RING64_PINS = {
     "frequency_events.csv":
-        "6a990e4d48e8d57fb0f4133bed1366ee3a96f46418578cf9d0f52a6b2b55b2cf",
+        "cb3d67192c6d27411d3645aa00036032ff3323993a11917eec05d59e8395dcc6",
     "frequency_trace.csv":
         "3cb4b4bbc34b5cece42da14a6c3d3cd6ff8913b4ebfcf5bb79d67cae04bb1f6f",
 }

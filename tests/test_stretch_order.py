@@ -1,89 +1,95 @@
-"""The order of a quiescent stretch's rows against a replay of the event heap.
+"""The order of a run's trigger rows at one time.
 
-`_Stretch._merged` orders the rows of a stretch by one sort, ties that inherit
-an earlier tie's order, and a pass over the other ties. `_replay_order`, the
-heap replay that `_merged` replaced, is the reference: it replays the heap on
-the runs' times alone, one pop per row. Both must give the same positions and
-the same order of the runs' last rows, which is the order the engine hands the
-runs' next expiries back to the heap in.
+Each edge runs its own clock, so expiries at one time pop by the edge's key
+(`Simulation.key`): by link, as `Topology.edges` lists the links, the lower
+node's direction first. `_heap_pops` is the reference for a quiescent stretch:
+it replays the event heap on the runs' times and keys alone, one pop per row,
+and `_Stretch.table()` must give the rows in its order. A whole run's log,
+heap rows and stretches alike, must be strictly ordered by (time, key).
 
 Periods and start times are dyadic, so equal times are exact ties.
 """
 
-from array import array
 from heapq import heapify, heapreplace
 from pathlib import Path
 
+import conftest
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mgconsensus.engine import Simulation, _Run, _Stretch
-from mgconsensus.scenario import MODES, load_scenario
+from mgconsensus.scenario import MODES, load_scenario, parse_scenario
 
 SCENARIO = Path(__file__).resolve().parent.parent / "scenarios" / "ring4_dos.yaml"
 
 
-def _replay_order(runs):
-    """Replay the heap on the runs: pop the earliest (time, push) and push that
-    run's next row with the pop's position; the first rows were pushed before
-    the stretch, in the order of q. Gives the rows' positions in the runs'
-    concatenation, in heap order, and the runs in the order their last rows
-    pop: after its last row a run pushes an infinite time, so those entries end
-    in that order."""
+def _heap_pops(runs) -> list:
+    """Replay the heap on the runs: pop the earliest (time, key) and push that
+    run's next row. Gives the rows as (time, edge), in pop order."""
     nexts = [iter(r.times.tolist() + [np.inf]).__next__ for r in runs]
-    low = max((r.q for r in runs), default=0) + 1
-    heap = [(nxt(), r.q - low, n) for n, (r, nxt) in enumerate(zip(runs, nexts))]
+    heap = [(nxt(), r.key, r.edge, nxt) for r, nxt in zip(runs, nexts)]
     heapify(heap)
-    popped = array("q")                      # the run of each row, in heap order
-    for pos in range(sum(r.times.size for r in runs)):
-        n = heap[0][2]
-        popped.append(n)
-        heapreplace(heap, (nexts[n](), pos, n))
-    # a run's k-th pop is its k-th row
-    order = np.empty(len(popped), dtype=np.intp)
-    order[np.argsort(np.frombuffer(popped, dtype=np.int64), kind="stable")] = \
-        np.arange(len(popped))
-    return order, [n for _t, _pos, n in sorted(heap)]
+    popped = []
+    for _ in range(sum(r.times.size for r in runs)):
+        t, key, edge, nxt = heap[0]
+        popped.append((t, edge))
+        heapreplace(heap, (nxt(), key, edge, nxt))
+    return popped
+
+
+def _table_rows(stretch) -> list:
+    """The stretch's rows as (time, edge), in `table()` order."""
+    return [row for times, tails, codes in stretch.table()
+            for row in zip(times.tolist(), tails["edge"][codes].tolist())]
 
 
 def _stretch(runs):
-    """A stretch of runs given as (start, steps, q): the times start, start +
-    steps[0], ... by repeated addition. Only times and q order the rows."""
+    """A stretch of runs given as (start, steps, key): the times start, start +
+    steps[0], ... by repeated addition. Only times and keys order the rows."""
     built = []
-    for e, (t, steps, q) in enumerate(runs):
+    for e, (t, steps, key) in enumerate(runs):
         times = [t]
         for step in steps:
             times.append(times[-1] + step)
         built.append(_Run(e, (1, 1), np.array(times), np.ones(len(times), dtype=bool),
-                          np.zeros(len(times), dtype=np.intp), [(1.0, 1.0)], 0.0, 0.0, q))
+                          np.zeros(len(times), dtype=np.intp), [(1.0, 1.0)], 0.0, 0.0, key))
     return _Stretch(built)
 
 
 def assert_merge_matches_replay(stretch):
-    order, last = stretch._merged
-    want_order, want_last = _replay_order(stretch.runs)
-    assert order.tolist() == want_order.tolist()
-    assert last == want_last
+    assert _table_rows(stretch) == _heap_pops(stretch.runs)
+
+
+def assert_log_ordered_by_key(m, key):
+    """Every row of the run's log after the one before it in (time, key)."""
+    times, keys = [np.zeros(0)], [np.zeros(0, np.intp)]
+    for ts, tails, codes in m.trigger_log.blocks():
+        times.append(ts)
+        keys.append(np.asarray(key)[tails["edge"][codes]])
+    dt, dk = np.diff(np.concatenate(times)), np.diff(np.concatenate(keys))
+    bad = np.flatnonzero((dt < 0) | ((dt == 0) & (dk <= 0)))
+    assert len(m.trigger_log) > 1000 and not bad.size, bad[:5]
 
 
 @st.composite
 def _runs(draw):
     """Up to 7 runs on a grid of quarters. A run may follow an earlier one for
-    some steps from its start (lockstep) and leave it; q is in random order,
-    with gaps, as the ranks of live expiries are when some edge has no row."""
+    some steps from its start (lockstep) and leave it; the keys are in random
+    order, with gaps, as the keys of the edges with rows are."""
     count = draw(st.integers(1, 7))
-    qs = draw(st.permutations(range(count + 2)))[:count]
+    keys = draw(st.permutations(range(count + 2)))[:count]
     quarters = st.sampled_from([0.25, 0.5, 0.75, 1.0])
     runs = []
-    for q in qs:
+    for key in keys:
         t0 = draw(st.sampled_from([0.0, 0.25, 0.5, 1.0]))
         steps = draw(st.lists(quarters, max_size=10))
         if runs and draw(st.booleans()):
-            t0, lead, _q = draw(st.sampled_from(runs))
+            t0, lead, _key = draw(st.sampled_from(runs))
             steps = lead[:draw(st.integers(0, len(lead)))] + steps
-        runs.append((t0, steps, q))
+        runs.append((t0, steps, key))
     return runs
 
 
@@ -94,22 +100,20 @@ def test_merge_matches_the_heap_replay(runs):
 
 
 @pytest.mark.parametrize("runs", [
-    # a tie of 2 whose previous rows lie in a group of 3, where their order
-    # there is not that of q
+    # a tie of 2 whose previous rows lie in a group of 3, keyed against their
+    # start order
     [(0.0, [1.0, 1.0], 2), (0.5, [0.5, 1.0], 0), (0.75, [0.25, 1.5], 1)],
-    # two runs joining lockstep, in an order that is not that of q
+    # two runs joining lockstep, the later one keyed first
     [(0.0, [1.0, 1.0, 1.0], 1), (0.5, [0.5, 1.0, 1.0], 0)],
-    # a tie of 3 after three ties of 1, then a tie of 2 after that tie of 3: the
-    # second is sorted by ranks the first set
+    # a tie of 3 after three ties of 1, then a tie of 2 after that tie of 3
     [(0.0, [1.0, 1.0, 1.0], 3), (0.25, [0.75, 1.0, 0.5], 0), (0.5, [0.5, 1.0, 1.0], 1),
      (0.75, [0.25, 1.5], 2)],
     # three runs in lockstep from one instant, then two of them on
     [(0.0, [1.0, 1.0, 0.5], 1), (0.0, [1.0, 1.0, 0.25], 2), (0.0, [1.0, 0.5, 0.75], 0)],
-    # periods 1 and 2 from one instant: every shared time is a group of 2 whose
-    # previous rows lie at two times
+    # periods 1 and 2 from one instant: every shared time is a group of 2
     [(0.0, [1.0] * 40, 1), (0.0, [2.0] * 20, 0)],
     # periods 1, 1 and 2 from one instant: every time holds two rows in
-    # lockstep, and every even time a third after an earlier time
+    # lockstep, and every even time a third
     [(0.0, [1.0] * 40, 2), (0.0, [1.0] * 40, 0), (0.0, [2.0] * 20, 1)],
     # one-row runs, alone and tied
     [(0.5, [], 3), (0.5, [], 1), (0.0, [0.5], 2), (1.0, [], 0)],
@@ -119,14 +123,57 @@ def test_merge_matches_the_heap_replay_on_tie_patterns(runs):
     assert_merge_matches_replay(_stretch(runs))
 
 
+def test_a_run_joining_and_leaving_a_lockstep_pair_is_ordered_by_key():
+    # periods 1, 1 and 1, 1, 1/2, 1/2 from one instant: the third run joins
+    # and leaves the pair every 4 steps, 60,003 rows with two ties of 3 every
+    # 3 time units. The keys go against the runs' order
+    stretch = _stretch([(0.0, [1.0] * 20000, 2), (0.0, [1.0] * 20000, 0),
+                        (0.0, [1.0, 1.0, 0.5, 0.5] * 5000, 1)])
+    rows = _table_rows(stretch)
+    key = [r.key for r in stretch.runs]
+    assert len(rows) == 60003
+    assert all((t, key[e]) < (u, key[f]) for (t, e), (u, f) in zip(rows, rows[1:]))
+    assert rows == _heap_pops(stretch.runs)
+
+
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("seed", [1, 2])
 def test_merge_matches_the_heap_replay_on_bundled_runs(mode, seed):
     s = load_scenario(str(SCENARIO)).with_mode(mode).with_seed(seed)
     channels = s.build_channels()
-    stretches = [part for name in s.instances
-                 for part in Simulation(s.engine_config(name, channels)).run().trigger_log.parts
-                 if isinstance(part, _Stretch)]
+    stretches = 0
+    for name in s.instances:
+        sim = Simulation(s.engine_config(name, channels))
+        m = sim.run()
+        assert_log_ordered_by_key(m, sim.key)
+        for part in m.trigger_log.parts:
+            if isinstance(part, _Stretch):
+                assert_merge_matches_replay(part)
+                stretches += 1
     assert stretches
-    for stretch in stretches:
-        assert_merge_matches_replay(stretch)
+
+
+def _ring16() -> dict:
+    """The bundled scenario on a 16-node ring with a comm channel per
+    direction, x0 spread over 2.5 delta."""
+    n = 16
+    data = yaml.safe_load(SCENARIO.read_text())
+    del data["mgs"]
+    data["horizon"] = 12.0
+    data["channels"]["per_direction_comm"] = True
+    data["topology"]["adjacency"] = [[int((j - i) % n in (1, n - 1)) for j in range(n)]
+                                     for i in range(n)]
+    data["instances"] = {"frequency": {"initial": [50.0 + 0.25 * ((7 * i) % n - n / 2)
+                                                   for i in range(n)]}}
+    return data
+
+
+@pytest.mark.parametrize("name,mode", [
+    ("ring64", "self-adaptive"), ("ring16-per-direction", "self-adaptive"),
+    ("ring16-per-direction", "resilient-local"),
+])
+def test_ring_logs_are_ordered_by_key(name, mode):
+    data = conftest.ring64_data() if name == "ring64" else _ring16()
+    s = parse_scenario(data).with_mode(mode)
+    sim = Simulation(s.engine_config("frequency", s.build_channels()))
+    assert_log_ordered_by_key(sim.run(), sim.key)

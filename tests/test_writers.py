@@ -120,10 +120,10 @@ def _heap(rows):
 
 def _stretch(runs):
     """A stretch of hand-built runs (edge, times, health, commands, their
-    (eps, rate), before, after, q); a resilient run has no `before`."""
+    (eps, rate), before, after, key); a resilient run has no `before`."""
     return _Stretch([_Run(e, (1, 1), np.array(ts), np.array(hs), np.array(cmd, dtype=np.intp),
-                          params, before, after, q)
-                     for e, ts, hs, cmd, params, before, after, q in runs])
+                          params, before, after, key)
+                     for e, ts, hs, cmd, params, before, after, key in runs])
 
 
 def test_writers_keep_negative_zero(tmp_path):
@@ -134,22 +134,22 @@ def test_writers_keep_negative_zero(tmp_path):
             (0.3, 0, True, 0.0, 0, 0.25, 1.0, 1.0, 0.25),
             (0.3, 1, False, -0.0, 0, 0.25, 1.0, 1.0, 0.25)]
     stretch = _stretch([(0, [0.5, 0.75, 1.0], [False, True, True], [0, 0, 0], [(1.0, 1.0)],
-                         -0.0, 0.0, 1),
+                         -0.0, 0.0, 0),
                         (1, [0.5, 1.0, 1.5], [False, False, True], [0, 0, 0], [(1.0, 1.0)],
-                         -0.0, -0.0, 0)])
-    # the stretch's rows in heap order (see test_stretch_order.py)
-    rows = [(0.5, 1, False, -0.0, 0, 0.25, 1.0, 1.0, 0.25),
-            (0.5, 0, False, -0.0, 0, 0.25, 1.0, 1.0, 0.25),
+                         -0.0, -0.0, 1)])
+    # the stretch's rows in heap order, by (time, key) (see test_stretch_order.py)
+    rows = [(0.5, 0, False, -0.0, 0, 0.25, 1.0, 1.0, 0.25),
+            (0.5, 1, False, -0.0, 0, 0.25, 1.0, 1.0, 0.25),
             (0.75, 0, True, 0.0, 0, 0.25, 1.0, 1.0, 0.25),
-            (1.0, 1, False, -0.0, 0, 0.25, 1.0, 1.0, 0.25),
             (1.0, 0, True, 0.0, 0, 0.25, 1.0, 1.0, 0.25),
+            (1.0, 1, False, -0.0, 0, 0.25, 1.0, 1.0, 0.25),
             (1.5, 1, True, -0.0, 0, 0.25, 1.0, 1.0, 0.25)]
     m = _metrics([_heap(heap), stretch, _heap(heap)], [[0.0, -0.0], [-0.0, 0.0], [0.0, 0.0]],
                  [[-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0]])
     assert list(m.trigger_log) == heap + rows + heap
     assert_writers_match(m, 2, tmp_path, heap + rows + heap)
     diffs = [line.split(",")[4] for line in (tmp_path / "events.csv").read_text().splitlines()]
-    assert diffs[1:11] == ["0.0", "-0.0", "0.0", "-0.0", "-0.0", "-0.0", "0.0", "-0.0", "0.0",
+    assert diffs[1:11] == ["0.0", "-0.0", "0.0", "-0.0", "-0.0", "-0.0", "0.0", "0.0", "-0.0",
                            "-0.0"]
     assert (tmp_path / "trace.csv").read_text().splitlines()[1:3] == \
         ["0.0,0.0,-0.0,-0.0,0.0", "0.5,-0.0,0.0,0.0,-0.0"]
@@ -162,18 +162,18 @@ def test_writers_leave_a_jammed_resilient_diff_empty(tmp_path):
                          [(1.0, 1.0), (0.5, 0.75)], None, 0.125, 0),
                         (1, [0.75, 1.25], [False, True], [0, 0], [(1.0, 1.0)], None, 0.125, 1)])
     rows = [(0.5, 0, True, 0.125, 0, 0.25, 1.0, 1.0, 0.25),
-            (0.75, 1, False, None, 0, 0.25, 1.0, 1.0, 0.25),
             (0.75, 0, False, None, 0, 0.25, 1.0, 1.0, 0.25),
+            (0.75, 1, False, None, 0, 0.25, 1.0, 1.0, 0.25),
             (1.0, 0, True, 0.125, 0, 0.125, 0.5, 0.75, 0.5 / 3.0),
-            (1.25, 1, True, 0.125, 0, 0.25, 1.0, 1.0, 0.25),
-            (1.25, 0, False, None, 0, 0.125, 0.5, 0.75, 0.5 / 3.0)]
+            (1.25, 0, False, None, 0, 0.125, 0.5, 0.75, 0.5 / 3.0),
+            (1.25, 1, True, 0.125, 0, 0.25, 1.0, 1.0, 0.25)]
     m = _metrics([_heap(heap), stretch], [[0.0, 1.0]], [[0.0, 0.0]])
     assert list(m.trigger_log) == heap + rows
     assert_writers_match(m, 2, tmp_path, heap + rows)
     lines = (tmp_path / "events.csv").read_text().splitlines()
     assert lines[1] == "0.1,1,0,0,,0,0.25,1.0,1.0,0.25"
-    # heap order: e0 0.5, e1 0.75, e0 0.75, e0 1.0, e1 1.25, e0 1.25
-    assert [line.split(",")[4] for line in lines[2:]] == ["0.125", "", "", "0.125", "0.125", ""]
+    # heap order: e0 0.5, e0 0.75, e1 0.75, e0 1.0, e0 1.25, e1 1.25
+    assert [line.split(",")[4] for line in lines[2:]] == ["0.125", "", "", "0.125", "", "0.125"]
 
 
 def test_writers_cross_a_block_boundary_in_a_heap_part(tmp_path):
