@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from bisect import bisect_right
 from dataclasses import asdict, dataclass, field
 from itertools import chain, count, cycle, repeat
@@ -24,8 +25,10 @@ from .errors import AttemptSpacingError, BudgetInfeasibleError, ConfigError
 from .topology import Topology
 
 # Channel ids: ("meas", i), ("act", i), ("comm", i, j) with i < j, plus
-# ("comm", j, i) when each direction of a link has its own trace.
+# ("comm", j, i) when each direction of a link has its own trace; a trace
+# file names them meas/i, act/i and comm/i/j
 ChannelId = tuple
+_CHANNEL_NAME = re.compile(r"(meas|act)/N|comm/N/N".replace("N", "(0|[1-9][0-9]*)"))
 
 _MIN_ATTACK_LEN = 1e-6
 
@@ -371,19 +374,20 @@ class ChannelSet:
 
     def check_complete(self, topo: Topology, comm_edges: Iterable[tuple[int, int]],
                        per_direction: bool = False) -> None:
-        """Require every channel `generate_channel_set` writes for these budgets.
+        """Require every channel `generate_channel_set` writes for these budgets,
+        and no channel that names no node or link of `topo`.
 
         `comm_edges` lists the edges (i < j) that carry a communication budget;
         `per_direction` asks for both directions.
         """
-        for i in range(topo.node_count):
-            for kind in ("meas", "act"):
-                if (kind, i) not in self.sequences:
-                    raise ConfigError(f"missing {kind} channel for node {i}")
-        for i, j in comm_edges:
-            for key in _comm_keys(i, j, per_direction):
-                if key not in self.sequences:
-                    raise ConfigError(f"missing comm channel {key}")
+        nodes = [(kind, i) for i in range(topo.node_count) for kind in ("meas", "act")]
+        for key in nodes + [k for i, j in comm_edges for k in _comm_keys(i, j, per_direction)]:
+            if key not in self.sequences:
+                raise ConfigError(f"missing channel {'/'.join(map(str, key))}")
+        links = {k for i, j in topo.edges for k in _comm_keys(i, j, per_direction)}
+        for key in sorted(self.sequences.keys() - links - set(nodes)):
+            raise ConfigError(f"channel {'/'.join(map(str, key))} names no node or link of the "
+                              f"topology")
 
     def to_dict(self) -> dict:
         return {"/".join(str(k) for k in key): {"params": asdict(self.params[key]),
@@ -396,6 +400,8 @@ class ChannelSet:
         sequences: dict[ChannelId, DosSequence] = {}
         params: dict[ChannelId, DosParams] = {}
         for name, entry in data.items():
+            if not _CHANNEL_NAME.fullmatch(name):
+                raise ValueError(f"channel {name!r} is not named meas/i, act/i or comm/i/j")
             parts = name.split("/")
             key: ChannelId = (parts[0], *(int(x) for x in parts[1:]))
             if set(entry) != {"params", "horizon", "intervals"}:

@@ -22,8 +22,7 @@ record samples are not events:
   precedes an expiry at equal times, a disturbance follows both);
 - record samples are read from the segments after the run, just after any
   jump at their time (they follow every event). `RunMetrics.segments` keeps
-  the segments for reads at other times: `_evaluate(..., after_jumps=False)`
-  gives the states a trigger saw (a trigger precedes a disturbance).
+  the segments for reads at other times.
 
 Quiescent stretches. The ternary dead zone keeps every input at 0 once no
 edge or node input is nonzero and no node awaits an actuation (`busy` counts
@@ -294,22 +293,8 @@ class RunMetrics:
     channel_stats: dict
     directed_edges: list
     segments: list              # per node, arrays (t, x, u) of segment starts, as in run()
-
-    def min_dwell_margin(self) -> float:
-        """Smallest (observed gap - guaranteed floor) over all edges. A gap's
-        floor is that of the last command set on the edge before it: its
-        trigger row's, or that of a later re-tune of the same command."""
-        parts = [np.zeros((0, 3))] + [np.column_stack((tails["edge"][k], ts, tails["floor"][k]))
-                                      for ts, tails, k in self.trigger_log.blocks()]
-        # the re-tunes go last, so a stable sort by (edge, time) puts each one
-        # after its trigger row and the earlier re-tunes of that row
-        parts.append(np.array(self.retunes).reshape(-1, 3))
-        edge, times, floors = np.concatenate(parts).T
-        order = np.argsort(edge + 1j * times, kind="stable")
-        retune = order >= edge.size - len(self.retunes)
-        edge, times, floors = edge[order], times[order], floors[order]
-        gaps = (np.diff(times) - floors[:-1])[(edge[1:] == edge[:-1]) & ~retune[1:]]
-        return float(np.min(gaps, initial=np.inf))
+    dwell_margin: float         # least (gap between an edge's triggers - the floor of the last
+    #                             command set on it before the gap, by a row or a re-tune)
 
 
 def _entry_time(times: np.ndarray, spread: np.ndarray,
@@ -356,11 +341,11 @@ def _record_times(period: float, horizon: float) -> np.ndarray:
 
 
 def _evaluate(seg_t: np.ndarray, seg_x: np.ndarray, seg_u: np.ndarray,
-              times: np.ndarray, after_jumps: bool) -> tuple[np.ndarray, np.ndarray]:
-    """One node's state and slope at the sorted `times` >= 0. At the start of a
-    segment, after_jumps reads that segment, else the one before it."""
+              times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One node's state and slope at the sorted `times` >= 0, a segment's start
+    read on that segment."""
     # each segment covers a run of consecutive times: repeat it over its run
-    first = np.searchsorted(times, seg_t, side="left" if after_jumps else "right")
+    first = np.searchsorted(times, seg_t, side="left")
     first[0] = 0
     counts = np.diff(first, append=times.size)
     slope = np.repeat(seg_u, counts)
@@ -598,6 +583,7 @@ class Simulation:
         e_eps = list(cfg.edge_eps)
         e_rate = list(cfg.edge_rate)
         e_trig_t = [0.0] * ne
+        e_floor = [-np.inf] * ne  # the dwell floor of the last command set on the edge
         e_diff: list[Optional[float]] = [None] * ne
         e_own_delay = [0.0] * ne
         e_nbr_delay = [0.0] * ne
@@ -614,9 +600,10 @@ class Simulation:
         # edges with a nonzero input + nodes with a nonzero input + pending nodes
         busy = 0
 
-        def set_command(e, i, u, theta, eps_k, rate_k):
-            """Give edge e, out of node i, the ternary input u and clock theta."""
+        def set_command(e, i, u, theta, eps_k, rate_k, floor):
+            """Give edge e, out of node i, the ternary input u, clock theta and dwell floor."""
             nonlocal busy
+            e_floor[e] = floor
             e_eps[e] = eps_k
             e_rate[e] = rate_k
             ueff = scaled_input(u, theta, rate_k, phi_act[i]) if adaptive and u else float(u)
@@ -652,6 +639,7 @@ class Simulation:
         rows_full, closed_full = log_parts[-1].full, closed.full
         retunes: list = []
         act_ok = act_fail = comm_ok = 0  # a trigger row is one comm attempt
+        margin = np.inf  # the least (gap - floor) over each edge's consecutive triggers
 
         alpha, beta = cfg.alpha, cfg.beta
         eps_floor = cfg.eps_floor
@@ -699,7 +687,7 @@ class Simulation:
         def fast_forward(t_now):
             """Run a quiescent stretch from a trigger at t_now and log it, with a
             new `_Rows` for the heap's rows after it; False at the horizon."""
-            nonlocal comm_ok
+            nonlocal comm_ok, margin
             live = [None] * ne
             disturb = []
             for time_, kind, _sq, a, b in heap:
@@ -718,12 +706,13 @@ class Simulation:
             if runs:
                 log_parts[-1].seal()
                 log_parts.extend((_Stretch(runs), _Rows()))
-            if cut == limit and not disturb:
-                return False
-            # the heap resumes at the cut: leave each edge as its last row did
+            # fold each run's gaps into the margin, and leave its edge as its last row did
             for r in runs:
                 e, i, j = r.edge, e_i[r.edge], e_j[r.edge]
-                e_trig_t[e] = float(r.times[-1])
+                floors = [trigger(None, *p, *r.degs)[2] for p in r.params]
+                gaps = np.diff(r.times) - np.take(floors, r.cmd[:-1])
+                margin = min(margin, r.times[0] - e_trig_t[e] - e_floor[e], gaps.min(initial=np.inf))
+                e_trig_t[e], e_floor[e] = float(r.times[-1]), floors[r.cmd[-1]]
                 e_eps[e], e_rate[e] = r.params[r.cmd[-1]]
                 read = np.flatnonzero(r.healthy)
                 t_read = e_trig_t[e]
@@ -736,7 +725,10 @@ class Simulation:
                 if read.size or not resilient:
                     e_own_delay[e] = t_read - stamps(i, t_read)
                     e_nbr_delay[e] = t_read - e_nbr_stamp[e]
-            # the heap keeps its disturbances and takes every edge's next expiry
+            if cut == limit and not disturb:
+                return False
+            # the heap resumes at the cut: it keeps its disturbances and takes
+            # every edge's next expiry
             heap[:] = [ev for ev in heap if ev[1] == K_DISTURB]
             heapify(heap)
             due.clear()
@@ -779,6 +771,9 @@ class Simulation:
                             comm_h, until = health[e] = self.comm_ch[e].health(t)
                         reuse = reuse and comm_h
                     comm_ok += comm_h
+                    gap = t - e_trig_t[e] - e_floor[e]
+                    if gap < margin:
+                        margin = gap
                     e_trig_t[e] = t
                     if comm_h or not resilient:
                         if reuse:
@@ -803,7 +798,7 @@ class Simulation:
                         eps_k, rate_k = e_eps[e], e_rate[e]
                     u, theta, floor = trigger(diff, eps_k, rate_k, degs[i], degs[j])
                     e_diff[e] = diff
-                    set_command(e, i, u, theta, eps_k, rate_k)
+                    set_command(e, i, u, theta, eps_k, rate_k, floor)
                     # a pair's first push waits for the second's: one link entry if they agree
                     t_next = t + theta / rate_k
                     if nxt is None:
@@ -880,7 +875,7 @@ class Simulation:
                             eps_k, rate_k = certified_params(gamma, alpha, beta, eps_floor)
                             u, theta, floor = trigger(e_diff[e], eps_k, rate_k,
                                                       degs[i], degs[e_j[e]])
-                            set_command(e, i, u, theta, eps_k, rate_k)
+                            set_command(e, i, u, theta, eps_k, rate_k, floor)
                             push(max(e_trig_t[e] + theta / rate_k, t), K_EXPIRY, e, e_ver[e],
                                  key[e])
                             retunes.append((e, e_trig_t[e], floor))
@@ -907,7 +902,7 @@ class Simulation:
         states = np.empty((times.size, n))
         inputs = np.empty((times.size, n))
         for i, seg in enumerate(segments):
-            states[:, i], inputs[:, i] = _evaluate(*seg, times, after_jumps=True)
+            states[:, i], inputs[:, i] = _evaluate(*seg, times)
 
         mean = states.mean(axis=1, keepdims=True)
         v_series = 0.5 * ((states - mean) ** 2).sum(axis=1)
@@ -928,4 +923,5 @@ class Simulation:
             channel_stats=stats,
             directed_edges=self.edges,
             segments=segments,
+            dwell_margin=float(margin),
         )

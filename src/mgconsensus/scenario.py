@@ -426,6 +426,8 @@ def parse_scenario(data: Any) -> Scenario:
             raise ConfigError(f"missing key '{key}' in scenario file")
 
     topo = load_topology(data["topology"]["adjacency"])
+    if not topo.edges:  # no edge to run a controller on
+        raise ConfigError("topology.adjacency has no link; consensus needs at least two nodes")
     n = topo.node_count
     ch = data.get("channels") or {}
 

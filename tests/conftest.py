@@ -3,7 +3,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from mgconsensus.engine import CLOSED, _evaluate
+from mgconsensus.engine import CLOSED
 
 SCENARIO = Path(__file__).resolve().parent.parent / "scenarios" / "ring4_dos.yaml"
 
@@ -22,7 +22,11 @@ def v_at_active_triggers(m) -> np.ndarray:
     the run's segments just before any jump at t (a trigger precedes a
     disturbance)."""
     t = np.array([row[0] for row in m.trigger_log if row[2] and row[4] != 0], dtype=float)
-    x = np.array([_evaluate(*seg, t, after_jumps=False)[0] for seg in m.segments])
+    x = []
+    for seg_t, seg_x, seg_u in m.segments:
+        k = np.maximum(np.searchsorted(seg_t, t, "left") - 1, 0)  # the last segment before t
+        x.append(seg_x[k] + seg_u[k] * (t - seg_t[k]))
+    x = np.array(x)
     v = 0.5 * ((x - x.mean(axis=0)) ** 2).sum(axis=0)
     return np.column_stack((t, v))
 
@@ -49,9 +53,9 @@ def ring64_data() -> dict:
 
 
 def min_dwell_margin_reference(m) -> float:
-    """`RunMetrics.min_dwell_margin` as a loop over the re-tunes: the rows
-    sorted by edge, then each re-tune's floor written over its trigger row's,
-    two `np.searchsorted` per re-tune."""
+    """`RunMetrics.dwell_margin` after the run, as a loop over the re-tunes: the
+    rows sorted by edge, then each re-tune's floor written over its trigger
+    row's, two `np.searchsorted` per re-tune."""
     edges, times, floors = [np.zeros(0, np.intp)], [np.zeros(0)], [np.zeros(0)]
     for ts, tails, codes in m.trigger_log.blocks():
         edges.append(tails["edge"][codes])

@@ -6,7 +6,7 @@ import yaml
 
 from mgconsensus import cli
 from mgconsensus.cli import main
-from mgconsensus.scenario import _SCHEMA, Scenario
+from mgconsensus.scenario import _SCHEMA, MODES, Scenario
 from test_scenario import _number_rows
 
 SCENARIO = Path(__file__).resolve().parent.parent / "scenarios" / "ring4_dos.yaml"
@@ -633,3 +633,64 @@ def test_verify_reads_yaml_trace(fast_scenario, tmp_path):
     as_yaml = tmp_path / "trace.yaml"
     as_yaml.write_text(yaml.safe_dump(json.loads(trace.read_text())))
     assert main(["attacks", "verify", str(as_yaml)]) == 0
+
+
+@pytest.mark.parametrize("name", ["comm/0/2", "comm/1/0", "comm/1/1", "meas/4", "act/9", "jam/7"])
+def test_trace_file_naming_a_channel_the_scenario_lacks_is_config_error(fast_scenario, tmp_path,
+                                                                          capsys, name):
+    # ring-4 has no link 0-2, and one comm channel per link (i < j) unless
+    # per_direction_comm: the run ignored such a channel and copied it into
+    # attack_trace.json
+    trace = tmp_path / "trace.json"
+    assert main(["attacks", "generate", str(fast_scenario), "--out", str(trace)]) == 0
+    data = json.loads(trace.read_text())
+    data[name] = data["act/0"]
+    trace.write_text(json.dumps(data))
+    scen = yaml.safe_load(fast_scenario.read_text())
+    scen["channels"]["trace_file"] = "trace.json"
+    (tmp_path / "scen.yaml").write_text(yaml.safe_dump(scen))
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main(["run", str(tmp_path / "scen.yaml"), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and name in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["jam/7", "comm/0", "meas/0/1", "act/-1", "act/01", "act/x",
+                                  "act/0/"])
+def test_verify_rejects_a_channel_name_of_no_kind(fast_scenario, tmp_path, capsys, name):
+    # only meas/i, act/i and comm/i/j name a channel; any other name passed the audit
+    trace = tmp_path / "trace.json"
+    assert main(["attacks", "generate", str(fast_scenario), "--out", str(trace)]) == 0
+    data = json.loads(trace.read_text())
+    data[name] = data["act/0"]
+    trace.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["attacks", "verify", str(trace)]) == 1
+    err = capsys.readouterr().err
+    assert "malformed trace:" in err and name in err
+
+
+ONE_NODE_COMMANDS = [(cmd, ["--mode", mode]) for cmd in ("run", "design") for mode in MODES] + \
+    [("sweep", ["--seeds", "1"]), ("attacks generate", [])]
+
+
+@pytest.mark.parametrize("command, flags", ONE_NODE_COMMANDS,
+                         ids=[f"{c} {f[1]}" if f[:1] == ["--mode"] else c
+                              for c, f in ONE_NODE_COMMANDS])
+def test_a_scenario_without_a_link_is_config_error(fast_scenario, tmp_path, capsys, command,
+                                                   flags):
+    # a one-node ring has no edge to run a controller on: every command raised
+    # an uncaught ValueError
+    data = yaml.safe_load(fast_scenario.read_text())
+    data["topology"]["adjacency"] = [[0]]
+    data["instances"] = {"frequency": {"initial": [50.0]}}
+    del data["mgs"]
+    scen = tmp_path / "one.yaml"
+    scen.write_text(yaml.safe_dump(data))
+    out = tmp_path / "out"
+    assert main([*command.split(), str(scen), *flags, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "no link" in err
+    assert not out.exists()

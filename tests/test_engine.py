@@ -13,7 +13,7 @@ from mgconsensus.design import certified_params
 from mgconsensus.engine import (
     CLOSED, K_ACT, ROW, EngineConfig, Simulation, _measurement_grid, _Stretch,
 )
-from mgconsensus.scenario import load_scenario, parse_scenario
+from mgconsensus.scenario import MODES, load_scenario, parse_scenario
 from mgconsensus.topology import load_topology
 from test_engine_oracle import assert_matches_oracle, heap_push_times
 
@@ -46,7 +46,7 @@ def test_two_nodes_converge():
     assert m.converged
     assert m.entry_time is not None and m.entry_time < 1.0
     assert m.spread_series[-1] < 0.1
-    assert m.min_dwell_margin() >= -1e-12
+    assert m.dwell_margin >= -1e-12
 
 
 def test_ternary_inputs_only():
@@ -189,7 +189,7 @@ def test_early_freeze_matches_full_run(monkeypatch):
 def test_adaptive_mode_converges_attack_free():
     m = Simulation(_cfg(RING4, [0.0, 2.0, 4.0, 1.0], mode="self-adaptive")).run()
     assert m.converged
-    assert m.min_dwell_margin() >= -1e-12
+    assert m.dwell_margin >= -1e-12
 
 
 def test_negative_actuation_bound_rejected():
@@ -282,6 +282,15 @@ def test_the_ring64_run_keeps_packed_records_only():
     assert before - after_rows <= ROW.itemsize * rows + 4096, (before - after_rows) / rows
     assert after_rows - after_commands <= CLOSED.itemsize * commands + 4096, \
         (after_rows - after_commands) / commands
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_ring64_dwell_margin_matches_the_reference(mode):
+    # every ring-64 row is a heap row; the self-adaptive run re-tunes some
+    # commands, whose floors the margin's later gaps read
+    s = parse_scenario(conftest.ring64_data()).with_mode(mode)
+    m = Simulation(s.engine_config("frequency", s.build_channels())).run()
+    assert m.dwell_margin == conftest.min_dwell_margin_reference(m)
 
 
 def test_a_run_keeps_every_closed_command_block_as_bytes():

@@ -282,7 +282,7 @@ def assert_matches_oracle(sim: Simulation):
     for (t, v), (tw, xw) in zip(va, want["v_active"]):
         assert abs(t - tw) <= TOL
         assert abs(v - lyapunov(xw)) <= TOL
-    assert got.min_dwell_margin() == conftest.min_dwell_margin_reference(got)
+    assert got.dwell_margin == conftest.min_dwell_margin_reference(got)
     return got, want
 
 
@@ -567,7 +567,7 @@ def _quiet_prone_runs(draw):
 
 def _check_quiet_prone(cfg):
     m, _ = assert_matches_oracle(Simulation(cfg))
-    assert m.min_dwell_margin() >= -1e-12
+    assert m.dwell_margin >= -1e-12
     if cfg.mode == "nominal" and cfg.channels is not None:
         return  # the nominal design is not certified against DoS
     # V does not increase across active triggers, except across the jump

@@ -104,7 +104,8 @@ def _metrics(parts, states, inputs, edges=((0, 1), (1, 0))) -> RunMetrics:
         times=times, states=np.array(states, dtype=float), inputs=np.array(inputs, dtype=float),
         v_series=np.zeros(times.size), spread_series=np.zeros(times.size), delta=1.0,
         entry_time=None, converged=False, trigger_log=TriggerLog(parts), closed_commands=[],
-        retunes=[], channel_stats={}, directed_edges=list(edges), segments=[])
+        retunes=[], channel_stats={}, directed_edges=list(edges), segments=[],
+        dwell_margin=np.inf)
 
 
 def _heap(rows):
