@@ -274,8 +274,10 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"scenario has no '{instance}' instance")
     classes = [c.strip() for c in args.classes.split(",") if c.strip()]
     seeds = list(range(args.seeds))
-    # an unknown class or an infeasible class budget is a configuration error
-    # before any run
+    # no class, a repeated class, an unknown class or an infeasible class
+    # budget is a configuration error before any run
+    if not classes or len(set(classes)) < len(classes):
+        raise ConfigError(f"--classes must name each class once, got {args.classes!r}")
     design = scen.design()
     for cls in classes:
         design.scaled_budgets(cls, args.intensity)
@@ -289,11 +291,11 @@ def cmd_sweep(args) -> int:
             ch = scen.with_seed(scen.seed + s).build_channels(scale_class, intensity)
             # engine_config reads the actuation bounds from `ch`, so a hardened
             # budget also shrinks the bound the input scaling is designed against
-            m = Simulation(scen.engine_config(instance, ch)).run()
-            if m.entry_time is None:
+            entry = Simulation(scen.engine_config(instance, ch)).run().entry_time
+            if entry is None:
                 missed += 1
             else:
-                entries.append(m.entry_time)
+                entries.append(entry)
         return (statistics.median(entries) if entries else None), missed
 
     base_med, base_miss = median_entry(None, 1.0)

@@ -31,10 +31,12 @@ start, with its diff inside the dead zone (`fresh` holds those edges). Both
 change in O(1) per event: an edge joins `fresh` at a reading trigger after
 which nothing is busy, and every segment start empties it. When nothing is
 busy and every edge is fresh after a trigger, the states stay constant until
-the next disturbance, and one loop (`stretch_runs`) steps every edge up to it
-(or to the horizon) without the heap. Only an edge whose diff lies outside
-the eps floor, which no eps falls below, can leave the dead zone; those step
-first, and each edge steps up to the earliest such trigger so far:
+the next disturbance, and `fast_forward` steps every edge up to it (or to the
+horizon) without the heap. Only an edge whose diff lies outside the eps floor,
+which no eps falls below, can leave the dead zone; those step first, and each
+edge steps up to the earliest such trigger so far. A row before it has u = 0
+and its command's theta and floor, resolved by one `trigger` call where the
+command first appears (a row (eps, rate, theta, floor) of its run's `params`):
 
 - offline modes: an edge's clock period eps / (2 (d_i + d_j) R) is constant,
   so its trigger times are a cumsum run and its comm health one `attacked`
@@ -54,13 +56,15 @@ first, and each edge steps up to the earliest such trigger so far:
 
 A trigger that would leave the dead zone (a nominal edge's first healthy read
 after a jammed link, or an adapted eps that no longer covers the diff) hands
-every edge back to the event heap at that instant, its next expiries pushed in
-edge order. The run packs each heap row into one fixed-width `ROW` record of a
-`trigger_log` part (`_Rows`), and each closed command into one `CLOSED` record
-of `closed_commands` (`_Records`); both are read a block at a time
-(`records()`, and the log's `blocks()`), each block a view through its numpy
-dtype. `trigger_log` builds a stretch's rows only when read, from its per-edge
-runs, in the order the heap would pop them: one sort by (time, key).
+every edge back to the event heap at that instant, in one pass over the edges
+that cuts each run, pushes its next expiry in edge order, counts its healthy
+reads, folds its dwell margin and leaves its edge as its last row did. The run
+packs each heap row into one fixed-width `ROW` record of a `trigger_log` part
+(`_Rows`), and each closed command into one `CLOSED` record of
+`closed_commands` (`_Records`); both are read a block at a time (`records()`,
+and the log's `blocks()`), each block a view through its numpy dtype.
+`trigger_log` builds a stretch's rows only when read, from its per-edge runs,
+in the order the heap would pop them: one sort by (time, key).
 
 Link pairs. When an expiry pops and its reverse edge's live expiry is next at
 the same t, one pass fires both. No segment starts between them, so the second
@@ -138,14 +142,14 @@ class EngineConfig:
 class _Run:
     """One edge's triggers in a quiescent stretch, as columns: their times,
     comm health and command, an index into `params`, the run's distinct
-    commanded (eps, rate) (one pair in the offline modes). A row's diff is
-    `before` up to the first healthy row and `after` from there on; a resilient
-    run has no `before`, and its jammed rows hold None. The trigger rule on that
-    diff and the row's command gives its u (0), theta and floor. `key` is the
+    commands as rows (eps, rate, theta, floor), each stored where its command
+    first appears (one row in the offline modes). A row's diff is `before` up
+    to the first healthy row and `after` from there on; a resilient run has no
+    `before`, and its jammed rows hold None. Every row lies in the dead zone,
+    so its u is 0 and its theta and floor are its command's. `key` is the
     edge's heap key (`Simulation.key`)."""
 
     edge: int
-    degs: tuple[int, int]
     times: np.ndarray
     healthy: np.ndarray
     cmd: np.ndarray
@@ -168,10 +172,9 @@ class _Run:
         code[seen] = np.arange(seen.size)
         tails = []
         for k in seen.tolist():
-            eps, rate = self.params[k >> 2]
+            eps, rate, theta, floor = self.params[k >> 2]
             diff = self.after if k & 3 else self.before
-            u, theta, floor = trigger(diff, eps, rate, *self.degs)
-            tails.append((self.edge, k & 1, nan if diff is None else diff, u, theta, eps, rate,
+            tails.append((self.edge, k & 1, nan if diff is None else diff, 0, theta, eps, rate,
                           floor))
         return code[key], tails
 
@@ -384,8 +387,9 @@ def step_adaptive(stamps: _Stamps, i: int, j: int, degs: tuple[int, int], link: 
     """Step the gamma recurrence of edge (i, j) in a quiescent stretch, from its
     expiry at t while t < until, under command `cmd` = (eps, rate); `certify`
     maps a gamma to its (eps, rate). Returns its run's columns (times, then the
-    next expiry; health; command), the commands' (eps, rate), and whether it
-    stops at a trigger whose adapted eps does not cover the diff.
+    next expiry; health; command), the commands' rows (eps, rate, theta,
+    floor), and whether it stops at a trigger whose adapted eps does not cover
+    the diff.
 
     Rows are stepped one by one while the command changes. Once two healthy
     rows in a row keep it, they are stepped in blocks (see the module
@@ -395,9 +399,11 @@ def step_adaptive(stamps: _Stamps, i: int, j: int, degs: tuple[int, int], link: 
     jam_i, jam_j = stamps.jam[i].get, stamps.jam[j].get
     jammed = sorted(stamps.jam[i].keys() | stamps.jam[j].keys())
     d_i, d_j = degs
-    # the distinct commands, and each one's clock period
+    # the distinct commands, each one's row (eps, rate, theta, floor) inside
+    # the dead zone, and its clock period
     cmds = {cmd: 0}
-    periods = [trigger(None, *cmd, d_i, d_j)[1] / cmd[1]]
+    params = [(*cmd, *trigger(None, *cmd, d_i, d_j)[1:])]
+    periods = [params[0][2] / cmd[1]]
     # a stretch sees few gamma values: apply the rules once per value, giving a
     # command, or -1 where eps breaks
     rule: dict = {}
@@ -408,8 +414,9 @@ def step_adaptive(stamps: _Stamps, i: int, j: int, degs: tuple[int, int], link: 
             eps_n, rate_n = certify(gamma)
             c = rule[gamma] = -1 if trigger(diff, eps_n, rate_n, d_i, d_j)[0] else \
                 cmds.setdefault((eps_n, rate_n), len(cmds))
-            if c == len(periods):
-                periods.append(trigger(None, eps_n, rate_n, d_i, d_j)[1] / rate_n)
+            if c == len(params):
+                params.append((eps_n, rate_n, *trigger(None, eps_n, rate_n, d_i, d_j)[1:]))
+                periods.append(params[c][2] / rate_n)
         return c
 
     def block(t, c):
@@ -475,7 +482,7 @@ def step_adaptive(stamps: _Stamps, i: int, j: int, degs: tuple[int, int], link: 
     ts.append(t)
     cols.append((ts, hs, cs))
     return (*(np.concatenate([np.asarray(col[k], dtype=dt) for col in cols])
-              for k, dt in enumerate((float, bool, np.intp))), list(cmds), broke)
+              for k, dt in enumerate((float, bool, np.intp))), params, broke)
 
 
 class Simulation:
@@ -648,12 +655,28 @@ class Simulation:
         def certify(gamma):
             return certified_params(gamma, alpha, beta, eps_floor)
 
-        def stretch_runs(live, diffs, limit):
-            """Every edge's triggers from its live expiry time while before
-            `limit`, cut before the first one that would leave the dead zone.
-            Returns the runs of the edges with rows, each edge's next expiry and
-            the cut."""
-            cols, breaks, comm = [None] * ne, [], self.comm_ch
+        def fast_forward(t_now):
+            """Run a quiescent stretch from a trigger at t_now and log it, with a
+            new `_Rows` for the heap's rows after it; False at the horizon.
+            Every edge steps from its live expiry while before the next
+            disturbance, cut before the first trigger that would leave the dead
+            zone, and the heap resumes at the cut."""
+            nonlocal comm_ok, margin
+            live = [None] * ne
+            disturb = []
+            for ev in heap:
+                time_, kind, _sq, a, b = ev
+                if kind == K_EXPIRY:  # a link entry holds both directions' versions
+                    for e, v in zip((a, rev[a]), b if type(b) is tuple else [b]):
+                        if v == e_ver[e]:
+                            live[e] = time_
+                elif kind == K_DISTURB:
+                    disturb.append(ev)
+            limit = min(disturb)[0] if disturb else nextafter(horizon + 1e-12, np.inf)
+            # every node's cache reads its current segment from here on
+            x_now = [measured(i, t_now)[1] for i in range(n)]
+            diffs = [x_now[j] - x_now[i] for i, j in edges]
+            cols, breaks = [None] * ne, []
             # the edges that can break step first, each up to the earliest break so far
             for e in sorted(range(ne), key=lambda e: not trigger(
                     diffs[e], eps_floor, e_rate[e], degs[e_i[e]], degs[e_j[e]])[0]):
@@ -661,81 +684,53 @@ class Simulation:
                 d, cmd = (degs[i], degs[j]), (e_eps[e], e_rate[e])
                 until = min(breaks, default=limit)
                 if adaptive:
-                    *cols[e], broke = step_adaptive(stamps, i, j, d, comm[e], cmd,
+                    *cols[e], broke = step_adaptive(stamps, i, j, d, self.comm_ch[e], cmd,
                                                     diffs[e], live[e], until, certify)
                 else:
-                    times = _cumsum_run(live[e], trigger(None, *cmd, *d)[1] / cmd[1], until)
-                    healthy = ~comm[e].attacked(times[:-1])
+                    params = [(*cmd, *trigger(None, *cmd, *d)[1:])]
+                    times = _cumsum_run(live[e], params[0][2] / cmd[1], until)
+                    healthy = ~self.comm_ch[e].attacked(times[:-1])
                     # an edge whose diff is outside its dead zone breaks at its first healthy read
                     broke = trigger(diffs[e], *cmd, *d)[0] != 0 and healthy.any()
                     k = int(np.argmax(healthy)) if broke else healthy.size
-                    times, healthy = times[:k + 1], healthy[:k]
-                    cols[e] = times, healthy, np.zeros(healthy.size, dtype=np.intp), [cmd]
+                    cols[e] = times[:k + 1], healthy[:k], np.zeros(k, dtype=np.intp), params
                 if broke:
                     breaks.append(float(cols[e][0][-1]))
             cut = min(breaks, default=limit)
-            runs, nxt = [], []
+            # the heap keeps its disturbances and takes every edge's next expiry
+            heap[:] = disturb
+            heapify(heap)
+            due.clear()
+            runs = []
             for e, (times, healthy, cmd, params) in enumerate(cols):
                 k = int(np.searchsorted(times[:-1], cut, side="left"))
-                nxt.append(float(times[k]))
-                if k:
-                    runs.append(_Run(e, (degs[e_i[e]], degs[e_j[e]]), times[:k], healthy[:k],
-                                     cmd[:k], params, None if resilient else e_diff[e],
-                                     diffs[e], self.key[e]))
-            return runs, nxt, cut
-
-        def fast_forward(t_now):
-            """Run a quiescent stretch from a trigger at t_now and log it, with a
-            new `_Rows` for the heap's rows after it; False at the horizon."""
-            nonlocal comm_ok, margin
-            live = [None] * ne
-            disturb = []
-            for time_, kind, _sq, a, b in heap:
-                if kind == K_EXPIRY:  # a link entry holds both directions' versions
-                    for e, v in zip((a, rev[a]), b if type(b) is tuple else [b]):
-                        if v == e_ver[e]:
-                            live[e] = time_
-                elif kind == K_DISTURB:
-                    disturb.append(time_)
-            limit = min(disturb) if disturb else nextafter(horizon + 1e-12, np.inf)
-            # every node's cache reads its current segment from here on
-            x_now = [measured(i, t_now)[1] for i in range(n)]
-            diffs = [x_now[j] - x_now[i] for i, j in edges]
-            runs, nxt, cut = stretch_runs(live, diffs, limit)
-            comm_ok += sum(int(np.count_nonzero(r.healthy)) for r in runs)
+                e_ver[e] += 1
+                push(float(times[k]), K_EXPIRY, e, e_ver[e], key[e])
+                if not k:
+                    continue
+                times, healthy, cmd = times[:k], healthy[:k], cmd[:k]
+                runs.append(_Run(e, times, healthy, cmd, params, None if resilient else e_diff[e],
+                                 diffs[e], self.key[e]))
+                comm_ok += int(np.count_nonzero(healthy))
+                # fold the run's gaps into the margin, and leave its edge as its last row did
+                gaps = np.diff(times) - np.array(params)[cmd[:-1], 3]
+                margin = min(margin, times[0] - e_trig_t[e] - e_floor[e], gaps.min(initial=np.inf))
+                e_eps[e], e_rate[e], _theta, e_floor[e] = params[cmd[-1]]
+                e_trig_t[e] = t_read = float(times[-1])
+                read = np.flatnonzero(healthy)
+                if read.size:
+                    t_read = float(times[read[-1]])
+                    e_nbr_stamp[e], e_nbr_val[e] = stamps(e_j[e], t_read), x_now[e_j[e]]
+                    e_diff[e] = diffs[e]
+                if resilient and not healthy[-1]:
+                    e_diff[e] = None  # the own cache is read with the link only
+                if read.size or not resilient:
+                    e_own_delay[e] = t_read - stamps(e_i[e], t_read)
+                    e_nbr_delay[e] = t_read - e_nbr_stamp[e]
             if runs:
                 log_parts[-1].seal()
                 log_parts.extend((_Stretch(runs), _Rows()))
-            # fold each run's gaps into the margin, and leave its edge as its last row did
-            for r in runs:
-                e, i, j = r.edge, e_i[r.edge], e_j[r.edge]
-                floors = [trigger(None, *p, *r.degs)[2] for p in r.params]
-                gaps = np.diff(r.times) - np.take(floors, r.cmd[:-1])
-                margin = min(margin, r.times[0] - e_trig_t[e] - e_floor[e], gaps.min(initial=np.inf))
-                e_trig_t[e], e_floor[e] = float(r.times[-1]), floors[r.cmd[-1]]
-                e_eps[e], e_rate[e] = r.params[r.cmd[-1]]
-                read = np.flatnonzero(r.healthy)
-                t_read = e_trig_t[e]
-                if read.size:
-                    t_read = float(r.times[read[-1]])
-                    e_nbr_stamp[e], e_nbr_val[e] = stamps(j, t_read), x_now[j]
-                    e_diff[e] = r.after
-                if resilient and not r.healthy[-1]:
-                    e_diff[e] = None  # the own cache is read with the link only
-                if read.size or not resilient:
-                    e_own_delay[e] = t_read - stamps(i, t_read)
-                    e_nbr_delay[e] = t_read - e_nbr_stamp[e]
-            if cut == limit and not disturb:
-                return False
-            # the heap resumes at the cut: it keeps its disturbances and takes
-            # every edge's next expiry
-            heap[:] = [ev for ev in heap if ev[1] == K_DISTURB]
-            heapify(heap)
-            due.clear()
-            for e in range(ne):
-                e_ver[e] += 1
-                push(nxt[e], K_EXPIRY, e, e_ver[e], key[e])
-            return True
+            return cut < limit or bool(disturb)
 
         while heap:
             t, kind, _sq, a, b = due.popleft() if due and due[0] < heap[0] else heappop(heap)

@@ -7,6 +7,7 @@ sets from here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import inf
 from typing import Sequence
 
@@ -21,15 +22,15 @@ class Topology:
     edges: tuple[tuple[int, int], ...]          # unordered pairs, i < j
     neighbors: tuple[tuple[int, ...], ...]
 
-    @property
+    @cached_property
     def degrees(self) -> list[int]:
         return [len(nbrs) for nbrs in self.neighbors]
 
-    @property
+    @cached_property
     def d_max(self) -> int:
         return max(self.degrees)
 
-    @property
+    @cached_property
     def d_min(self) -> int:
         return min(self.degrees)
 

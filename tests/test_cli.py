@@ -1,4 +1,6 @@
+import gc
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -452,6 +454,39 @@ def test_sweep_unknown_class_is_config_error(fast_scenario, tmp_path, capsys, mo
     argv = ["sweep", str(scen), "--seeds", "2", "--classes", "actuation,bogus"]
     assert main(argv) == 2
     assert "unknown channel class 'bogus'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("classes,message", [
+    ("", "--classes must name each class once, got ''"),
+    (" , ", "--classes must name each class once, got ' , '"),
+    ("measurement,measurement", "got 'measurement,measurement'"),
+    ("actuation, measurement ,actuation", "got 'actuation, measurement ,actuation'"),
+], ids=["empty", "blank", "repeated", "repeated-with-spaces"])
+def test_sweep_needs_each_class_once(fast_scenario, capsys, monkeypatch, classes, message):
+    # no class would run only the baseline, and a repeated one runs and prints
+    # twice: both are configuration errors before any run
+    monkeypatch.setattr(cli, "Simulation", _no_run)
+    argv = ["sweep", str(fast_scenario), "--seeds", "2", "--classes", classes]
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_sweep_keeps_no_run_past_its_entry_time():
+    # each seed's run is dropped once its entry time is read, so the peak of a
+    # sweep does not grow with its seed count
+    argv = ["sweep", str(SCENARIO), "--classes", "measurement", "--seeds"]
+    assert main(argv + ["1"]) == 0  # warm-up: imports and caches
+    peaks = []
+    tracemalloc.start()
+    try:
+        for seeds in ("1", "3"):
+            gc.collect()  # so that no garbage of an earlier call counts
+            tracemalloc.reset_peak()
+            assert main(argv + [seeds]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0], peaks
 
 
 def test_sweep_checks_the_instance_before_any_work(fast_scenario, tmp_path, capsys,

@@ -3,6 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from mgconsensus import engine
 from mgconsensus.attacks import ChannelSet, DosParams, DosSequence
 from mgconsensus.controller import trigger
 from mgconsensus.engine import TAIL, EngineConfig, Simulation, _Rows, _Stretch
@@ -65,10 +66,10 @@ def test_dwell_floor_value():
         assert trigger(diff, 1.2624, 1.01, 2, 2)[2] == pytest.approx(0.15623762376237624)
 
 
-@pytest.fixture(scope="module")
-def bundled_logs():
-    """The trigger logs of both bundled instances in every mode."""
-    scen = load_scenario(str(SCENARIO))
+@pytest.fixture(scope="module", params=range(4), ids="seed{}".format)
+def bundled_logs(request):
+    """The trigger logs of both bundled instances in every mode, at seeds 0-3."""
+    scen = load_scenario(str(SCENARIO)).with_seed(request.param)
     logs = {}
     for mode in MODES:
         s = scen.with_mode(mode)
@@ -100,6 +101,24 @@ def test_every_bundled_row_follows_the_rule(bundled_logs):
                     assert type(u) is int
     # heap and stretch rows in every mode
     assert kinds == {(mode, kind) for mode in MODES for kind in (_Rows, _Stretch)}
+
+
+def test_reading_a_log_applies_no_rule(bundled_logs, monkeypatch):
+    # a stretch row lies in the dead zone, so its u is 0 and its theta and
+    # floor are its command's, resolved where the command first appears: no
+    # read of a log applies the rule
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return trigger(*args)
+    monkeypatch.setattr(engine, "trigger", counted)
+    for (mode, _name), (_degs, m) in bundled_logs.items():
+        if mode in ("nominal", "self-adaptive"):
+            assert any(isinstance(part, _Stretch) for part in m.trigger_log.parts)
+            for _block in m.trigger_log.blocks():
+                pass
+    assert calls == []
 
 
 # The tests below check the rule as the engine applies it, row by row of

@@ -3,7 +3,7 @@
 `step_adaptive` steps an edge's gamma recurrence one row at a time only while
 its adapted command changes, and in numpy blocks once two healthy rows in a
 row keep it. `_step_rows`, the loop that stepped every row, is the reference:
-both must give the same columns, commands and break, and call `certify` on
+both must give the same columns, command rows and break, and call `certify` on
 the same gammas in the same order. The reference walks each cache stamp back
 from the measurement channels, so a wrong jam map in `_Stamps` shows.
 
@@ -54,9 +54,14 @@ def _step_rows(stamps, i, j, degs, link, cmd, diff, t, until, certify):
             k -= 1
         return grid[k]
 
-    # a command's clock period: theta = eps / (2 (d_i + d_j)) inside the dead
-    # zone, over its rate
+    # a command's row inside the dead zone: (eps, rate, theta, floor), with
+    # theta = eps / (2 (d_i + d_j)) and floor = eps / (2 rate (d_i + d_j)); its
+    # clock period is theta over its rate
+    def row(eps, rate):
+        return eps, rate, eps / (2.0 * (d_i + d_j)), eps / (2.0 * rate * (d_i + d_j))
+
     cmds = {cmd: 0}
+    params = [row(*cmd)]
     periods = [cmd[0] / (2.0 * (d_i + d_j)) / cmd[1]]
     rule: dict = {}
     ts, hs, cs = [], [], []
@@ -73,6 +78,7 @@ def _step_rows(stamps, i, j, degs, link, cmd, diff, t, until, certify):
                 c = rule[gamma] = -1 if abs(diff) >= eps_n else \
                     cmds.setdefault((eps_n, rate_n), len(cmds))
                 if c == len(periods):
+                    params.append(row(eps_n, rate_n))
                     periods.append(eps_n / (2.0 * (d_i + d_j)) / rate_n)
             if c < 0:
                 break
@@ -81,7 +87,7 @@ def _step_rows(stamps, i, j, degs, link, cmd, diff, t, until, certify):
         cs.append(c)
         t = t + periods[c]
     ts.append(t)
-    return np.array(ts), np.array(hs, dtype=bool), np.array(cs, dtype=np.intp), list(cmds), c < 0
+    return np.array(ts), np.array(hs, dtype=bool), np.array(cs, dtype=np.intp), params, c < 0
 
 
 def _recording(certify):
@@ -223,7 +229,7 @@ def test_a_known_gamma_of_another_command_ends_a_block():
     A, C = (0.75, 4.0), (0.75, 2.0)
     _times, _h, cmd, params, broke = assert_steps_match_rows(*_edge(
         cmds=(A,), certify=_certify_by({0.0: C}, A), until=8.0))
-    assert params == [A, C] and not broke
+    assert [p[:2] for p in params] == [A, C] and not broke
     assert cmd.tolist() == ([1] + [0] * 6) * 21 + [1, 0]
 
 

@@ -54,8 +54,9 @@ def _stretch(runs):
         times = [t]
         for step in steps:
             times.append(times[-1] + step)
-        built.append(_Run(e, (1, 1), np.array(times), np.ones(len(times), dtype=bool),
-                          np.zeros(len(times), dtype=np.intp), [(1.0, 1.0)], 0.0, 0.0, key))
+        built.append(_Run(e, np.array(times), np.ones(len(times), dtype=bool),
+                          np.zeros(len(times), dtype=np.intp), [(1.0, 1.0, 0.25, 0.25)], 0.0, 0.0,
+                          key))
     return _Stretch(built)
 
 

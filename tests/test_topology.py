@@ -36,6 +36,8 @@ def test_line_graph_degrees():
     topo = load_topology([[0, 1, 0], [1, 0, 1], [0, 1, 0]])
     assert topo.degrees == [1, 2, 1]
     assert (topo.d_max, topo.d_min) == (2, 1)
+    # computed once per graph, not per read
+    assert topo.degrees is topo.degrees
 
 
 def test_rejects_non_square():

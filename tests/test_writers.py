@@ -5,7 +5,8 @@
 rows (`_Run.tails`), a heap part (`_Rows`) from its packed records, each tail
 record and each distinct time of a block formatted once. `_heap` and
 `_stretch` build parts by hand: heap rows as `ROW` records, and runs with per
-row a time, a comm health and an index into the run's (eps, rate) commands.
+row a time, a comm health and an index into the run's commands, rows of
+(eps, rate, theta, floor).
 `cli._write_trace_csv` formats each distinct float of its block once.
 The references below format every cell of every row: of the rows a test
 wrote by hand, or of a simulated run's log as iterated. The outputs must be
@@ -121,9 +122,11 @@ def _heap(rows):
 
 def _stretch(runs):
     """A stretch of hand-built runs (edge, times, health, commands, their
-    (eps, rate), before, after, key); a resilient run has no `before`."""
-    return _Stretch([_Run(e, (1, 1), np.array(ts), np.array(hs), np.array(cmd, dtype=np.intp),
-                          params, before, after, key)
+    (eps, rate), before, after, key) on degrees (1, 1); a resilient run has no
+    `before`. Each command's row adds its theta eps / 4 and floor eps / (4 rate)."""
+    return _Stretch([_Run(e, np.array(ts), np.array(hs), np.array(cmd, dtype=np.intp),
+                          [(eps, rate, eps / 4.0, eps / (4.0 * rate)) for eps, rate in params],
+                          before, after, key)
                      for e, ts, hs, cmd, params, before, after, key in runs])
 
 
