@@ -70,11 +70,14 @@ Link pairs. When an expiry pops and its reverse edge's live expiry is next at
 the same t, one pass fires both. No segment starts between them, so the second
 reuses the first's reads, its health on one comm channel, and when both are
 healthy gamma = d_i (t - s_i) + d_j (t - s_j) (one sum either way) and its
-(eps, R); each applies the trigger rule to its own diff. The first is the
-lower direction, and equal next expiries (|-diff| = |diff|) go back as one
-link entry under its key: a link's two keys are adjacent, so pops keep their
-order. A jammed direction, per-edge eps or a re-tune (a stale version in the
-entry) splits a pair; none straddles a stretch's start.
+(eps, R). The second's diff is then exactly the first's negated, and the
+trigger rule is odd in the diff (its dead zone is symmetric) and symmetric in
+the degrees: where both run one (eps, R), the second takes -u and the first's
+theta and floor without applying the rule, and keeps its own input, row and
+actuation. The first is the lower direction, and equal next expiries go back
+as one link entry under its key: a link's two keys are adjacent, so pops keep
+their order. A jammed direction, per-edge eps or a re-tune (a stale version in
+the entry) splits a pair; none straddles a stretch's start.
 """
 
 from __future__ import annotations
@@ -508,6 +511,10 @@ class Simulation:
             raise ValueError("activation_time must be >= 0")
         if any(p < 0.0 for p in cfg.phi_act):
             raise ValueError("phi_act must be non-negative")
+        # a zero actuation interval retries a jammed attempt at one t forever
+        for name in ("delta_meas", "delta_act", "record_period"):
+            if not 0.0 < getattr(cfg, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite")
         # a log row's NaN diff stands for None, so every state stays finite
         if not all(map(isfinite, cfg.x0)) or not all(isfinite(d[2]) for d in cfg.disturbances):
             raise ValueError("x0 and disturbance jumps must be finite")
@@ -533,6 +540,8 @@ class Simulation:
         ne = len(edges)
         degs = self.degs
         horizon = cfg.horizon
+        t_end = horizon + 1e-12
+        out_edges = self.out_edges
 
         # plant: node i's segments, x_i(t) = seg_x[m] + seg_u[m] (t - seg_t[m])
         # on the last segment m starting at or before t; flat float arrays
@@ -546,28 +555,18 @@ class Simulation:
         # edges that read such stamps at a trigger after which nothing was busy
         fresh: set = set()
 
-        def new_segment(i, t, slope, jump=0.0):
-            nonlocal last_start
-            ts, xs, us = seg_t[i], seg_x[i], seg_u[i]
-            xs.append(xs[-1] + us[-1] * (t - ts[-1]) + jump)
-            ts.append(t)
-            us.append(slope)
-            last_start = t
-            fresh.clear()
-
         stamps = _Stamps(cfg.delta_meas, horizon, self.meas_ch)
         grid, meas_jam = stamps.grid, stamps.jam
 
         # the last read of each node holds until its next grid point: a new
-        # segment starts at or after the read, so the value at its stamp is final
+        # segment starts at or after the read, so the value at its stamp is final.
+        # The heap loop reads meas_last[i] itself while t < meas_until[i]
         meas_last: list = [None] * n
         meas_until = [-1.0] * n
 
         def measured(i, t):
             """(stamp, value) of node i's cache at a trigger at t, which is not
             before the last one's."""
-            if t < meas_until[i]:
-                return meas_last[i]
             k = bisect_right(grid, t) - 1
             s = grid[meas_jam[i].get(k, k)]
             ts = seg_t[i]
@@ -586,6 +585,7 @@ class Simulation:
         # per-edge controller state
         e_i = [a for a, _ in edges]
         e_j = [b for _, b in edges]
+        e_deg = [(degs[a], degs[b]) for a, b in edges]
         e_ueff = [0.0] * ne
         e_eps = list(cfg.edge_eps)
         e_rate = list(cfg.edge_rate)
@@ -599,6 +599,9 @@ class Simulation:
         e_ver = [0] * ne
         rev = [self.edge_index[(j, i)] for i, j in edges]
         one_comm = [self.comm_ch[e] is self.comm_ch[rev[e]] for e in range(ne)]
+        # whether a pair's second, reading the first's data, runs the first's (eps, R)
+        one_cmd = [self.adaptive or (e_eps[e], e_rate[e]) == (e_eps[rev[e]], e_rate[rev[e]])
+                   for e in range(ne)]
         # (healthy, until when) of each edge's comm channel, then each node's actuation one
         health = [(True, -1.0)] * (ne + n)
         phi_act = cfg.phi_act
@@ -606,17 +609,6 @@ class Simulation:
         adaptive = self.adaptive
         # edges with a nonzero input + nodes with a nonzero input + pending nodes
         busy = 0
-
-        def set_command(e, i, u, theta, eps_k, rate_k, floor):
-            """Give edge e, out of node i, the ternary input u, clock theta and dwell floor."""
-            nonlocal busy
-            e_floor[e] = floor
-            e_eps[e] = eps_k
-            e_rate[e] = rate_k
-            ueff = scaled_input(u, theta, rate_k, phi_act[i]) if adaptive and u else float(u)
-            busy += (ueff != 0.0) - (e_ueff[e] != 0.0)
-            e_ueff[e] = ueff
-            e_ver[e] += 1
 
         heap: list = []
         due: deque = deque()  # actuation attempts due at their push: keys only rise
@@ -672,16 +664,16 @@ class Simulation:
                             live[e] = time_
                 elif kind == K_DISTURB:
                     disturb.append(ev)
-            limit = min(disturb)[0] if disturb else nextafter(horizon + 1e-12, np.inf)
+            limit = min(disturb)[0] if disturb else nextafter(t_end, np.inf)
             # every node's cache reads its current segment from here on
             x_now = [measured(i, t_now)[1] for i in range(n)]
             diffs = [x_now[j] - x_now[i] for i, j in edges]
             cols, breaks = [None] * ne, []
             # the edges that can break step first, each up to the earliest break so far
             for e in sorted(range(ne), key=lambda e: not trigger(
-                    diffs[e], eps_floor, e_rate[e], degs[e_i[e]], degs[e_j[e]])[0]):
+                    diffs[e], eps_floor, e_rate[e], *e_deg[e])[0]):
                 i, j = edges[e]
-                d, cmd = (degs[i], degs[j]), (e_eps[e], e_rate[e])
+                d, cmd = e_deg[e], (e_eps[e], e_rate[e])
                 until = min(breaks, default=limit)
                 if adaptive:
                     *cols[e], broke = step_adaptive(stamps, i, j, d, self.comm_ch[e], cmd,
@@ -734,7 +726,7 @@ class Simulation:
 
         while heap:
             t, kind, _sq, a, b = due.popleft() if due and due[0] < heap[0] else heappop(heap)
-            if t > horizon + 1e-12:
+            if t > t_end:
                 break
 
             if kind == K_EXPIRY:
@@ -775,32 +767,44 @@ class Simulation:
                             own_stamp, own_val, nbr_stamp, nbr_val = \
                                 nbr_stamp, nbr_val, own_stamp, own_val
                         else:
-                            own_stamp, own_val = measured(i, t)
-                            nbr_stamp, nbr_val = measured(j, t) if comm_h else \
-                                (e_nbr_stamp[e], e_nbr_val[e])
+                            own_stamp, own_val = meas_last[i] if t < meas_until[i] else \
+                                measured(i, t)
+                            nbr_stamp, nbr_val = (e_nbr_stamp[e], e_nbr_val[e]) if not comm_h \
+                                else meas_last[j] if t < meas_until[j] else measured(j, t)
                         e_nbr_stamp[e], e_nbr_val[e] = nbr_stamp, nbr_val
                         diff = nbr_val - own_val
                         e_own_delay[e] = own_delay = t - own_stamp
                         e_nbr_delay[e] = nbr_delay = t - nbr_stamp
-                        if not (reuse and adaptive):  # else one gamma and command
+                        if reuse and one_cmd[e]:
+                            # diff is exactly the first's negated, and the rule is odd in
+                            # diff and symmetric in the degrees: the first's theta and floor
+                            u = -u
+                        else:
+                            d_i, d_j = e_deg[e]
                             if adaptive and comm_h:
-                                gamma = delay_aggregate(own_delay, nbr_delay, 0.0, degs[i], degs[j])
+                                gamma = delay_aggregate(own_delay, nbr_delay, 0.0, d_i, d_j)
                                 eps_k, rate_k = certified_params(gamma, alpha, beta, eps_floor)
                             else:
                                 eps_k, rate_k = cfg.edge_eps[e], cfg.edge_rate[e]
+                            u, theta, floor = trigger(diff, eps_k, rate_k, d_i, d_j)
                     else:
                         diff = None
                         eps_k, rate_k = e_eps[e], e_rate[e]
-                    u, theta, floor = trigger(diff, eps_k, rate_k, degs[i], degs[j])
+                        u, theta, floor = trigger(None, eps_k, rate_k, *e_deg[e])
                     e_diff[e] = diff
-                    set_command(e, i, u, theta, eps_k, rate_k, floor)
+                    e_floor[e], e_eps[e], e_rate[e] = floor, eps_k, rate_k
+                    ueff = scaled_input(u, theta, rate_k, phi_act[i]) if adaptive and u else float(u)
+                    was = e_ueff[e]
+                    busy += (ueff != 0.0) - (was != 0.0)
+                    e_ueff[e] = ueff
+                    e_ver[e] += 1
                     # a pair's first push waits for the second's: one link entry if they agree
                     t_next = t + theta / rate_k
                     if nxt is None:
                         nxt, first = t_next, (key[e] | seq, e, e_ver[e])
                         seq += 1
                     elif t_next == nxt:
-                        first = (*first[:2], (first[2], e_ver[e]))
+                        first = first[0], first[1], (first[2], e_ver[e])
                     else:
                         push(t_next, K_EXPIRY, e, e_ver[e], key[e])
                     if not pair or e == r:
@@ -810,18 +814,21 @@ class Simulation:
                     if len(log_rows) == rows_full:
                         log_rows = log_parts[-1].seal()
 
-                    new_sum = 0.0
-                    for oe in self.out_edges[i]:
-                        new_sum += e_ueff[oe]
-                    if pending[i] is not None or new_sum != seg_u[i][-1]:
-                        if pending[i] is None:
-                            busy += 1
-                        pending[i] = new_sum
-                        if e not in pend_edges[i]:
-                            pend_edges[i].append(e)
-                        act_ver[i] += 1
-                        due.append((t, K_ACT, seq, i, act_ver[i]))
-                        seq += 1
+                    # with nothing pending, the node's input is its out-edges' sum float
+                    # for float, so an unchanged edge input leaves it as it is
+                    if ueff != was or pending[i] is not None:
+                        new_sum = 0.0
+                        for oe in out_edges[i]:
+                            new_sum += e_ueff[oe]
+                        if pending[i] is not None or new_sum != seg_u[i][-1]:
+                            if pending[i] is None:
+                                busy += 1
+                            pending[i] = new_sum
+                            if e not in pend_edges[i]:
+                                pend_edges[i].append(e)
+                            act_ver[i] += 1
+                            due.append((t, K_ACT, seq, i, act_ver[i]))
+                            seq += 1
 
                     if not busy:
                         # a jammed resilient trigger reads nothing
@@ -837,27 +844,16 @@ class Simulation:
                             break
                 if ended:
                     break
+                continue
 
-            elif kind == K_ACT:
+            if kind == K_ACT:
                 i, ver = a, b
                 if ver != act_ver[i] or pending[i] is None:
                     continue
                 ok, until = health[ne + i]
                 if t >= until:
                     ok, until = health[ne + i] = self.act_ch[i].health(t)
-                if ok:
-                    act_ok += 1
-                    busy += (pending[i] != 0.0) - (seg_u[i][-1] != 0.0) - 1
-                    new_segment(i, t, pending[i])
-                    pending[i] = None
-                    for e in pend_edges[i]:
-                        closed_rows += pack_closed(e, e_trig_t[e], e_own_delay[e],
-                                                   e_nbr_delay[e], t - e_trig_t[e], e_eps[e],
-                                                   e_rate[e])
-                        if len(closed_rows) == closed_full:
-                            closed_rows = closed.seal()
-                    pend_edges[i].clear()
-                else:
+                if not ok:
                     act_fail += 1
                     if adaptive:
                         # actuation-delay estimate grew; re-tune pending commands
@@ -866,22 +862,42 @@ class Simulation:
                                 continue
                             t_hat = actuation_estimate(e_trig_t[e], t, delta_act)
                             gamma = delay_aggregate(e_own_delay[e], e_nbr_delay[e], t_hat,
-                                                    degs[i], degs[e_j[e]])
+                                                    *e_deg[e])
                             eps_k, rate_k = certified_params(gamma, alpha, beta, eps_floor)
-                            u, theta, floor = trigger(e_diff[e], eps_k, rate_k,
-                                                      degs[i], degs[e_j[e]])
-                            set_command(e, i, u, theta, eps_k, rate_k, floor)
+                            u, theta, floor = trigger(e_diff[e], eps_k, rate_k, *e_deg[e])
+                            e_floor[e], e_eps[e], e_rate[e] = floor, eps_k, rate_k
+                            ueff = scaled_input(u, theta, rate_k, phi_act[i]) if u else 0.0
+                            busy += (ueff != 0.0) - (e_ueff[e] != 0.0)
+                            e_ueff[e] = ueff
+                            e_ver[e] += 1
                             push(max(e_trig_t[e] + theta / rate_k, t), K_EXPIRY, e, e_ver[e],
                                  key[e])
                             retunes.append((e, e_trig_t[e], floor))
                         new_sum = 0.0
-                        for oe in self.out_edges[i]:
+                        for oe in out_edges[i]:
                             new_sum += e_ueff[oe]
                         pending[i] = new_sum
                     push(t + delta_act, K_ACT, i, ver)
-
+                    continue
+                act_ok += 1
+                busy += (pending[i] != 0.0) - (seg_u[i][-1] != 0.0) - 1
+                slope, jump = pending[i], 0.0
+                pending[i] = None
+                for e in pend_edges[i]:
+                    closed_rows += pack_closed(e, e_trig_t[e], e_own_delay[e], e_nbr_delay[e],
+                                               t - e_trig_t[e], e_eps[e], e_rate[e])
+                    if len(closed_rows) == closed_full:
+                        closed_rows = closed.seal()
+                pend_edges[i].clear()
             else:  # K_DISTURB
-                new_segment(a, t, seg_u[a][-1], b)
+                i, slope, jump = a, seg_u[a][-1], b
+            # node i's new segment, at an actuation or a disturbance
+            ts, xs, us = seg_t[i], seg_x[i], seg_u[i]
+            xs.append(xs[-1] + us[-1] * (t - ts[-1]) + jump)
+            ts.append(t)
+            us.append(slope)
+            last_start = t
+            fresh.clear()
 
         times = _record_times(cfg.record_period, horizon)
         log_parts[-1].seal()

@@ -1,3 +1,4 @@
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -119,6 +120,39 @@ def test_reading_a_log_applies_no_rule(bundled_logs, monkeypatch):
             for _block in m.trigger_log.blocks():
                 pass
     assert calls == []
+
+
+def test_a_healthy_pair_applies_the_rule_once(monkeypatch):
+    # an attack-free self-adaptive ring of eight: every pair is healthy, so its
+    # second direction reads the first's data under the first's command, and
+    # takes its trigger from the first's (u negated, theta and floor kept)
+    calls = []
+
+    def counted(*args):
+        calls.append(sys._getframe(1).f_code.co_name)
+        return trigger(*args)
+    monkeypatch.setattr(engine, "trigger", counted)
+    n = 8
+    topo = load_topology([[int((j - i) % n in (1, n - 1)) for j in range(n)] for i in range(n)])
+    ne = len(topo.directed_edges())
+    m = Simulation(EngineConfig(
+        topology=topo, x0=[float((3 * i) % n) for i in range(n)], mode="self-adaptive",
+        eps_floor=0.1, edge_eps=[0.1] * ne, edge_rate=[1.0] * ne, alpha=1.5, beta=1.1,
+        phi_act=[0.0] * n, delta_meas=0.01, delta_act=0.01, horizon=20.0, record_period=0.05,
+        delta=0.1 * (n - 1))).run()
+    assert m.channel_stats["act_fail"] == 0 and m.channel_stats["comm_fail"] == 0
+    edges = m.directed_edges
+    rows = pairs = 0
+    for part in m.trigger_log.parts:
+        if isinstance(part, _Rows):  # a pair's two rows are adjacent, at one time
+            t = np.concatenate([b[0] for b in part.table()])
+            e = np.concatenate([b[1]["edge"] for b in part.table()]).tolist()
+            rows += t.size
+            pairs += sum(t[k] == t[k - 1] and edges[e[k]] == edges[e[k - 1]][::-1]
+                         for k in range(1, t.size))
+    assert pairs > rows // 4
+    # the heap loop's calls; the quiescent stretches resolve their commands apart
+    assert calls.count("run") == rows - pairs
 
 
 # The tests below check the rule as the engine applies it, row by row of

@@ -197,6 +197,16 @@ def test_negative_actuation_bound_rejected():
         Simulation(_cfg(PAIR, [0.0, 1.0], mode="self-adaptive", phi_act=[0.0, -0.1]))
 
 
+@pytest.mark.parametrize("value", [0.0, -0.01, float("inf"), float("nan")])
+@pytest.mark.parametrize("name", ["delta_meas", "delta_act", "record_period"])
+def test_non_positive_or_non_finite_intervals_are_rejected(name, value):
+    # a zero actuation interval retries a jammed attempt at t + 0 forever; a zero
+    # measurement or record step divides by zero
+    jam = _jam(("act", 0), 0.0, 3.0, 20.0)
+    with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+        Simulation(_cfg(PAIR, [0.0, 10.0], channels=jam, **{name: value}))
+
+
 def test_record_grid_and_horizon_sample():
     m = Simulation(_cfg(PAIR, [0.0, 1.0], horizon=1.0, record_period=0.25)).run()
     np.testing.assert_allclose(m.times, [0.0, 0.25, 0.5, 0.75, 1.0])

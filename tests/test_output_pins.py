@@ -6,8 +6,9 @@ metrics JSON, attack trace, summary) in the four modes at seeds 0 and 3, of
 `attacks generate` at the scenario's seed, at `--seed 3` and at an 8,000 s
 horizon, and of `sweep --seeds 2 --out`. The
 bundled runs log only a few hundred triggers from the event heap; the 12 s
-self-adaptive ring-64 run of the oracle tests (`conftest.ring64_data`), whose
-~20k triggers come from the heap, pins the active loop's events and trace. An
+ring-64 run of the oracle tests (`conftest.ring64_data`), whose triggers all
+come from the heap (~20k self-adaptive, ~44k nominal), pins the active loop's
+events, trace and metrics in both modes. An
 engine, generator or writer change that claims to keep the outputs must keep
 these bytes; a deliberate output change updates the pins and says so.
 
@@ -196,10 +197,23 @@ GENERATE_PINS = {
 SWEEP_PIN = "f0e04860ccc6ba1439ffba7ba7663ea2e11a48e83319484e7e2e83b948154a1d"
 
 RING64_PINS = {
-    "frequency_events.csv":
-        "cb3d67192c6d27411d3645aa00036032ff3323993a11917eec05d59e8395dcc6",
-    "frequency_trace.csv":
-        "3cb4b4bbc34b5cece42da14a6c3d3cd6ff8913b4ebfcf5bb79d67cae04bb1f6f",
+    "self-adaptive": {
+        "frequency_events.csv":
+            "cb3d67192c6d27411d3645aa00036032ff3323993a11917eec05d59e8395dcc6",
+        "frequency_metrics.json":
+            "6f411b7e2fcd0304f818e8cbebc1ccd6e51f1c25a26a0f6a445dac0f45a8e39c",
+        "frequency_trace.csv":
+            "3cb4b4bbc34b5cece42da14a6c3d3cd6ff8913b4ebfcf5bb79d67cae04bb1f6f",
+    },
+    # ~44k heap rows, stale reads on jammed links and 19 failed actuations
+    "nominal": {
+        "frequency_events.csv":
+            "3d31cd501bd60ba21e04228109093160a2683499fda251a44eaddd2a82c4e871",
+        "frequency_metrics.json":
+            "3c0601da66b612b447cd7f8d1c7b8ab4a2aeac1739d606389f496fbeb6b54d5f",
+        "frequency_trace.csv":
+            "aa107e7a4579f3908016887d25b49aabb135f1996e85e548acd174fb650eae04",
+    },
 }
 
 
@@ -268,8 +282,16 @@ def test_sweep_matches_pin(at_root, tmp_path):
     assert sha256(out) == SWEEP_PIN
 
 
-def test_ring64_active_run_matches_pins(tmp_path):
+def _ring64_run_hashes(tmp_path, mode: str) -> dict:
     scenario, out = tmp_path / "ring64.yaml", tmp_path / "run"
     scenario.write_text(yaml.safe_dump(conftest.ring64_data(), sort_keys=True))
-    assert cli_main(["run", str(scenario), "--out", str(out)]) == 0
-    assert {name: sha256(out / name) for name in RING64_PINS} == RING64_PINS
+    assert cli_main(["run", str(scenario), "--mode", mode, "--out", str(out)]) == 0
+    return {name: sha256(out / name) for name in RING64_PINS[mode]}
+
+
+def test_ring64_active_run_matches_pins(tmp_path):
+    assert _ring64_run_hashes(tmp_path, "self-adaptive") == RING64_PINS["self-adaptive"]
+
+
+def test_ring64_nominal_run_matches_pins(tmp_path):
+    assert _ring64_run_hashes(tmp_path, "nominal") == RING64_PINS["nominal"]
