@@ -19,7 +19,11 @@ record samples are not events:
 - node i measures itself on its grid 0, delta*_meas, 2 delta*_meas, ...; a
   trigger at t reads i's cache lazily as x_i at the latest healthy grid point
   <= t, taken just before any disturbance at that instant (a measurement
-  precedes an expiry at equal times, a disturbance follows both);
+  precedes an expiry at equal times, a disturbance follows both). Trigger
+  times never fall, so the run keeps one grid cursor, the step k with
+  grid[k] <= t < grid[k + 1]; it moves, by one bisect from k, only when a
+  trigger reaches the next grid point, and a read is x_i at
+  grid[jam_i.get(k, k)] from i's segments, with no per-node cache;
 - record samples are read from the segments after the run, just after any
   jump at their time (they follow every event). `RunMetrics.segments` keeps
   the segments for reads at other times.
@@ -507,12 +511,16 @@ class Simulation:
         ]
         if len(cfg.edge_eps) != len(self.edges) or len(cfg.edge_rate) != len(self.edges):
             raise ValueError("edge_eps/edge_rate must match the directed edge count")
-        if cfg.activation_time < 0.0:  # every delay t - stamp is then >= 0
+        # eps <= 0 leaves the ternary rule no dead zone, and R = 0 no clock period
+        if not all(0.0 < v < np.inf for v in (*cfg.edge_eps, *cfg.edge_rate)):
+            raise ValueError("edge_eps and edge_rate must be positive and finite")
+        # every delay t - stamp is then >= 0; a NaN would pass a `< 0` test
+        if not cfg.activation_time >= 0.0:
             raise ValueError("activation_time must be >= 0")
-        if any(p < 0.0 for p in cfg.phi_act):
+        if not all(p >= 0.0 for p in cfg.phi_act):
             raise ValueError("phi_act must be non-negative")
         # a zero actuation interval retries a jammed attempt at one t forever
-        for name in ("delta_meas", "delta_act", "record_period"):
+        for name in ("delta_meas", "delta_act", "record_period", "delta"):
             if not 0.0 < getattr(cfg, name) < np.inf:
                 raise ValueError(f"{name} must be positive and finite")
         # a log row's NaN diff stands for None, so every state stays finite
@@ -557,25 +565,18 @@ class Simulation:
 
         stamps = _Stamps(cfg.delta_meas, horizon, self.meas_ch)
         grid, meas_jam = stamps.grid, stamps.jam
+        # the grid cursor, the step k with grid[k] <= t < g_next (module docstring),
+        # set at the first expiry; a segment that starts later cannot change a read at k
+        k, g_next = 0, -np.inf
 
-        # the last read of each node holds until its next grid point: a new
-        # segment starts at or after the read, so the value at its stamp is final.
-        # The heap loop reads meas_last[i] itself while t < meas_until[i]
-        meas_last: list = [None] * n
-        meas_until = [-1.0] * n
-
-        def measured(i, t):
-            """(stamp, value) of node i's cache at a trigger at t, which is not
-            before the last one's."""
-            k = bisect_right(grid, t) - 1
-            s = grid[meas_jam[i].get(k, k)]
+        def measured(i, step):
+            """Node i's cached value in grid step `step`."""
+            s = grid[meas_jam[i].get(step, step)]
             ts = seg_t[i]
             m = len(ts) - 1
             while m and ts[m] >= s:  # the value just before any jump at s
                 m -= 1
-            meas_until[i] = grid[k + 1] if k + 1 < len(grid) else np.inf
-            meas_last[i] = s, seg_x[i][m] + seg_u[i][m] * (s - ts[m])
-            return meas_last[i]
+            return seg_x[i][m] + seg_u[i][m] * (s - ts[m])
 
         # per-node controller side
         pending: list[Optional[float]] = [None] * n
@@ -647,9 +648,10 @@ class Simulation:
         def certify(gamma):
             return certified_params(gamma, alpha, beta, eps_floor)
 
-        def fast_forward(t_now):
-            """Run a quiescent stretch from a trigger at t_now and log it, with a
-            new `_Rows` for the heap's rows after it; False at the horizon.
+        def fast_forward(t_now, step):
+            """Run a quiescent stretch from a trigger at t_now, in grid step
+            `step`, and log it, with a new `_Rows` for the heap's rows after it;
+            False at the horizon.
             Every edge steps from its live expiry while before the next
             disturbance, cut before the first trigger that would leave the dead
             zone, and the heap resumes at the cut."""
@@ -666,7 +668,7 @@ class Simulation:
                     disturb.append(ev)
             limit = min(disturb)[0] if disturb else nextafter(t_end, np.inf)
             # every node's cache reads its current segment from here on
-            x_now = [measured(i, t_now)[1] for i in range(n)]
+            x_now = [measured(i, step) for i in range(n)]
             diffs = [x_now[j] - x_now[i] for i, j in edges]
             cols, breaks = [None] * ne, []
             # the edges that can break step first, each up to the earliest break so far
@@ -746,6 +748,9 @@ class Simulation:
                         heappop(heap)
                 if b != e_ver[e]:
                     continue
+                if t >= g_next:
+                    k = bisect_right(grid, t, k) - 1
+                    g_next = grid[k + 1] if k + 1 < len(grid) else np.inf
                 nxt = ended = None
                 for e in (e, r) if pair else (e,):
                     i, j = e_i[e], e_j[e]
@@ -767,10 +772,22 @@ class Simulation:
                             own_stamp, own_val, nbr_stamp, nbr_val = \
                                 nbr_stamp, nbr_val, own_stamp, own_val
                         else:
-                            own_stamp, own_val = meas_last[i] if t < meas_until[i] else \
-                                measured(i, t)
-                            nbr_stamp, nbr_val = (e_nbr_stamp[e], e_nbr_val[e]) if not comm_h \
-                                else meas_last[j] if t < meas_until[j] else measured(j, t)
+                            # each cache read as in `measured`, inline
+                            own_stamp = s = grid[meas_jam[i].get(k, k)]
+                            ts = seg_t[i]
+                            m = len(ts) - 1
+                            while m and ts[m] >= s:
+                                m -= 1
+                            own_val = seg_x[i][m] + seg_u[i][m] * (s - ts[m])
+                            if comm_h:
+                                nbr_stamp = s = grid[meas_jam[j].get(k, k)]
+                                ts = seg_t[j]
+                                m = len(ts) - 1
+                                while m and ts[m] >= s:
+                                    m -= 1
+                                nbr_val = seg_x[j][m] + seg_u[j][m] * (s - ts[m])
+                            else:
+                                nbr_stamp, nbr_val = e_nbr_stamp[e], e_nbr_val[e]
                         e_nbr_stamp[e], e_nbr_val[e] = nbr_stamp, nbr_val
                         diff = nbr_val - own_val
                         e_own_delay[e] = own_delay = t - own_stamp
@@ -839,7 +856,7 @@ class Simulation:
                             if pair and e != r:  # a pair never straddles a stretch's start
                                 heappush(heap, (nxt, K_EXPIRY, *first))
                                 push(t, K_EXPIRY, r, e_ver[r], key[r])
-                            ended = not fast_forward(t)
+                            ended = not fast_forward(t, k)
                             log_rows = log_parts[-1].blocks[-1]
                             break
                 if ended:

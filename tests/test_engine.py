@@ -11,7 +11,7 @@ from mgconsensus.controller import delay_aggregate
 from mgconsensus.attacks import ChannelSet, DosParams, DosSequence
 from mgconsensus.design import certified_params
 from mgconsensus.engine import (
-    CLOSED, K_ACT, ROW, EngineConfig, Simulation, _measurement_grid, _Stretch,
+    CLOSED, K_ACT, ROW, EngineConfig, Simulation, _measurement_grid, _Stamps, _Stretch,
 )
 from mgconsensus.scenario import MODES, load_scenario, parse_scenario
 from mgconsensus.topology import load_topology
@@ -207,6 +207,25 @@ def test_non_positive_or_non_finite_intervals_are_rejected(name, value):
         Simulation(_cfg(PAIR, [0.0, 10.0], channels=jam, **{name: value}))
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("name,value", [
+    *(pytest.param(k, [v] * 2, id=f"{k}={v}") for k in ("edge_eps", "edge_rate")
+      for v in (0.0, -0.1, NAN, INF)),
+    pytest.param("phi_act", [NAN, 0.0], id="phi_act=nan"),
+    pytest.param("activation_time", NAN, id="activation_time=nan"),
+    *(pytest.param("delta", v, id=f"delta={v}") for v in (0.0, -0.1, NAN, INF)),
+])
+def test_inputs_that_would_hang_or_misreport_are_rejected(name, value):
+    # eps <= 0 or NaN, R = inf, a NaN activation time and (self-adaptive) a NaN
+    # phi_act each left the run without an end; R = 0 and eps = inf raised
+    # unrelated errors, and a NaN delta reported entry at t = 0. Only the
+    # constructor runs here, so no case can hang.
+    with pytest.raises(ValueError, match=rf"\b{name}\b"):
+        Simulation(_cfg(PAIR, [0.0, 1.0], **{name: value}))
+
+
 def test_record_grid_and_horizon_sample():
     m = Simulation(_cfg(PAIR, [0.0, 1.0], horizon=1.0, record_period=0.25)).run()
     np.testing.assert_allclose(m.times, [0.0, 0.25, 0.5, 0.75, 1.0])
@@ -323,3 +342,77 @@ def test_non_finite_states_are_rejected(x0, jumps):
     # a log row's NaN diff stands for None (a jammed link), so no state may be NaN
     with pytest.raises(ValueError, match="finite"):
         Simulation(_cfg(PAIR, x0, disturbances=jumps))
+
+
+def _x_before(m, nodes: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """x_node(s) per row, read from the run's segments just before any jump at s."""
+    x = np.empty(s.size)
+    for i, (seg_t, seg_x, seg_u) in enumerate(m.segments):
+        at = nodes == i
+        k = np.maximum(np.searchsorted(seg_t, s[at], "left") - 1, 0)
+        x[at] = seg_x[k] + seg_u[k] * (s[at] - seg_t[k])
+    return x
+
+
+def assert_reads_match_segments(sim: Simulation, m) -> tuple[int, int]:
+    """Every comm-healthy heap row's diff is x_j(s_j) - x_i(s_i) float for
+    float, each stamp s the node's latest healthy grid point <= t (`_Stamps`).
+    Returns the rows checked and how many of them lie on a grid point."""
+    cfg = sim.cfg
+    stamps = _Stamps(cfg.delta_meas, cfg.horizon, sim.meas_ch)
+    edges = np.array(m.directed_edges)
+    rows = on_grid = 0
+    for part in m.trigger_log.parts:
+        if isinstance(part, _Stretch):
+            continue
+        for block in part.records():
+            block = block[block["healthy"]]
+            i, j = edges[block["edge"]].T
+            s_i, s_j = ([stamps(a, t) for a, t in zip(nodes.tolist(), block["t"].tolist())]
+                        for nodes in (i, j))
+            want = _x_before(m, j, np.array(s_j)) - _x_before(m, i, np.array(s_i))
+            np.testing.assert_array_equal(block["diff"], want)
+            rows += block.size
+            on_grid += int(np.isin(block["t"], stamps.grid_np).sum())
+    return rows, on_grid
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_heap_reads_match_the_segments_on_bundled_runs(mode):
+    scen = load_scenario(str(SCENARIO)).with_mode(mode)
+    for seed in range(4):
+        s = scen.with_seed(seed)
+        channels = s.build_channels()
+        for instance in ("frequency", "power"):
+            sim = Simulation(s.engine_config(instance, channels))
+            assert assert_reads_match_segments(sim, sim.run())[0] > 0, (seed, instance)
+
+
+@pytest.mark.parametrize("mode", ["nominal", "self-adaptive"])
+def test_heap_reads_match_the_segments_on_ring64(mode):
+    s = parse_scenario(conftest.ring64_data()).with_mode(mode)
+    sim = Simulation(s.engine_config("frequency", s.build_channels()))
+    assert assert_reads_match_segments(sim, sim.run())[0] > 15000
+
+
+def test_heap_reads_match_the_segments_at_triggers_on_grid_points():
+    # dyadic x0, eps and grid keep every trigger time dyadic: many land exactly
+    # on a grid point, where the read must already see that point's measurement
+    sim = Simulation(_cfg(RING4, [0.0, 2.0, 4.0, 1.0], eps_floor=0.125, edge_eps=[0.125] * 8,
+                          delta_meas=0.015625, delta_act=0.015625))
+    rows, on_grid = assert_reads_match_segments(sim, sim.run())
+    assert on_grid > 100, (rows, on_grid)
+
+
+@pytest.mark.parametrize("mode", ["nominal", "self-adaptive"])
+def test_a_ring64_run_bisects_the_grid_at_most_once_per_grid_point(mode, monkeypatch):
+    # trigger times never fall, so the grid cursor only moves forward; a
+    # bisect per node read in a new grid step made 32,896 (nominal) and 17,149
+    # (self-adaptive) calls on this run's 1,201 grid points
+    s = parse_scenario(conftest.ring64_data()).with_mode(mode)
+    cfg = s.engine_config("frequency", s.build_channels())
+    sim, calls, bisect = Simulation(cfg), [], engine.bisect_right
+    monkeypatch.setattr(engine, "bisect_right", lambda *a: calls.append(1) or bisect(*a))
+    m = sim.run()
+    assert len(m.trigger_log) > 15000
+    assert 0 < len(calls) <= _measurement_grid(cfg.delta_meas, cfg.horizon).size
